@@ -36,13 +36,6 @@
 // outages, link fades, sensor dropouts, satellite resets; see
 // internal/fault) and reports downlinked value retained versus the
 // fault-free baseline.
-//
-// The "serving" figure is the one exception to byte-identical output: it
-// load-tests a live server (baseline vs sharded+batched serving over the
-// same deterministic request stream), so its throughput and latency
-// columns are measured wall-clock values that vary run to run. Its
-// request accounting and response byte-identity columns are
-// deterministic.
 package main
 
 import (
@@ -59,7 +52,6 @@ import (
 	"time"
 
 	"kodan/internal/experiments"
-	"kodan/internal/loadgen"
 	"kodan/internal/telemetry"
 )
 
@@ -155,10 +147,6 @@ func generators(lab *experiments.Lab) []generator {
 			rows, err := lab.HybridPlanSweepCtx(ctx)
 			return experiments.RenderHybridPlan(rows), rows, err
 		}},
-		{"serving", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := loadgen.ServingSweep(ctx, lab.Size == experiments.Full)
-			return loadgen.RenderServing(rows), rows, err
-		}},
 	}
 }
 
@@ -220,7 +208,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kodan-bench: ")
 	sizeFlag := flag.String("size", "full", "experiment scale: full or quick")
-	onlyFlag := flag.String("only", "", "comma-separated subset (table1,fig2,...,fig15,ablation-k,ablation-source,resilience,hybridplan,serving)")
+	onlyFlag := flag.String("only", "", "comma-separated subset (table1,fig2,...,fig15,ablation-k,ablation-source,resilience,hybridplan)")
 	parallelFlag := flag.Int("parallel", 0, "evaluation worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	csvDir := flag.String("csv", "", "also write per-figure CSV files to this directory")
 	jsonDir := flag.String("json", "", "also write one BENCH_<figure>.json per table/figure to this directory")

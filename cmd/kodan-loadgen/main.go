@@ -1,31 +1,30 @@
 // Command kodan-loadgen drives the serving plane with a deterministic
 // seeded multi-tenant request stream and reports throughput, latency
 // percentiles, admission rejections, and weighted fairness. By default it
-// self-hosts a stub-pipeline server (real serving plane — sharded cache,
-// admission, batching, worker pool — over a synthetic compute-cost
-// model), so the serving stack can be load-tested hermetically; -url
+// self-hosts a stub-pipeline server (real serving plane — single-flight
+// LRU cache, admission, worker pool — over a synthetic per-transform
+// cost), so the serving stack can be load-tested hermetically; -url
 // points it at an already-running kodan-server instead.
 //
 // Usage:
 //
 //	kodan-loadgen [-requests 200] [-concurrency 8] [-rate 0] [-seed 1]
 //	              [-tenants name:weight[:share],...] [-apps 1,2,3] [-seed-pool 1,2]
-//	              [-shards 4] [-cache-entries 1024] [-batch-window 0] [-batch-max 8]
-//	              [-workers 4] [-queue 32] [-work-fixed 20ms] [-work-marginal 5ms]
+//	              [-cache-entries 1024] [-workers 4] [-queue 32] [-work 25ms]
 //	              [-tenant-rate 0] [-tenant-burst 0]
 //	              [-max-error-rate 0.01] [-min-fairness 0.5]
 //	              [-compare] [-json] [-url http://host:8080]
 //
-// -compare runs the same stream twice against the self-hosted stub — a
-// baseline (single cache shard, no batching) and the tuned configuration
-// from the flags — verifies the responses are byte-identical, and reports
-// both with the throughput ratio. The stream is a pure function of -seed,
-// so runs are reproducible and cross-configuration comparisons are
-// apples-to-apples.
+// -compare runs the same stream a second time against a fresh self-hosted
+// stub of the same configuration and verifies the responses are
+// byte-identical: cold caches, different interleavings of hits, joins and
+// misses, same bytes. The stream is a pure function of -seed, so runs are
+// reproducible.
 //
 // Exit status: 0 on success; 1 when a gate fails (error rate above
-// -max-error-rate, fairness below -min-fairness, or -compare digests
-// diverging); 2 on usage errors. CI uses this as the serving smoke test.
+// -max-error-rate or fairness below -min-fairness on any run, or -compare
+// digests diverging); 2 on usage errors. CI uses this as the serving
+// smoke test.
 package main
 
 import (
@@ -36,7 +35,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -119,17 +117,15 @@ func parseUints(s string) ([]uint64, error) {
 // stubServer boots a self-hosted stub-pipeline server on a loopback port
 // and returns its base URL plus a shutdown func.
 func stubServer(cfg server.Config) (string, func(), error) {
-	s := server.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		s.Close()
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: s.Handler()}
-	go hs.Serve(ln) //nolint:errcheck // shutdown path below owns the error
+	s := server.New(cfg)
+	go s.Serve(ln) //nolint:errcheck // shutdown path below owns the error
 	stop := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		hs.Shutdown(ctx) //nolint:errcheck // best-effort drain
+		s.Shutdown(ctx) //nolint:errcheck // best-effort drain
 		cancel()
 		s.Close()
 	}
@@ -193,20 +189,16 @@ func main() {
 	seedPoolFlag := flag.String("seed-pool", "1,2", "transform-seed pool (cache keys = seeds x apps)")
 	urlFlag := flag.String("url", "", "target an external server instead of self-hosting the stub")
 
-	shards := flag.Int("shards", 4, "stub server: cache shard count")
 	cacheEntries := flag.Int("cache-entries", 1024, "stub server: completed cache entries bound (-1 = unbounded)")
-	batchWindow := flag.Duration("batch-window", 25*time.Millisecond, "stub server: batching window (0 = batching off)")
-	batchMax := flag.Int("batch-max", 8, "stub server: max members per batch")
 	workers := flag.Int("workers", 4, "stub server: transform workers")
 	queue := flag.Int("queue", 32, "stub server: per-tenant wait-queue depth")
-	workFixed := flag.Duration("work-fixed", 20*time.Millisecond, "stub cost model: per-pass overhead (amortized by batching)")
-	workMarginal := flag.Duration("work-marginal", 5*time.Millisecond, "stub cost model: per-app compute")
+	work := flag.Duration("work", 25*time.Millisecond, "stub server: synthetic cost of one transform")
 	tenantRate := flag.Float64("tenant-rate", 0, "stub server: per-tenant admission rate in req/s (0 = off)")
 	tenantBurst := flag.Float64("tenant-burst", 0, "stub server: per-tenant admission burst (0 = 2x rate)")
 
 	maxErrorRate := flag.Float64("max-error-rate", 0.01, "gate: fail when error rate exceeds this")
 	minFairness := flag.Float64("min-fairness", 0.5, "gate: fail when Jain fairness falls below this")
-	compare := flag.Bool("compare", false, "also run a single-shard/no-batch baseline over the same stream and require byte-identical responses")
+	compare := flag.Bool("compare", false, "rerun the stream against a second fresh stub server and require byte-identical responses")
 	jsonOut := flag.Bool("json", false, "emit the report(s) as JSON on stdout")
 	flag.Parse()
 
@@ -226,7 +218,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *urlFlag != "" && *compare {
-		log.Println("-compare needs the self-hosted stub (it reruns the stream under a different server config); drop -url")
+		log.Println("-compare needs the self-hosted stub (it reruns the stream on a fresh server); drop -url")
 		os.Exit(2)
 	}
 
@@ -243,20 +235,15 @@ func main() {
 		SeedPool:    seedPool,
 	}
 
-	// serverConfig assembles the stub server from the flags; baseline mode
-	// collapses the cache to one shard and disables batching, keeping
-	// everything else identical.
-	serverConfig := func(baseline bool) (server.Config, error) {
-		cfg, err := loadgen.StubConfig(loadgen.WorkModel{Fixed: *workFixed, Marginal: *workMarginal}, apps)
+	// serverConfig assembles the stub server from the flags.
+	serverConfig := func() (server.Config, error) {
+		cfg, err := loadgen.StubConfig(*work, apps)
 		if err != nil {
 			return cfg, err
 		}
 		cfg.Workers = *workers
 		cfg.QueueDepth = *queue
-		cfg.CacheShards = *shards
 		cfg.CacheEntries = *cacheEntries
-		cfg.BatchWindow = *batchWindow
-		cfg.BatchMax = *batchMax
 		cfg.TenantRate = *tenantRate
 		cfg.TenantBurst = *tenantBurst
 		if len(tenants) > 0 {
@@ -264,10 +251,6 @@ func main() {
 			for _, tn := range tenants {
 				cfg.TenantWeights[tn.Name] = tn.Weight
 			}
-		}
-		if baseline {
-			cfg.CacheShards = 1
-			cfg.BatchWindow = 0
 		}
 		return cfg, nil
 	}
@@ -278,8 +261,8 @@ func main() {
 		o.BaseURL = url
 		return loadgen.Run(ctx, o)
 	}
-	runStub := func(baseline bool) (*loadgen.Report, error) {
-		cfg, err := serverConfig(baseline)
+	runStub := func() (*loadgen.Report, error) {
+		cfg, err := serverConfig()
 		if err != nil {
 			return nil, err
 		}
@@ -300,56 +283,48 @@ func main() {
 		os.Exit(1)
 	}
 
-	var tuned, baseline *loadgen.Report
-	switch {
-	case *urlFlag != "":
-		if tuned, err = runAgainst(*urlFlag); err != nil {
-			fail(err)
-		}
-	case *compare:
-		if baseline, err = runStub(true); err != nil {
-			fail(err)
-		}
-		if tuned, err = runStub(false); err != nil {
-			fail(err)
-		}
-	default:
-		if tuned, err = runStub(false); err != nil {
+	var first, rerun *loadgen.Report
+	if *urlFlag != "" {
+		first, err = runAgainst(*urlFlag)
+	} else {
+		first, err = runStub()
+	}
+	if err != nil {
+		fail(err)
+	}
+	if *compare {
+		if rerun, err = runStub(); err != nil {
 			fail(err)
 		}
 	}
 
-	failedGates := gates(tuned, *maxErrorRate, *minFairness)
+	failedGates := gates(first, *maxErrorRate, *minFairness)
 	var digestErr error
-	if baseline != nil {
-		if digestErr = loadgen.CompareDigests(baseline, tuned); digestErr != nil {
+	if rerun != nil {
+		for _, g := range gates(rerun, *maxErrorRate, *minFairness) {
+			failedGates = append(failedGates, "rerun: "+g)
+		}
+		if digestErr = loadgen.CompareDigests(first, rerun); digestErr != nil {
 			failedGates = append(failedGates, digestErr.Error())
 		}
 	}
 
 	if *jsonOut {
-		doc := map[string]interface{}{"tuned": tuned}
-		if baseline != nil {
-			doc["baseline"] = baseline
+		doc := map[string]interface{}{"report": first, "gatesFailed": failedGates}
+		if rerun != nil {
+			doc["rerun"] = rerun
 			doc["digestsIdentical"] = digestErr == nil
-			if baseline.ThroughputRPS > 0 {
-				doc["speedup"] = tuned.ThroughputRPS / baseline.ThroughputRPS
-			}
 		}
-		doc["gatesFailed"] = failedGates
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
 			fail(err)
 		}
 	} else {
-		if baseline != nil {
-			fmt.Print(render("baseline (1 shard, no batching)", baseline))
-		}
-		fmt.Print(render("tuned", tuned))
-		if baseline != nil && baseline.ThroughputRPS > 0 {
-			fmt.Printf("speedup: %.2fx throughput vs baseline; responses byte-identical: %t\n",
-				tuned.ThroughputRPS/baseline.ThroughputRPS, digestErr == nil)
+		fmt.Print(render("run", first))
+		if rerun != nil {
+			fmt.Print(render("rerun (fresh server)", rerun))
+			fmt.Printf("responses byte-identical across servers: %t\n", digestErr == nil)
 		}
 	}
 

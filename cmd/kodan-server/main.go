@@ -1,24 +1,22 @@
 // Command kodan-server runs the ground-segment mission-planning service:
 // an HTTP JSON API over the one-time transformation pipeline, the
 // selection-logic generator, and the orbital simulator, with a
-// single-flight plan cache, a bounded transform worker pool, and an ops
-// surface (/healthz, /readyz, /metrics).
+// single-flight LRU result cache, a bounded transform worker pool, and an
+// ops surface (/healthz, /readyz, /metrics).
 //
 // Usage:
 //
 //	kodan-server [-addr :8080] [-seed 2023] [-frames 120] [-workers 2] [-queue 8] [-timeout 120s]
-//	             [-shards 4] [-cache-entries 1024] [-batch-window 0] [-batch-max 8]
-//	             [-tenant-rate 0] [-tenant-burst 0] [-retry-jitter 2]
+//	             [-cache-entries 1024] [-tenant-rate 0] [-tenant-burst 0] [-retry-jitter 2]
 //	             [-debug-addr :6060] [-sample 1s] [-slo-latency 30s] [-trace FILE] [-log text|json]
 //
 // The serving plane is multi-tenant: requests carry their tenant in the
 // X-Kodan-Tenant header (anonymous traffic shares a default tenant),
 // worker slots are granted by weighted fair queueing with a per-tenant
 // wait-queue bound, -tenant-rate adds per-tenant token-bucket admission
-// (rejections get 429 with a deterministically jittered Retry-After), the
-// plan/transform cache is sharded -shards ways with a bounded LRU, and
-// -batch-window coalesces compatible transform requests into one batched
-// pipeline pass.
+// (rejections get 429 with a deterministically jittered Retry-After), and
+// the plan/transform cache keeps at most -cache-entries completed results
+// (least recently used evicted first).
 //
 // Endpoints:
 //
@@ -79,12 +77,9 @@ func main() {
 	workers := flag.Int("workers", 2, "concurrent transform workers")
 	queue := flag.Int("queue", 8, "per-tenant transform wait-queue depth (beyond this: 429)")
 	timeout := flag.Duration("timeout", 120*time.Second, "per-request processing ceiling")
-	shards := flag.Int("shards", 4, "plan/transform cache shard count")
-	cacheEntries := flag.Int("cache-entries", 1024, "completed cache entries retained across shards (LRU beyond this; -1 = unbounded)")
+	cacheEntries := flag.Int("cache-entries", 1024, "completed cache entries retained (LRU beyond this; -1 = unbounded)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate in req/s (0 = no per-tenant rate limit)")
 	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant admission burst (0 = 2x rate)")
-	batchWindow := flag.Duration("batch-window", 0, "coalesce compatible transform requests for this long into one batched pass (0 = off)")
-	batchMax := flag.Int("batch-max", 8, "max transform requests per batched pass")
 	retryJitter := flag.Int("retry-jitter", 2, "max seconds of deterministic jitter added to Retry-After (0 = none)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars, and /debug/dash on this address (empty = disabled)")
@@ -117,12 +112,9 @@ func main() {
 		Workers:             *workers,
 		QueueDepth:          *queue,
 		Timeout:             *timeout,
-		CacheShards:         *shards,
 		CacheEntries:        *cacheEntries,
 		TenantRate:          *tenantRate,
 		TenantBurst:         *tenantBurst,
-		BatchWindow:         *batchWindow,
-		BatchMax:            *batchMax,
 		RetryAfterJitterMax: *retryJitter,
 		TransformConfig: func(seed uint64) kodan.TransformConfig {
 			c := kodan.DefaultTransformConfig(seed)
@@ -189,8 +181,7 @@ func main() {
 	logger.Info("started",
 		"addr", *addr, "seed", *seed, "workers", *workers, "queue", *queue,
 		"timeout", timeout.String(), "cache_entries", m.Cache.Entries,
-		"cache_shards", m.Cache.Shards, "cache_capacity", m.Cache.Capacity,
-		"batch_window", batchWindow.String(), "tenant_rate", *tenantRate,
+		"cache_capacity", m.Cache.Capacity, "tenant_rate", *tenantRate,
 		"debug_addr", *debugAddr, "sample", sample.String())
 
 	sigCh := make(chan os.Signal, 1)

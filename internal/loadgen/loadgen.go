@@ -9,10 +9,10 @@
 //
 // The request STREAM is a pure function of the seed: two runs with the
 // same options issue the same requests in the same order, so response
-// digests are comparable across server configurations (the serving bench
-// uses this to prove sharded+batched serving byte-identical to the
-// single-shard baseline). Timing-derived statistics (throughput,
-// percentiles) are measured, not synthesized, and vary run to run.
+// digests are comparable across servers (kodan-loadgen -compare uses this
+// to prove two fresh servers answer the stream byte-identically). Timing-
+// derived statistics (throughput, percentiles) are measured, not
+// synthesized, and vary run to run.
 package loadgen
 
 import (

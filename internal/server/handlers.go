@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"kodan"
+	"kodan/internal/admission"
 	"kodan/internal/fault"
 	"kodan/internal/planner"
 	"kodan/internal/sim"
@@ -80,14 +81,27 @@ func (s *Server) requestContext(r *http.Request, req planRequest) (context.Conte
 	return context.WithTimeout(r.Context(), timeout)
 }
 
-// decode parses a JSON body strictly.
-func decode(r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds request bodies; every valid request is a few
+// hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// decode parses a JSON body strictly into v. On failure it writes the
+// error response — 413 for a body over maxBodyBytes, 400 otherwise — and
+// returns false.
+func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeJSONError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	default:
+		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 	}
-	return nil
+	return false
 }
 
 // writeJSON writes v as indented JSON.
@@ -125,7 +139,7 @@ func (s *Server) retryAfter(d time.Duration) string {
 // writeError maps pipeline errors onto HTTP statuses.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrSaturated):
+	case errors.Is(err, admission.ErrSaturated):
 		w.Header().Set("Retry-After", s.retryAfter(time.Second))
 		writeJSONError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrBreakerOpen):
@@ -183,15 +197,10 @@ func (s *Server) system(ctx context.Context, seed uint64) (*kodan.System, CacheS
 
 // application returns (computing at most once per key, through the worker
 // pool) the transformed application for (seed, app, inference variant).
-// tenant attributes the pool wait to the caller's fair queue; when
-// batching is enabled, the cache-miss leader coalesces with concurrent
-// same-(seed, variant) misses instead of transforming alone.
+// tenant attributes the pool wait to the caller's fair queue.
 func (s *Server) application(ctx context.Context, tenant string, seed uint64, appIndex int, quantized bool) (*kodan.Application, CacheSource, error) {
 	key := fmt.Sprintf("app|%d|%d|%t", seed, appIndex, quantized)
 	v, src, err := s.cache.Do(ctx, key, func(cctx context.Context) (interface{}, error) {
-		if s.batcher != nil {
-			return s.batcher.submit(cctx, tenant, seed, appIndex, quantized)
-		}
 		sys, err := s.acquireAndBuild(cctx, tenant, seed)
 		if err != nil {
 			return nil, err
@@ -224,7 +233,7 @@ func (s *Server) acquireAndBuild(ctx context.Context, tenant string, seed uint64
 	waitSp.End()
 	s.tenants.QueueDepth(tenant, s.pool.QueueDepthOf(tenant))
 	if err != nil {
-		if errors.Is(err, ErrSaturated) {
+		if errors.Is(err, admission.ErrSaturated) {
 			s.tenants.Rejected(tenant)
 		}
 		return nil, err
@@ -398,8 +407,7 @@ type transformResponse struct {
 // application.
 func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
-	if err := decode(r, &req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.App < 1 || req.App > len(kodan.Applications()) {
@@ -433,8 +441,7 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 // of that selection logic and returns per-context placements.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
-	if err := decode(r, &req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.App < 1 || req.App > len(kodan.Applications()) {
@@ -654,8 +661,7 @@ type simulateResponse struct {
 // constellation size.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req simulateRequest
-	if err := decode(r, &req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.App < 1 || req.App > len(kodan.Applications()) {

@@ -171,17 +171,14 @@ type RouteSnapshot struct {
 	Latency  LatencySnapshot  `json:"latency"`
 }
 
-// CacheSnapshot is the cache's exported counters. Shards, Capacity, and
-// Evictions are additive fields from the sharded LRU cache; the original
-// fields keep their names and meaning.
+// CacheSnapshot is the cache's exported counters.
 type CacheSnapshot struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Joins     int64 `json:"singleFlightJoins"`
 	Entries   int   `json:"entries"`
 	Evictions int64 `json:"evictions"`
-	Shards    int   `json:"shards"`
-	// Capacity is the completed-entry bound across shards (0 = unbounded).
+	// Capacity is the completed-entry bound (0 = unbounded).
 	Capacity int `json:"capacity"`
 }
 
@@ -202,7 +199,7 @@ type Snapshot struct {
 	UptimeSeconds float64                    `json:"uptimeSeconds"`
 	Requests      map[string]RouteSnapshot   `json:"requests"`
 	Cache         CacheSnapshot              `json:"cache"`
-	Pool          PoolStats                  `json:"pool"`
+	Pool          admission.PoolStats        `json:"pool"`
 	Transforms    TransformSnapshot          `json:"transforms"`
 	Telemetry     telemetry.RegistrySnapshot `json:"telemetry"`
 }
@@ -225,7 +222,7 @@ func (m *Metrics) Snapshot(cache *Cache, pool *admission.FairPool) Snapshot {
 		h, mi, j, ev := cache.Stats()
 		snap.Cache = CacheSnapshot{
 			Hits: h, Misses: mi, Joins: j, Entries: cache.Len(),
-			Evictions: ev, Shards: cache.Shards(), Capacity: cache.Capacity(),
+			Evictions: ev, Capacity: cache.Capacity(),
 		}
 	}
 	if pool != nil {

@@ -9,10 +9,11 @@
 // (seeded SplitMix64), the server is built around three production
 // mechanisms:
 //
-//   - a single-flight result cache keyed by (seed, app) for transforms and
-//     (seed, app, target, deployment) for plans, so N identical concurrent
-//     requests trigger exactly one computation and repeat requests are
-//     served from memory;
+//   - one single-flight LRU result cache keyed by (seed, app) for
+//     transforms and (seed, app, target, deployment) for plans, so N
+//     identical concurrent requests trigger exactly one computation and
+//     repeat requests are served from memory (at most CacheEntries
+//     completed results are retained);
 //   - a bounded worker pool with a bounded wait queue for the expensive
 //     computations, returning 429 + Retry-After under saturation instead
 //     of unbounded latency;
@@ -23,7 +24,8 @@
 // Ops surface: GET /healthz (liveness), GET /readyz (serving/draining),
 // GET /metrics (JSON counters: request counts, latency percentiles, cache
 // hits/misses, pool gauges, transform lifecycle). Shutdown drains
-// in-flight requests before closing the listener.
+// in-flight requests before closing the listener. Request bodies, header
+// size and header read time are bounded against slow or hostile clients.
 package server
 
 import (
@@ -40,7 +42,6 @@ import (
 	"kodan"
 	"kodan/internal/admission"
 	"kodan/internal/fault"
-	"kodan/internal/shardcache"
 	"kodan/internal/telemetry"
 	"kodan/internal/xrand"
 )
@@ -54,14 +55,6 @@ type TransformFunc func(ctx context.Context, sys *kodan.System, appIndex int, qu
 // NewSystemFunc builds the transformation workspace for a seed. The
 // default wires Config.TransformConfig into kodan.NewSystemCtx.
 type NewSystemFunc func(ctx context.Context, cfg kodan.TransformConfig) (*kodan.System, error)
-
-// TransformBatchFunc runs the one-time transformation for several
-// applications of the same (seed, variant) in one batched pipeline pass,
-// returning one result per requested index in order. The default loops
-// Config.Transform (equivalently (*kodan.System).TransformBatchVariantCtx,
-// whose per-tile inference already amortizes through PredictBatch); load
-// tests substitute cost models with an explicit fixed+marginal split.
-type TransformBatchFunc func(ctx context.Context, sys *kodan.System, appIndexes []int, quantized bool) ([]*kodan.Application, error)
 
 // Config sizes the server.
 type Config struct {
@@ -115,13 +108,9 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker rejects requests before
 	// admitting a half-open probe (default 5s).
 	BreakerCooldown time.Duration
-	// CacheShards is how many independent shards the result cache is split
-	// into by consistent hashing (default 4). Responses are byte-identical
-	// at any shard count; sharding only reduces lock contention.
-	CacheShards int
-	// CacheEntries bounds completed cache entries across shards, evicting
-	// least-recently-used entries beyond it (default 1024; negative means
-	// unbounded, the pre-sharding behavior).
+	// CacheEntries bounds completed cache entries, evicting the
+	// least-recently-used beyond it (default 1024; negative means
+	// unbounded). In-flight computations never count against it.
 	CacheEntries int
 	// TenantRate enables per-tenant token-bucket admission on the expensive
 	// POST endpoints at this many requests/second per tenant (0 disables —
@@ -144,16 +133,6 @@ type Config struct {
 	// JitterSeed seeds the Retry-After jitter stream (default Seed), so a
 	// seeded server emits a reproducible jitter sequence.
 	JitterSeed uint64
-	// BatchWindow enables transform batching: a cache-miss transform waits
-	// up to this long for same-(seed, variant) misses to coalesce into one
-	// batched pipeline pass through a single worker slot (0 disables — the
-	// default).
-	BatchWindow time.Duration
-	// BatchMax flushes a batch early once it holds this many transforms
-	// (default 8).
-	BatchMax int
-	// TransformBatch overrides the batched transform (tests, load models).
-	TransformBatch TransformBatchFunc
 }
 
 func (c Config) withDefaults() Config {
@@ -189,9 +168,6 @@ func (c Config) withDefaults() Config {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
 	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 4
-	}
 	switch {
 	case c.CacheEntries == 0:
 		c.CacheEntries = 1024
@@ -203,9 +179,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JitterSeed == 0 {
 		c.JitterSeed = c.Seed
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 8
 	}
 	return c
 }
@@ -223,7 +196,6 @@ type Server struct {
 	limiter *admission.Limiter
 	tenants *admission.TenantMetrics
 	jitter  *jitterSource
-	batcher *batcher
 	metrics *Metrics
 	probe   telemetry.Probe
 	logger  *slog.Logger
@@ -253,6 +225,20 @@ func (j *jitterSource) seconds() int {
 	return j.rng.Intn(j.max + 1)
 }
 
+// Connection limits for the HTTP server, bounding what a slow or hostile
+// client can hold open. There is deliberately no ReadTimeout or
+// WriteTimeout: a cache-miss transform legitimately runs for seconds, and
+// Config.Timeout already bounds request processing.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers.
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout closes keep-alive connections idle this long.
+	idleTimeout = 120 * time.Second
+	// maxHeaderBytes bounds request header size; larger headers get 431.
+	maxHeaderBytes = 64 << 10
+)
+
 // New builds a server from the configuration.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -273,11 +259,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		baseCtx:    base,
 		baseCancel: cancel,
-		cache: shardcache.New(base, shardcache.Options{
-			Shards:     cfg.CacheShards,
-			MaxEntries: cfg.CacheEntries,
-			Scope:      metrics.Registry().Scope("server.cache"),
-		}),
+		cache:      newCache(base, cfg.CacheEntries, metrics.Registry().Scope("server.cache")),
 		pool: admission.NewFairPool(admission.FairPoolOptions{
 			Workers:    cfg.Workers,
 			QueueDepth: cfg.QueueDepth,
@@ -300,26 +282,13 @@ func New(cfg Config) *Server {
 	// (when configured), bounded retry for transient failures, and the
 	// circuit breaker. Pass-through in the default configuration.
 	s.cfg.Transform = s.resilientTransform(cfg.Transform)
-	if s.cfg.TransformBatch == nil {
-		// Default batched transform: the resilient per-app transform in a
-		// loop (each member still gets retry/breaker accounting).
-		s.cfg.TransformBatch = func(ctx context.Context, sys *kodan.System, appIndexes []int, quantized bool) ([]*kodan.Application, error) {
-			out := make([]*kodan.Application, len(appIndexes))
-			for i, a := range appIndexes {
-				app, err := s.cfg.Transform(ctx, sys, a, quantized)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = app
-			}
-			return out, nil
-		}
-	}
-	if cfg.BatchWindow > 0 {
-		s.batcher = newBatcher(s, cfg.BatchWindow, cfg.BatchMax)
-	}
 	s.handler = s.routes()
-	s.httpSrv = &http.Server{Handler: s.handler}
+	s.httpSrv = &http.Server{
+		Handler:           s.handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	return s
 }
 

@@ -73,52 +73,12 @@ func postTenant(t *testing.T, ts *httptest.Server, path, tenant, body string) (*
 	return resp, buf.Bytes()
 }
 
-// TestShardCountByteIdentical runs the same request stream against
-// servers sharded 1, 4, and 16 ways and requires byte-identical
-// responses: sharding may only move lock contention, never results.
-func TestShardCountByteIdentical(t *testing.T) {
-	stream := []struct{ path, body string }{
-		{"/v1/plan", planBody(1)},
-		{"/v1/plan", planBody(2)},
-		{"/v1/transform", `{"app":1}`},
-		{"/v1/plan", planBody(1)}, // replay: must hit, identically
-		{"/v1/transform", `{"app":1}`},
-	}
-	var want [][]byte
-	for _, shards := range []int{1, 4, 16} {
-		cfg := testConfig()
-		cfg.CacheShards = shards
-		s := New(cfg)
-		ts := httptest.NewServer(s.Handler())
-		bodies := make([][]byte, len(stream))
-		for i, req := range stream {
-			resp, data := post(t, ts.Client(), ts.URL+req.path, req.body)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("shards=%d %s: status %d (%s)", shards, req.path, resp.StatusCode, data)
-			}
-			bodies[i] = data
-		}
-		ts.Close()
-		s.Close()
-		if want == nil {
-			want = bodies
-			continue
-		}
-		for i := range stream {
-			if !bytes.Equal(bodies[i], want[i]) {
-				t.Errorf("shards=%d: response %d (%s) differs from single-shard baseline", shards, i, stream[i].path)
-			}
-		}
-	}
-}
-
 // TestCacheEvictionBound pins the LRU satellite: with CacheEntries set,
 // completed entries stay bounded, evictions are counted, and an evicted
 // key recomputes correctly on the next request.
 func TestCacheEvictionBound(t *testing.T) {
 	var builds atomic.Int64
 	cfg := testConfig()
-	cfg.CacheShards = 1
 	cfg.CacheEntries = 2
 	cfg.NewSystem, cfg.Transform = stubPipeline(t, func(uint64) { builds.Add(1) })
 	s := New(cfg)
@@ -364,91 +324,10 @@ func TestRetryAfterJitterDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescing pins the tentpole's batching half with the real
-// tiny pipeline: concurrent misses for apps sharing a workspace coalesce
-// into fewer batched passes, and every response is byte-identical to the
-// unbatched server's.
-func TestBatchCoalescing(t *testing.T) {
-	baseline := map[int][]byte{}
-	{
-		cfg := testConfig()
-		s := New(cfg)
-		ts := httptest.NewServer(s.Handler())
-		for _, app := range []int{1, 2, 3} {
-			resp, data := post(t, ts.Client(), ts.URL+"/v1/transform", fmt.Sprintf(`{"app":%d}`, app))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("baseline app %d: status %d (%s)", app, resp.StatusCode, data)
-			}
-			baseline[app] = data
-		}
-		ts.Close()
-		s.Close()
-	}
-
-	var batchCalls, batchedApps atomic.Int64
-	cfg := testConfig()
-	cfg.BatchWindow = 150 * time.Millisecond
-	cfg.BatchMax = 8
-	cfg.TransformBatch = func(ctx context.Context, sys *kodan.System, appIndexes []int, quantized bool) ([]*kodan.Application, error) {
-		batchCalls.Add(1)
-		batchedApps.Add(int64(len(appIndexes)))
-		return sys.TransformBatchVariantCtx(ctx, appIndexes, quantized)
-	}
-	s := New(cfg)
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	var wg sync.WaitGroup
-	bodies := make(map[int][]byte)
-	var mu sync.Mutex
-	for _, app := range []int{1, 2, 3} {
-		wg.Add(1)
-		go func(app int) {
-			defer wg.Done()
-			resp, data := post(t, ts.Client(), ts.URL+"/v1/transform", fmt.Sprintf(`{"app":%d}`, app))
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("batched app %d: status %d (%s)", app, resp.StatusCode, data)
-				return
-			}
-			mu.Lock()
-			bodies[app] = data
-			mu.Unlock()
-		}(app)
-	}
-	wg.Wait()
-
-	for app, want := range baseline {
-		if !bytes.Equal(bodies[app], want) {
-			t.Errorf("app %d: batched response differs from unbatched baseline", app)
-		}
-	}
-	if calls := batchCalls.Load(); calls >= 3 {
-		t.Errorf("batching ran %d passes for 3 concurrent same-workspace misses, want coalescing", calls)
-	}
-	if got := batchedApps.Load(); got != 3 {
-		t.Errorf("batched %d member transforms, want 3", got)
-	}
-	reg := s.Registry()
-	if got := reg.Counter("server.batch.batched").Load(); got != 3 {
-		t.Errorf("server.batch.batched = %d, want 3", got)
-	}
-	if reg.Counter("server.batch.flushes").Load() == 0 {
-		t.Error("server.batch.flushes never incremented")
-	}
-
-	// Replays are cache hits — batching must not bypass the cache.
-	resp, data := post(t, ts.Client(), ts.URL+"/v1/transform", `{"app":1}`)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Kodan-Cache") != "hit" {
-		t.Errorf("replay after batch: status %d source %q (%s)", resp.StatusCode, resp.Header.Get("X-Kodan-Cache"), data)
-	}
-}
-
-// TestMetricsExposesServingFields pins the /metrics additions: shard
-// count, capacity, evictions, and the pool's JSON shape.
+// TestMetricsExposesServingFields pins the /metrics serving fields: cache
+// capacity and evictions, and the pool's JSON shape.
 func TestMetricsExposesServingFields(t *testing.T) {
 	cfg := testConfig()
-	cfg.CacheShards = 4
 	cfg.CacheEntries = 100
 	cfg.NewSystem, cfg.Transform = stubPipeline(t, nil)
 	s := New(cfg)
@@ -459,7 +338,6 @@ func TestMetricsExposesServingFields(t *testing.T) {
 	post(t, ts.Client(), ts.URL+"/v1/transform", transformBody(1, 1))
 	var doc struct {
 		Cache struct {
-			Shards    int   `json:"shards"`
 			Capacity  int   `json:"capacity"`
 			Evictions int64 `json:"evictions"`
 			Hits      int64 `json:"hits"`
@@ -473,8 +351,8 @@ func TestMetricsExposesServingFields(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics status %d", resp.StatusCode)
 	}
-	if doc.Cache.Shards != 4 || doc.Cache.Capacity != 100 {
-		t.Errorf("cache shards/capacity = %d/%d, want 4/100", doc.Cache.Shards, doc.Cache.Capacity)
+	if doc.Cache.Capacity != 100 {
+		t.Errorf("cache capacity = %d, want 100", doc.Cache.Capacity)
 	}
 	if doc.Pool.Workers != 2 {
 		t.Errorf("pool workers = %d, want 2", doc.Pool.Workers)

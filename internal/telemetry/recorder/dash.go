@@ -167,11 +167,6 @@ const PANELS = [
                   if (k.startsWith("server.tenant.") && k.endsWith(".queue_depth"))
                     d = (d||0) + g[k].value;
                 return d; } },
-  { key: "batch",   title: "batch coalescing", unit: "requests per pass",
-    get: s => { const c = s.counters||{};
-                const f = c["server.batch.flushes"], m = c["server.batch.batched"];
-                if (!f || f.delta <= 0) return null;
-                return (m?m.delta:0) / f.delta; } },
   { key: "slo",     title: "slo worst state", unit: "0 ok · 1 warn · 2 page",
     get: s => { const g = s.gauges||{};
                 let worst = null;

@@ -222,25 +222,6 @@ func (s *System) TransformVariantCtx(ctx context.Context, appIndex int, quantize
 	return &Application{art: art}, nil
 }
 
-// TransformBatchVariantCtx transforms several applications of one variant
-// in a single pass, returning one Application per requested index in
-// order. Each member is bit-identical to its solo TransformVariantCtx run
-// (per-app randomness derives from the seed alone); the batch amortizes
-// the shared workspace — and, within each transform, per-tile inference
-// already runs through PredictBatch. The serving layer's request batcher
-// funnels coalesced cache misses through this facade.
-func (s *System) TransformBatchVariantCtx(ctx context.Context, appIndexes []int, quantized bool) ([]*Application, error) {
-	out := make([]*Application, len(appIndexes))
-	for i, idx := range appIndexes {
-		a, err := s.TransformVariantCtx(ctx, idx, quantized)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = a
-	}
-	return out, nil
-}
-
 // Application is a transformed application: trained models and measured
 // profiles, ready for selection-logic generation.
 type Application struct {

@@ -24,7 +24,7 @@ cd "$(dirname "$0")/.."
 
 SIZE=${BENCH_SIZE:-quick}
 PARALLEL=${BENCH_PARALLEL:-0}
-ONLY=${BENCH_ONLY:-table1,fig2,fig8,fig8q,hybridplan,serving}
+ONLY=${BENCH_ONLY:-table1,fig2,fig8,fig8q,hybridplan}
 BASELINE=${BENCH_BASELINE:-bench/BENCH_timings.json}
 THRESHOLD=${BENCH_THRESHOLD:-0.5}
 
