@@ -53,15 +53,15 @@ func benchLab(b *testing.B) *experiments.Lab {
 		fullLab = experiments.NewLab(experiments.Full)
 		// Warm the expensive shared state so individual figure benches
 		// measure figure generation, not the one-time transformation.
-		if _, err := fullLab.Workspace(); err != nil {
+		if _, err := fullLab.WorkspaceCtx(b.Context()); err != nil {
 			b.Fatal(err)
 		}
 		for i := 1; i <= 7; i++ {
-			if _, err := fullLab.App(i); err != nil {
+			if _, err := fullLab.AppCtx(b.Context(), i); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if _, err := fullLab.Mission(); err != nil {
+		if _, err := fullLab.MissionCtx(b.Context()); err != nil {
 			b.Fatal(err)
 		}
 	})
@@ -85,7 +85,7 @@ func BenchmarkFigure2(b *testing.B) {
 	var rows []experiments.Fig2Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.Figure2(l.SatCounts())
+		rows, err = l.Figure2Ctx(b.Context(), l.SatCounts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func BenchmarkFigure3(b *testing.B) {
 	var rows []experiments.Fig3Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.Figure3(l.SatCounts())
+		rows, err = l.Figure3Ctx(b.Context(), l.SatCounts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func BenchmarkFigure4(b *testing.B) {
 	var rows []experiments.Fig4Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.Figure4()
+		rows, err = l.Figure4Ctx(b.Context())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func BenchmarkFigure5(b *testing.B) {
 	var rows []experiments.Fig5Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.Figure5(l.SatCounts())
+		rows, err = l.Figure5Ctx(b.Context(), l.SatCounts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkFigure8(b *testing.B) {
 	var rows []experiments.Fig8Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.Figure8()
+		rows, err = l.Figure8Ctx(b.Context())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func BenchmarkFigure9(b *testing.B) {
 	var rows []experiments.Fig9Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.Figure9()
+		rows, err = l.Figure9Ctx(b.Context())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func BenchmarkFigure10(b *testing.B) {
 	var pts []experiments.Fig10Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = l.Figure10()
+		pts, err = l.Figure10Ctx(b.Context())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func BenchmarkFigure11(b *testing.B) {
 	var rows []experiments.Fig11Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.Figure11()
+		rows, err = l.Figure11Ctx(b.Context())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func BenchmarkFigure12(b *testing.B) {
 	var rows []experiments.Fig12Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.Figure12()
+		rows, err = l.Figure12Ctx(b.Context())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func BenchmarkFigure13(b *testing.B) {
 	var rows []experiments.Fig13Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.Figure13()
+		rows, err = l.Figure13Ctx(b.Context())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func BenchmarkFigure14(b *testing.B) {
 	var rows []experiments.Fig14Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.Figure14()
+		rows, err = l.Figure14Ctx(b.Context())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func BenchmarkFigure15(b *testing.B) {
 	var rows []experiments.Fig15Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.Figure15()
+		rows, err = l.Figure15Ctx(b.Context())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func BenchmarkAblationContextSource(b *testing.B) {
 	var rows []experiments.AblationSourceRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.AblationContextSource()
+		rows, err = l.AblationContextSourceCtx(b.Context())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func BenchmarkAblationContextCountEndToEnd(b *testing.B) {
 	var rows []experiments.AblationKRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = l.AblationContextCount([]int{2, 4, 6, 8, 10})
+		rows, err = l.AblationContextCountCtx(b.Context(), []int{2, 4, 6, 8, 10})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,11 +351,11 @@ func BenchmarkAblationContextCount(b *testing.B) {
 // optimizer's mixed policy for the heaviest app on the Orin.
 func BenchmarkAblationElision(b *testing.B) {
 	l := benchLab(b)
-	art, err := l.App(7)
+	art, err := l.AppCtx(b.Context(), 7)
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := l.Deployment(Orin15W)
+	d, err := l.DeploymentCtx(b.Context(), Orin15W)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func BenchmarkSimRunWorkers(b *testing.B) {
 			cfg := sim.Landsat8Config(epoch, 24*time.Hour, 8)
 			cfg.Workers = workers
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(cfg)
+				res, err := sim.RunCtx(b.Context(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -413,7 +413,7 @@ func BenchmarkFigure10Workers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			l.Workers = workers
 			for i := 0; i < b.N; i++ {
-				if _, err := l.Figure10(); err != nil {
+				if _, err := l.Figure10Ctx(b.Context()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -520,11 +520,11 @@ func BenchmarkKMeans(b *testing.B) {
 
 func BenchmarkSelectionLogicSweep(b *testing.B) {
 	l := benchLab(b)
-	art, err := l.App(4)
+	art, err := l.AppCtx(b.Context(), 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := l.Deployment(Orin15W)
+	d, err := l.DeploymentCtx(b.Context(), Orin15W)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -536,7 +536,7 @@ func BenchmarkSelectionLogicSweep(b *testing.B) {
 
 func BenchmarkContextEngineClassify(b *testing.B) {
 	l := benchLab(b)
-	ws, err := l.Workspace()
+	ws, err := l.WorkspaceCtx(b.Context())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -560,13 +560,13 @@ func BenchmarkFleetStrategies(b *testing.B) {
 	l := benchLab(b)
 	var specs []fleet.AppSpec
 	for _, idx := range []int{1, 4, 7} {
-		art, err := l.App(idx)
+		art, err := l.AppCtx(b.Context(), idx)
 		if err != nil {
 			b.Fatal(err)
 		}
 		specs = append(specs, fleet.AppSpec{Arch: art.Arch, Profiles: art.Profiles})
 	}
-	m, err := l.Mission()
+	m, err := l.MissionCtx(b.Context())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -576,18 +576,18 @@ func BenchmarkFleetStrategies(b *testing.B) {
 	}
 	var kodanEff, directRatio float64
 	for i := 0; i < b.N; i++ {
-		shared, err := fleet.Shared(specs, cfg)
+		shared, err := fleet.SharedCtx(b.Context(), specs, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dedicated, err := fleet.Dedicated(specs, cfg)
+		dedicated, err := fleet.DedicatedCtx(b.Context(), specs, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		kodanEff = fleet.Efficiency(shared, dedicated)
 		directCfg := cfg
 		directCfg.Kodan = false
-		directShared, err := fleet.Shared(specs, directCfg)
+		directShared, err := fleet.SharedCtx(b.Context(), specs, directCfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -601,7 +601,7 @@ func BenchmarkFleetStrategies(b *testing.B) {
 // bound against crosslink-aware sizing for the heaviest deployment.
 func BenchmarkPipelineSizing(b *testing.B) {
 	l := benchLab(b)
-	m, err := l.Mission()
+	m, err := l.MissionCtx(b.Context())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -57,11 +58,12 @@ func main() {
 	cfg.TileRes = 16
 	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
 	fmt.Println("running the one-time transformation...")
-	sys, err := kodan.NewSystem(cfg)
+	ctx := context.Background()
+	sys, err := kodan.NewSystemCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := sys.Transform(*appIdx)
+	app, err := sys.TransformVariantCtx(ctx, *appIdx, false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -167,12 +167,13 @@ func main() {
 		})
 		http.Handle("/debug/slo", eng.Handler())
 		logger.Info("debug listener started", "addr", dl.Addr().String())
+		dsrv := server.NewHTTPServer(http.DefaultServeMux)
 		go func() {
-			if err := http.Serve(dl, nil); err != nil && !errors.Is(err, net.ErrClosed) {
+			if err := dsrv.Serve(dl); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("debug listener stopped", "err", err)
 			}
 		}()
-		defer dl.Close()
+		defer dsrv.Close()
 	}
 
 	errCh := make(chan error, 1)

@@ -66,7 +66,7 @@ func main() {
 	cfg := kodan.DefaultTransformConfig(*seed)
 	cfg.Frames = *frames
 	fmt.Printf("rendering the representative dataset and generating contexts (%d frames)...\n", cfg.Frames)
-	sys, err := kodan.NewSystem(cfg)
+	sys, err := kodan.NewSystemCtx(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -25,6 +26,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 	mission, err := kodan.LandsatMission(epoch)
 	if err != nil {
@@ -35,11 +37,11 @@ func main() {
 	cfg.Frames = 60
 	cfg.TileRes = 16
 	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
-	sys, err := kodan.NewSystem(cfg)
+	sys, err := kodan.NewSystemCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := sys.Transform(7) // the heaviest application
+	app, err := sys.TransformVariantCtx(ctx, 7, false) // the heaviest application
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -22,13 +23,14 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 
 	fmt.Println("constellation sweep (one day per point):")
 	fmt.Printf("%5s %10s %10s %10s %10s\n", "Sats", "Observed", "Downlink", "DownFrac", "Coverage")
 	grid := wrs.Landsat8Grid()
 	for _, n := range []int{1, 4, 8, 16, 32} {
-		res, err := sim.Run(sim.Landsat8Config(epoch, 24*time.Hour, n))
+		res, err := sim.RunCtx(ctx, sim.Landsat8Config(epoch, 24*time.Hour, n))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +53,7 @@ func main() {
 	cfg.Frames = 60
 	cfg.TileRes = 16
 	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
-	sys, err := kodan.NewSystem(cfg)
+	sys, err := kodan.NewSystemCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func main() {
 	fmt.Printf("%-6s %12s %12s %10s\n", "App", "DirectSats", "KodanSats", "Reduction")
 	d := mission.Deployment(kodan.Orin15W)
 	for _, idx := range []int{1, 4, 7} {
-		app, err := sys.Transform(idx)
+		app, err := sys.TransformVariantCtx(ctx, idx, false)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -20,6 +21,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 	mission, err := kodan.LandsatMission(epoch)
 	if err != nil {
@@ -30,11 +32,11 @@ func main() {
 	cfg.Frames = 60
 	cfg.TileRes = 16
 	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
-	sys, err := kodan.NewSystem(cfg)
+	sys, err := kodan.NewSystemCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := sys.Transform(5) // resnet50-upernet
+	app, err := sys.TransformVariantCtx(ctx, 5, false) // resnet50-upernet
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -23,17 +24,18 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 
 	cfg := kodan.DefaultTransformConfig(3)
 	cfg.Frames = 60
 	cfg.TileRes = 16
 	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
-	sys, err := kodan.NewSystem(cfg)
+	sys, err := kodan.NewSystemCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := sys.Transform(4)
+	app, err := sys.TransformVariantCtx(ctx, 4, false)
 	if err != nil {
 		log.Fatal(err)
 	}

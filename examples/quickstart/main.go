@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -16,6 +17,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 
 	// 1. Simulate the reference mission: the Landsat 8 orbit, camera, and
@@ -34,7 +36,7 @@ func main() {
 	cfg.Frames = 60
 	cfg.TileRes = 16
 	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
-	sys, err := kodan.NewSystem(cfg)
+	sys, err := kodan.NewSystemCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func main() {
 
 	// 3. Transform Table 1's App 4 (resnet50dilated) and generate the
 	//    selection logic for the Jetson Orin in its 15 W cubesat mode.
-	app, err := sys.Transform(4)
+	app, err := sys.TransformVariantCtx(ctx, 4, false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -347,20 +347,6 @@ type Suite struct {
 	Quality Quality
 }
 
-// BuildSuite trains the generic and per-context specialized models for one
-// application at one tiling and measures their validation quality per
-// context. train and val must share the tiling; ctx supplies the context
-// partition (its engine labels both splits, matching the paper's use of
-// engine output as ground truth).
-func BuildSuite(a Architecture, tl tiling.Tiling, train, val *dataset.Dataset, ctx *ctxengine.Set, opts TrainOptions, rng *xrand.Rand) *Suite {
-	suite, err := BuildSuiteCtx(context.Background(), a, tl, train, val, ctx, opts, rng)
-	if err != nil {
-		// Unreachable: a background context never cancels.
-		panic(err)
-	}
-	return suite
-}
-
 // SuiteData is the tiling-level training input of a suite build, prepared
 // once and shared across applications: augmenting the training split and
 // running the context engine over every tile are application-independent,
@@ -392,9 +378,13 @@ func PrepareSuiteData(train, val *dataset.Dataset, ctx *ctxengine.Set, augment b
 	}
 }
 
-// BuildSuiteCtx is BuildSuite with cooperative cancellation: cc is checked
-// between model trainings (and, via nn.FitCtx, between epochs). A run that
-// completes is bit-identical to BuildSuite with the same inputs.
+// BuildSuiteCtx trains the generic and per-context specialized models for
+// one application at one tiling and measures their validation quality per
+// context. train and val must share the tiling; ctx supplies the context
+// partition (its engine labels both splits, matching the paper's use of
+// engine output as ground truth). cc is checked between model trainings
+// (and, via nn.FitCtx, between epochs); a run that completes is
+// bit-identical whatever cc carries.
 func BuildSuiteCtx(cc context.Context, a Architecture, tl tiling.Tiling, train, val *dataset.Dataset, ctx *ctxengine.Set, opts TrainOptions, rng *xrand.Rand) (*Suite, error) {
 	if opts.PixelsPerTile <= 0 {
 		opts = DefaultTrainOptions()

@@ -75,13 +75,16 @@ func buildTestSuite(t *testing.T, appIdx int, perSide int) (*Suite, *ctxengine.S
 		t.Fatal(err)
 	}
 	train, val := ds.Split(0.25, xrand.New(7))
-	ctx, err := ctxengine.Build(train, ctxengine.DefaultConfig(), xrand.New(3))
+	ctx, err := ctxengine.Build(t.Context(), train, ctxengine.DefaultConfig(), xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultTrainOptions()
 	opts.Augment = false // keep tests fast
-	suite := BuildSuite(App(appIdx), tiling.Tiling{PerSide: perSide}, train, val, ctx, opts, xrand.New(11))
+	suite, err := BuildSuiteCtx(t.Context(), App(appIdx), tiling.Tiling{PerSide: perSide}, train, val, ctx, opts, xrand.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return suite, ctx, val
 }
 

@@ -124,16 +124,11 @@ func (w *Workspace) WithQuantized(q bool) *Workspace {
 	return &cp
 }
 
-// NewWorkspace renders the datasets for every candidate tiling and builds
-// the contexts and context engine.
-func NewWorkspace(cfg Config) (*Workspace, error) {
-	return NewWorkspaceCtx(context.Background(), cfg)
-}
-
-// NewWorkspaceCtx is NewWorkspace with cooperative cancellation: ctx is
-// checked between per-tiling dataset renders and before the clustering/
-// engine-training stage, returning ctx.Err() promptly when cancelled. A
-// completed build is bit-identical to NewWorkspace with the same config.
+// NewWorkspaceCtx renders the datasets for every candidate tiling and
+// builds the contexts and context engine. ctx is checked between
+// per-tiling dataset renders, before the clustering stage and between
+// engine training epochs, returning ctx.Err() promptly when cancelled. A
+// completed build depends on cfg alone, never on ctx.
 func NewWorkspaceCtx(ctx context.Context, cfg Config) (*Workspace, error) {
 	if len(cfg.Tilings) == 0 {
 		return nil, fmt.Errorf("core: no candidate tilings")
@@ -173,7 +168,7 @@ func NewWorkspaceCtx(ctx context.Context, cfg Config) (*Workspace, error) {
 		return nil, err
 	}
 	sp := span.Child("transform.contexts")
-	set, err := ctxengine.Build(w.data[coarsest.PerSide].train, cfg.Context, xrand.New(cfg.Seed^0xc0e1))
+	set, err := ctxengine.Build(ctx, w.data[coarsest.PerSide].train, cfg.Context, xrand.New(cfg.Seed^0xc0e1))
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -202,20 +197,14 @@ type Artifacts struct {
 	Profiles []policy.TilingProfile
 }
 
-// TransformApp trains and measures one application across every candidate
-// tiling in the workspace.
-func (w *Workspace) TransformApp(arch app.Architecture) (*Artifacts, error) {
-	return w.TransformAppCtx(context.Background(), arch)
-}
-
-// TransformAppCtx is TransformApp with cooperative cancellation: ctx is
-// checked between tilings and, inside suite construction, between model
-// trainings and epochs, so a cancelled transform returns ctx.Err()
-// promptly. A completed transform is bit-identical to TransformApp with
-// the same inputs: each (application, tiling) pair derives its randomness
-// from the workspace seed alone, never from call timing or interleaving —
-// which is also what makes concurrent transforms on one workspace
-// deterministic.
+// TransformAppCtx trains and measures one application across every
+// candidate tiling in the workspace. ctx is checked between tilings and,
+// inside suite construction, between model trainings and epochs, so a
+// cancelled transform returns ctx.Err() promptly. A completed transform
+// depends on its inputs alone: each (application, tiling) pair derives its
+// randomness from the workspace seed, never from call timing or
+// interleaving — which is also what makes concurrent transforms on one
+// workspace deterministic.
 func (w *Workspace) TransformAppCtx(ctx context.Context, arch app.Architecture) (*Artifacts, error) {
 	ctx, span := telemetry.StartSpan(ctx, "transform.app")
 	defer span.End()

@@ -32,7 +32,7 @@ var testDeployment = Deployment{
 
 func buildWorkspace(t *testing.T) *Workspace {
 	t.Helper()
-	w, err := NewWorkspace(testConfig())
+	w, err := NewWorkspaceCtx(t.Context(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +61,14 @@ func TestNewWorkspace(t *testing.T) {
 func TestNewWorkspaceRejectsEmptyTilings(t *testing.T) {
 	cfg := testConfig()
 	cfg.Tilings = nil
-	if _, err := NewWorkspace(cfg); err == nil {
+	if _, err := NewWorkspaceCtx(t.Context(), cfg); err == nil {
 		t.Fatal("empty tilings accepted")
 	}
 }
 
 func TestTransformAppArtifacts(t *testing.T) {
 	w := buildWorkspace(t)
-	art, err := w.TransformApp(app.App(4))
+	art, err := w.TransformAppCtx(t.Context(), app.App(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestTransformAppArtifacts(t *testing.T) {
 
 func TestSelectionLogicBeatsBaselinesOnOrin(t *testing.T) {
 	w := buildWorkspace(t)
-	art, err := w.TransformApp(app.App(7))
+	art, err := w.TransformAppCtx(t.Context(), app.App(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSelectionLogicBeatsBaselinesOnOrin(t *testing.T) {
 
 func TestRuntimeWiring(t *testing.T) {
 	w := buildWorkspace(t)
-	art, err := w.TransformApp(app.App(4))
+	art, err := w.TransformAppCtx(t.Context(), app.App(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRuntimeWiring(t *testing.T) {
 
 func TestProfileLookup(t *testing.T) {
 	w := buildWorkspace(t)
-	art, err := w.TransformApp(app.App(1))
+	art, err := w.TransformAppCtx(t.Context(), app.App(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +172,11 @@ func TestProfileLookup(t *testing.T) {
 func TestTransformDeterministic(t *testing.T) {
 	w1 := buildWorkspace(t)
 	w2 := buildWorkspace(t)
-	a1, err := w1.TransformApp(app.App(2))
+	a1, err := w1.TransformAppCtx(t.Context(), app.App(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _ := w2.TransformApp(app.App(2))
+	a2, _ := w2.TransformAppCtx(t.Context(), app.App(2))
 	s1, e1 := a1.SelectionLogic(testDeployment)
 	s2, e2 := a2.SelectionLogic(testDeployment)
 	if e1.DVD != e2.DVD || s1.Tiling != s2.Tiling {

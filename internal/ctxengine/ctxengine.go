@@ -18,6 +18,7 @@
 package ctxengine
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -120,7 +121,9 @@ type Set struct {
 }
 
 // Build generates contexts from the training dataset and trains the engine.
-func Build(train *dataset.Dataset, cfg Config, rng *xrand.Rand) (*Set, error) {
+// ctx is checked between engine training epochs; a cancelled build returns
+// ctx.Err().
+func Build(ctx context.Context, train *dataset.Dataset, cfg Config, rng *xrand.Rand) (*Set, error) {
 	if train.Len() == 0 {
 		return nil, fmt.Errorf("ctxengine: empty training dataset")
 	}
@@ -181,7 +184,9 @@ func Build(train *dataset.Dataset, cfg Config, rng *xrand.Rand) (*Set, error) {
 		trainCfg = DefaultConfig().EngineTrain
 	}
 	engine := nn.NewClassifier(len(xs[0]), hidden, k, rng.Split())
-	engine.Fit(xs, ys, trainCfg, rng.Split())
+	if _, err := engine.FitCtx(ctx, xs, ys, trainCfg, rng.Split()); err != nil {
+		return nil, err
+	}
 
 	set := &Set{K: k, Engine: engine, mean: mean, std: std}
 

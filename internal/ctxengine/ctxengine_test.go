@@ -1,6 +1,8 @@
 package ctxengine
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"kodan/internal/dataset"
@@ -23,7 +25,7 @@ func testData(t *testing.T, frames int) (*dataset.Dataset, *dataset.Dataset) {
 
 func TestBuildAutoContexts(t *testing.T) {
 	train, _ := testData(t, 120)
-	set, err := Build(train, DefaultConfig(), xrand.New(1))
+	set, err := Build(t.Context(), train, DefaultConfig(), xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestAutoContextsSeparateValue(t *testing.T) {
 	// some mostly low-value. The spread of per-context high-value fractions
 	// must be wide.
 	train, _ := testData(t, 120)
-	set, err := Build(train, DefaultConfig(), xrand.New(1))
+	set, err := Build(t.Context(), train, DefaultConfig(), xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestBuildExpertContexts(t *testing.T) {
 	train, _ := testData(t, 100)
 	cfg := DefaultConfig()
 	cfg.Source = Expert
-	set, err := Build(train, cfg, xrand.New(2))
+	set, err := Build(t.Context(), train, cfg, xrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestBuildExpertContexts(t *testing.T) {
 
 func TestClassifyGeneralizes(t *testing.T) {
 	train, val := testData(t, 120)
-	set, err := Build(train, DefaultConfig(), xrand.New(1))
+	set, err := Build(t.Context(), train, DefaultConfig(), xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestClassifyGeneralizes(t *testing.T) {
 
 func TestLabelAllMatchesClassify(t *testing.T) {
 	train, val := testData(t, 60)
-	set, err := Build(train, DefaultConfig(), xrand.New(3))
+	set, err := Build(t.Context(), train, DefaultConfig(), xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestLabelAllMatchesClassify(t *testing.T) {
 
 func TestStatsConsistency(t *testing.T) {
 	train, _ := testData(t, 80)
-	set, err := Build(train, DefaultConfig(), xrand.New(5))
+	set, err := Build(t.Context(), train, DefaultConfig(), xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +156,11 @@ func TestStatsConsistency(t *testing.T) {
 
 func TestBuildDeterministic(t *testing.T) {
 	train, _ := testData(t, 60)
-	a, err := Build(train, DefaultConfig(), xrand.New(11))
+	a, err := Build(t.Context(), train, DefaultConfig(), xrand.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Build(train, DefaultConfig(), xrand.New(11))
+	b, _ := Build(t.Context(), train, DefaultConfig(), xrand.New(11))
 	if a.K != b.K || a.TrainAccuracy != b.TrainAccuracy {
 		t.Fatal("context build not deterministic")
 	}
@@ -170,7 +172,18 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 func TestBuildRejectsEmpty(t *testing.T) {
-	if _, err := Build(&dataset.Dataset{}, DefaultConfig(), xrand.New(1)); err == nil {
+	if _, err := Build(t.Context(), &dataset.Dataset{}, DefaultConfig(), xrand.New(1)); err == nil {
 		t.Fatal("empty dataset accepted")
+	}
+}
+
+// TestBuildCancelled checks that engine training honors ctx: a build whose
+// context is already done returns its error instead of a Set.
+func TestBuildCancelled(t *testing.T) {
+	train, _ := testData(t, 60)
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	if _, err := Build(ctx, train, DefaultConfig(), xrand.New(1)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build: err = %v, want context.Canceled", err)
 	}
 }

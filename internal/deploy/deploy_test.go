@@ -34,13 +34,16 @@ func buildFixture(t *testing.T) fixture {
 		t.Fatal(err)
 	}
 	train, val := ds.Split(0.25, xrand.New(7))
-	ctx, err := ctxengine.Build(train, ctxengine.DefaultConfig(), xrand.New(3))
+	ctx, err := ctxengine.Build(t.Context(), train, ctxengine.DefaultConfig(), xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := app.DefaultTrainOptions()
 	opts.Augment = false
-	suite := app.BuildSuite(app.App(4), tl, train, val, ctx, opts, xrand.New(11))
+	suite, err := app.BuildSuiteCtx(t.Context(), app.App(4), tl, train, val, ctx, opts, xrand.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Simple hand-built logic: downlink pure-high contexts, discard
 	// pure-low, filter the rest.

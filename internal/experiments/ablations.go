@@ -25,18 +25,13 @@ type AblationKRow struct {
 	KodanDVD float64
 }
 
-// AblationContextCount sweeps the number of generated contexts — the
+// AblationContextCountCtx sweeps the number of generated contexts — the
 // hyperparameter Section 3.3 calls "an exciting avenue for future work" —
 // and measures its effect end to end: engine quality, specialized-model
 // precision, and the final DVD of App 4 on the Orin. Each setting builds
 // its own workspace (contexts shape everything downstream), so this is the
 // most expensive ablation; it runs at the lab's Quick/Full dataset sizing.
-func (l *Lab) AblationContextCount(ks []int) ([]AblationKRow, error) {
-	return l.AblationContextCountCtx(context.Background(), ks)
-}
-
-// AblationContextCountCtx is AblationContextCount with cancellation; the
-// per-K workspace builds run on the lab's worker pool.
+// The per-K workspace builds run on the lab's worker pool.
 func (l *Lab) AblationContextCountCtx(ctx context.Context, ks []int) ([]AblationKRow, error) {
 	ctx, span := l.startFigure(ctx, "ablation-k")
 	defer span.End()
@@ -97,15 +92,10 @@ type AblationSourceRow struct {
 	KodanDVD float64
 }
 
-// AblationContextSource compares automatic (clustered) contexts against
+// AblationContextSourceCtx compares automatic (clustered) contexts against
 // expert (geography-class) contexts end to end — Section 3.2 presents the
-// two as alternatives.
-func (l *Lab) AblationContextSource() ([]AblationSourceRow, error) {
-	return l.AblationContextSourceCtx(context.Background())
-}
-
-// AblationContextSourceCtx is AblationContextSource with cancellation; the
-// two workspace builds run on the lab's worker pool.
+// two as alternatives. The two workspace builds run on the lab's worker
+// pool.
 func (l *Lab) AblationContextSourceCtx(ctx context.Context) ([]AblationSourceRow, error) {
 	ctx, span := l.startFigure(ctx, "ablation-source")
 	defer span.End()

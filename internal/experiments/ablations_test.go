@@ -7,7 +7,7 @@ import (
 
 func TestAblationContextCount(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.AblationContextCount([]int{2, 6})
+	rows, err := l.AblationContextCountCtx(t.Context(), []int{2, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestAblationContextCount(t *testing.T) {
 
 func TestAblationContextSource(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.AblationContextSource()
+	rows, err := l.AblationContextSourceCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

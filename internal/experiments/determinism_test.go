@@ -26,31 +26,31 @@ func figureOutputs(t *testing.T, l *Lab) map[string]figureOutput {
 		}
 		out[key] = figureOutput{render, rows}
 	}
-	f2, err := l.Figure2(l.SatCounts())
+	f2, err := l.Figure2Ctx(t.Context(), l.SatCounts())
 	add("fig2", RenderFigure2(f2), f2, err)
-	f3, err := l.Figure3(l.SatCounts())
+	f3, err := l.Figure3Ctx(t.Context(), l.SatCounts())
 	add("fig3", RenderFigure3(f3), f3, err)
-	f4, err := l.Figure4()
+	f4, err := l.Figure4Ctx(t.Context())
 	add("fig4", RenderFigure4(f4), f4, err)
-	f5, err := l.Figure5(l.SatCounts())
+	f5, err := l.Figure5Ctx(t.Context(), l.SatCounts())
 	add("fig5", RenderFigure5(f5), f5, err)
-	f8, err := l.Figure8()
+	f8, err := l.Figure8Ctx(t.Context())
 	add("fig8", RenderFigure8(f8), f8, err)
-	f9, err := l.Figure9()
+	f9, err := l.Figure9Ctx(t.Context())
 	add("fig9", RenderFigure9(f9), f9, err)
-	f10, err := l.Figure10()
+	f10, err := l.Figure10Ctx(t.Context())
 	add("fig10", RenderFigure10(f10), f10, err)
-	f11, err := l.Figure11()
+	f11, err := l.Figure11Ctx(t.Context())
 	add("fig11", RenderFigure11(f11), f11, err)
-	f12, err := l.Figure12()
+	f12, err := l.Figure12Ctx(t.Context())
 	add("fig12", RenderFigure12(f12), f12, err)
-	f13, err := l.Figure13()
+	f13, err := l.Figure13Ctx(t.Context())
 	add("fig13", RenderFigure13(f13), f13, err)
-	f14, err := l.Figure14()
+	f14, err := l.Figure14Ctx(t.Context())
 	add("fig14", RenderFigure14(f14), f14, err)
-	f15, err := l.Figure15()
+	f15, err := l.Figure15Ctx(t.Context())
 	add("fig15", RenderFigure15(f15), f15, err)
-	hp, err := l.HybridPlanSweep()
+	hp, err := l.HybridPlanSweepCtx(t.Context())
 	add("hybridplan", RenderHybridPlan(hp), hp, err)
 	return out
 }
@@ -113,7 +113,7 @@ func TestFigure2ThirdWorkerCount(t *testing.T) {
 	render := func(workers int) string {
 		l := NewLab(Quick)
 		l.Workers = workers
-		rows, err := l.Figure2(l.SatCounts())
+		rows, err := l.Figure2Ctx(t.Context(), l.SatCounts())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -164,7 +164,7 @@ func TestTable1Golden(t *testing.T) {
 // here as a diff.
 func TestFigure8QuickGolden(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure8()
+	rows, err := l.Figure8Ctx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFigure8QuickGolden(t *testing.T) {
 // shows up here even when the float pipeline is untouched.
 func TestFigure8QuantizedQuickGolden(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure8Quantized()
+	rows, err := l.Figure8QuantizedCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +193,11 @@ func TestFigure8QuantizedQuickGolden(t *testing.T) {
 func TestFigure8QuantizedClose(t *testing.T) {
 	const tolerance = 0.05
 	l := testLab(t)
-	qrows, err := l.Figure8Quantized()
+	qrows, err := l.Figure8QuantizedCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
-	frows, err := l.Figure8()
+	frows, err := l.Figure8Ctx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,15 +49,9 @@ func (r Fig8Row) Improvement() float64 {
 	return r.KodanDVD/r.BentDVD - 1
 }
 
-// Figure8 reproduces Figure 8: data value density of the bent pipe,
+// Figure8Ctx reproduces Figure 8: data value density of the bent pipe,
 // direct deployment, and Kodan for every application on every hardware
-// target.
-func (l *Lab) Figure8() ([]Fig8Row, error) {
-	return l.Figure8Ctx(context.Background())
-}
-
-// Figure8Ctx is Figure8 with cancellation; the (target, app) sweep runs
-// on the lab's worker pool.
+// target. The (target, app) sweep runs on the lab's worker pool.
 func (l *Lab) Figure8Ctx(ctx context.Context) ([]Fig8Row, error) {
 	ctx, span := l.startFigure(ctx, "fig8")
 	defer span.End()
@@ -119,16 +113,11 @@ type Fig8QRow struct {
 // int8 path loses value density, zero when selection is unaffected).
 func (r Fig8QRow) QuantErr() float64 { return r.QuantDVD - r.FloatDVD }
 
-// Figure8Quantized reruns Figure 8's Kodan column with all suite
-// predictions routed through the int8 quantized models.
-func (l *Lab) Figure8Quantized() ([]Fig8QRow, error) {
-	return l.Figure8QuantizedCtx(context.Background())
-}
-
-// Figure8QuantizedCtx is Figure8Quantized with cancellation; the
-// (target, app) sweep runs on the lab's worker pool. The float column is
-// the same artifact Figure 8 uses (and is memo-shared with it), so the
-// comparison isolates exactly the inference-path change.
+// Figure8QuantizedCtx reruns Figure 8's Kodan column with all suite
+// predictions routed through the int8 quantized models. The (target, app)
+// sweep runs on the lab's worker pool. The float column is the same
+// artifact Figure 8 uses (and is memo-shared with it), so the comparison
+// isolates exactly the inference-path change.
 func (l *Lab) Figure8QuantizedCtx(ctx context.Context) ([]Fig8QRow, error) {
 	ctx, span := l.startFigure(ctx, "fig8q")
 	defer span.End()
@@ -185,13 +174,8 @@ type Fig9Row struct {
 	Deadline   time.Duration
 }
 
-// Figure9 reproduces Figure 9: time per frame under direct deployment
-// versus Kodan, against the frame deadline.
-func (l *Lab) Figure9() ([]Fig9Row, error) {
-	return l.Figure9Ctx(context.Background())
-}
-
-// Figure9Ctx is Figure9 with cancellation; the (target, app) sweep runs
+// Figure9Ctx reproduces Figure 9: time per frame under direct deployment
+// versus Kodan, against the frame deadline. The (target, app) sweep runs
 // on the lab's worker pool.
 func (l *Lab) Figure9Ctx(ctx context.Context) ([]Fig9Row, error) {
 	ctx, span := l.startFigure(ctx, "fig9")
@@ -259,16 +243,11 @@ type Fig10Point struct {
 	NormImprovement float64
 }
 
-// Figure10 reproduces Figure 10: DVD improvement (normalized to the
+// Figure10Ctx reproduces Figure 10: DVD improvement (normalized to the
 // maximum) versus application execution time per frame. The curve sweeps
 // execution time as a free parameter; the points are the measured
-// direct-deploy and Kodan deployments of Apps 1, 4, and 7.
-func (l *Lab) Figure10() ([]Fig10Point, error) {
-	return l.Figure10Ctx(context.Background())
-}
-
-// Figure10Ctx is Figure10 with cancellation; the curve sweep and the
-// measured deployment points run on the lab's worker pool.
+// direct-deploy and Kodan deployments of Apps 1, 4, and 7. The curve sweep
+// and the measured deployment points run on the lab's worker pool.
 func (l *Lab) Figure10Ctx(ctx context.Context) ([]Fig10Point, error) {
 	ctx, span := l.startFigure(ctx, "fig10")
 	defer span.End()
@@ -390,16 +369,11 @@ type Fig11Row struct {
 	KodanFactor   float64
 }
 
-// Figure11 reproduces Figure 11: the reduction in satellites required for
-// full ground-track coverage on the Orin, relative to direct deployment
-// with prior work's satellite-parallel pipelining. Kodan reaches up to
-// ~12x for the heaviest application.
-func (l *Lab) Figure11() ([]Fig11Row, error) {
-	return l.Figure11Ctx(context.Background())
-}
-
-// Figure11Ctx is Figure11 with cancellation; the per-app sweep runs on
-// the lab's worker pool.
+// Figure11Ctx reproduces Figure 11: the reduction in satellites required
+// for full ground-track coverage on the Orin, relative to direct
+// deployment with prior work's satellite-parallel pipelining. Kodan
+// reaches up to ~12x for the heaviest application. The per-app sweep runs
+// on the lab's worker pool.
 func (l *Lab) Figure11Ctx(ctx context.Context) ([]Fig11Row, error) {
 	ctx, span := l.startFigure(ctx, "fig11")
 	defer span.End()
@@ -470,14 +444,9 @@ type Fig12Row struct {
 	PrecContext float64
 }
 
-// Figure12 reproduces Figure 12: geospatial contexts improve accuracy
-// (left) and precision (right) for every application.
-func (l *Lab) Figure12() ([]Fig12Row, error) {
-	return l.Figure12Ctx(context.Background())
-}
-
-// Figure12Ctx is Figure12 with cancellation; the per-app sweep runs on
-// the lab's worker pool.
+// Figure12Ctx reproduces Figure 12: geospatial contexts improve accuracy
+// (left) and precision (right) for every application. The per-app sweep
+// runs on the lab's worker pool.
 func (l *Lab) Figure12Ctx(ctx context.Context) ([]Fig12Row, error) {
 	ctx, span := l.startFigure(ctx, "fig12")
 	defer span.End()
@@ -546,16 +515,12 @@ type Fig13Row struct {
 	Precision float64
 }
 
-// Figure13 reproduces Figure 13: the effect of tiling on accuracy and
+// Figure13Ctx reproduces Figure 13: the effect of tiling on accuracy and
 // precision. Each application has empirically optimal tilings, and the
 // optima differ between accuracy and precision and across architectures.
-func (l *Lab) Figure13() ([]Fig13Row, error) {
-	return l.Figure13Ctx(context.Background())
-}
-
-// Figure13Ctx is Figure13 with cancellation; the per-app sweep runs on
-// the lab's worker pool. Each app contributes one row per tiling, so the
-// per-app row groups are flattened in app order after the sweep.
+// The per-app sweep runs on the lab's worker pool. Each app contributes
+// one row per tiling, so the per-app row groups are flattened in app order
+// after the sweep.
 func (l *Lab) Figure13Ctx(ctx context.Context) ([]Fig13Row, error) {
 	ctx, span := l.startFigure(ctx, "fig13")
 	defer span.End()
@@ -606,16 +571,11 @@ type Fig14Row struct {
 	DVD    float64
 }
 
-// Figure14 reproduces Figure 14: the effect of tiling on data value
+// Figure14Ctx reproduces Figure 14: the effect of tiling on data value
 // density per hardware target, with elision disabled (every tile through
 // its specialized model). Aggressive tiling wins on constrained targets;
-// precise tiling wins when compute is plentiful.
-func (l *Lab) Figure14() ([]Fig14Row, error) {
-	return l.Figure14Ctx(context.Background())
-}
-
-// Figure14Ctx is Figure14 with cancellation; the (target, app) sweep runs
-// on the lab's worker pool. Each pair contributes one row per tiling
+// precise tiling wins when compute is plentiful. The (target, app) sweep
+// runs on the lab's worker pool. Each pair contributes one row per tiling
 // profile, so the per-pair row groups are flattened in render order after
 // the sweep.
 func (l *Lab) Figure14Ctx(ctx context.Context) ([]Fig14Row, error) {
@@ -673,16 +633,11 @@ type Fig15Row struct {
 	ElisionDVD float64
 }
 
-// Figure15 reproduces Figure 15: context-based elision added to the
+// Figure15Ctx reproduces Figure 15: context-based elision added to the
 // reference model (generic models plus downlink/discard of near-pure
 // contexts) against plain direct deployment. The benefit is largest under
-// the deepest computational bottleneck.
-func (l *Lab) Figure15() ([]Fig15Row, error) {
-	return l.Figure15Ctx(context.Background())
-}
-
-// Figure15Ctx is Figure15 with cancellation; the (target, app) sweep —
-// each cell an exhaustive elision search — runs on the lab's worker pool.
+// the deepest computational bottleneck. The (target, app) sweep — each
+// cell an exhaustive elision search — runs on the lab's worker pool.
 func (l *Lab) Figure15Ctx(ctx context.Context) ([]Fig15Row, error) {
 	ctx, span := l.startFigure(ctx, "fig15")
 	defer span.End()

@@ -37,7 +37,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 
 func TestFigure2Shape(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure2([]int{1, 8, 16})
+	rows, err := l.Figure2Ctx(t.Context(), []int{1, 8, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFigure2Shape(t *testing.T) {
 
 func TestFigure3Shape(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure3([]int{1, 8, 16})
+	rows, err := l.Figure3Ctx(t.Context(), []int{1, 8, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFigure3Shape(t *testing.T) {
 
 func TestFigure4Shape(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure4()
+	rows, err := l.Figure4Ctx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFigure4Shape(t *testing.T) {
 
 func TestFigure5Shape(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure5([]int{1})
+	rows, err := l.Figure5Ctx(t.Context(), []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFigure5Shape(t *testing.T) {
 
 func TestFigure8Headline(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure8()
+	rows, err := l.Figure8Ctx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFigure8Headline(t *testing.T) {
 
 func TestFigure9KodanMeetsDeadline(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure9()
+	rows, err := l.Figure9Ctx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestFigure9KodanMeetsDeadline(t *testing.T) {
 
 func TestFigure10Decay(t *testing.T) {
 	l := testLab(t)
-	pts, err := l.Figure10()
+	pts, err := l.Figure10Ctx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestFigure10Decay(t *testing.T) {
 
 func TestFigure11Reduction(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure11()
+	rows, err := l.Figure11Ctx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestFigure11Reduction(t *testing.T) {
 
 func TestFigure12ContextGains(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure12()
+	rows, err := l.Figure12Ctx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestFigure12ContextGains(t *testing.T) {
 
 func TestFigure13TilingTradeoffs(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure13()
+	rows, err := l.Figure13Ctx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestFigure13TilingTradeoffs(t *testing.T) {
 
 func TestFigure14ConstrainedPrefersCoarse(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure14()
+	rows, err := l.Figure14Ctx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestFigure14ConstrainedPrefersCoarse(t *testing.T) {
 
 func TestFigure15ElisionHelps(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.Figure15()
+	rows, err := l.Figure15Ctx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,17 +357,17 @@ func TestFigure15ElisionHelps(t *testing.T) {
 
 func TestRenderersNonEmpty(t *testing.T) {
 	l := testLab(t)
-	f8, err := l.Figure8()
+	f8, err := l.Figure8Ctx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f9, _ := l.Figure9()
-	f10, _ := l.Figure10()
-	f11, _ := l.Figure11()
-	f12, _ := l.Figure12()
-	f13, _ := l.Figure13()
-	f14, _ := l.Figure14()
-	f15, _ := l.Figure15()
+	f9, _ := l.Figure9Ctx(t.Context())
+	f10, _ := l.Figure10Ctx(t.Context())
+	f11, _ := l.Figure11Ctx(t.Context())
+	f12, _ := l.Figure12Ctx(t.Context())
+	f13, _ := l.Figure13Ctx(t.Context())
+	f14, _ := l.Figure14Ctx(t.Context())
+	f15, _ := l.Figure15Ctx(t.Context())
 	for name, s := range map[string]string{
 		"fig8":  RenderFigure8(f8),
 		"fig9":  RenderFigure9(f9),

@@ -47,7 +47,7 @@ type HybridPlanRow struct {
 	DVD float64
 	// LatencyS is the mean capture-to-delivery latency in seconds of the
 	// planned downlink traffic, from the store-and-forward replay of the
-	// simulated contact schedule (sim.DrainDeferred).
+	// simulated contact schedule (sim.DrainDeferredCtx).
 	LatencyS float64
 	// OnboardPct, DownlinkPct, DeferPct, and DropPct partition the tile
 	// fraction by placement.
@@ -61,14 +61,9 @@ type HybridPlanRow struct {
 	Utility float64
 }
 
-// HybridPlanSweep sweeps constellation size and ground-compute cost and
+// HybridPlanSweepCtx sweeps constellation size and ground-compute cost and
 // reports DVD and end-to-end latency for the hybrid planner against the
-// onboard-only (current Kodan) and bent-pipe baselines.
-func (l *Lab) HybridPlanSweep() ([]HybridPlanRow, error) {
-	return l.HybridPlanSweepCtx(context.Background())
-}
-
-// HybridPlanSweepCtx is HybridPlanSweep with cancellation. The satellite
+// onboard-only (current Kodan) and bent-pipe baselines. The satellite
 // counts fan out on the lab's worker pool; the day-long simulations, the
 // workspace, and the App 4 artifacts are the same memoized state every
 // other figure shares, so the onboard-only rows are byte-identical to the

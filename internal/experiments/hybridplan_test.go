@@ -48,7 +48,7 @@ func TestHybridPlanDeterministicAcrossWorkers(t *testing.T) {
 // drain replay, or the simulation that shifts a number shows up here.
 func TestHybridPlanQuickGolden(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.HybridPlanSweep()
+	rows, err := l.HybridPlanSweepCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,18 +60,18 @@ func TestHybridPlanQuickGolden(t *testing.T) {
 // other figure uses — not a separate code path that approximates it.
 func TestHybridPlanOnboardRowMatchesBaseline(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.HybridPlanSweep()
+	rows, err := l.HybridPlanSweepCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := l.App(planApp)
+	art, err := l.AppCtx(t.Context(), planApp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The single-satellite onboard row must equal the reference deployment's
 	// estimate bit for bit: the lab's Deployment() derives its capacity from
 	// the same 1-sat day run the sweep block does.
-	d, err := l.Deployment(hw.Orin15W)
+	d, err := l.DeploymentCtx(t.Context(), hw.Orin15W)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestHybridPlanOnboardRowMatchesBaseline(t *testing.T) {
 // raising the ground-compute cost never increases the deferred fraction.
 func TestHybridPlanDeferralMonotoneInGroundCost(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.HybridPlanSweep()
+	rows, err := l.HybridPlanSweepCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestHybridPlanDeferralMonotoneInGroundCost(t *testing.T) {
 // at the same cell.
 func TestHybridPlanWithScheduleReplans(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.HybridPlanSweep()
+	rows, err := l.HybridPlanSweepCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,11 +171,6 @@ func (l *Lab) SatCounts() []int {
 	return []int{1, 2, 4, 8, 16, 24, 32, 40, 48, 56}
 }
 
-// Workspace returns the memoized transformation workspace.
-func (l *Lab) Workspace() (*core.Workspace, error) {
-	return l.WorkspaceCtx(context.Background())
-}
-
 // WorkspaceCtx returns the memoized transformation workspace, building it
 // under ctx on first use.
 func (l *Lab) WorkspaceCtx(ctx context.Context) (*core.Workspace, error) {
@@ -183,11 +178,6 @@ func (l *Lab) WorkspaceCtx(ctx context.Context) (*core.Workspace, error) {
 	return l.ws.do(hit, miss, func() (*core.Workspace, error) {
 		return core.NewWorkspaceCtx(l.probeCtx(ctx), l.transformConfig())
 	})
-}
-
-// App returns the memoized artifacts of one application.
-func (l *Lab) App(index int) (*core.Artifacts, error) {
-	return l.AppCtx(context.Background(), index)
 }
 
 // AppCtx returns the memoized artifacts of one application, transforming
@@ -233,11 +223,6 @@ type missionProfile struct {
 	FrameBits    float64
 }
 
-// Mission returns the memoized single-satellite mission profile.
-func (l *Lab) Mission() (missionProfile, error) {
-	return l.MissionCtx(context.Background())
-}
-
 // MissionCtx returns the memoized single-satellite mission profile,
 // simulating it under ctx on first use.
 func (l *Lab) MissionCtx(ctx context.Context) (missionProfile, error) {
@@ -275,12 +260,6 @@ func (l *Lab) dayRun(ctx context.Context, sats int) (*sim.Result, error) {
 		cfg.Workers = l.Workers
 		return sim.RunCtx(l.probeCtx(ctx), cfg)
 	})
-}
-
-// Deployment builds the policy environment of a hardware target on the
-// reference mission.
-func (l *Lab) Deployment(t hw.Target) (core.Deployment, error) {
-	return l.DeploymentCtx(context.Background(), t)
 }
 
 // DeploymentCtx builds the policy environment of a hardware target on the

@@ -59,16 +59,11 @@ type Fig2Row struct {
 	DownFrac   float64
 }
 
-// Figure2 reproduces Figure 2: global frames seen versus downlinked per
+// Figure2Ctx reproduces Figure 2: global frames seen versus downlinked per
 // orbit period for a hyperspectral constellation. A lone satellite's
 // downlink covers ~2% of its observations; added satellites first claim
-// idle ground-station time, then saturate the segment.
-func (l *Lab) Figure2(satCounts []int) ([]Fig2Row, error) {
-	return l.Figure2Ctx(context.Background(), satCounts)
-}
-
-// Figure2Ctx is Figure2 with cancellation; the satellite-count sweep runs
-// on the lab's worker pool.
+// idle ground-station time, then saturate the segment. The satellite-count
+// sweep runs on the lab's worker pool.
 func (l *Lab) Figure2Ctx(ctx context.Context, satCounts []int) ([]Fig2Row, error) {
 	ctx, span := l.startFigure(ctx, "fig2")
 	defer span.End()
@@ -116,14 +111,9 @@ type Fig3Row struct {
 	CoverageFrac float64
 }
 
-// Figure3 reproduces Figure 3: unique global frames observed per day
+// Figure3Ctx reproduces Figure 3: unique global frames observed per day
 // versus satellite count. Daily global coverage (the full 57,784-scene
-// WRS-2 grid) requires tens of satellites.
-func (l *Lab) Figure3(satCounts []int) ([]Fig3Row, error) {
-	return l.Figure3Ctx(context.Background(), satCounts)
-}
-
-// Figure3Ctx is Figure3 with cancellation; the satellite-count sweep runs
+// WRS-2 grid) requires tens of satellites. The satellite-count sweep runs
 // on the lab's worker pool.
 func (l *Lab) Figure3Ctx(ctx context.Context, satCounts []int) ([]Fig3Row, error) {
 	ctx, span := l.startFigure(ctx, "fig3")
@@ -179,15 +169,10 @@ type Fig4Row struct {
 	LowValue  float64
 }
 
-// Figure4 reproduces Figure 4: frames per satellite per day — observed,
+// Figure4Ctx reproduces Figure 4: frames per satellite per day — observed,
 // downlinked by a bent pipe, and downlinked by ideal OEC filtering (100%
 // accuracy, zero execution time). Ideal filtering downlinks ~3x the
 // high-value frames of the bent pipe.
-func (l *Lab) Figure4() ([]Fig4Row, error) {
-	return l.Figure4Ctx(context.Background())
-}
-
-// Figure4Ctx is Figure4 with cancellation.
 func (l *Lab) Figure4Ctx(ctx context.Context) ([]Fig4Row, error) {
 	ctx, span := l.startFigure(ctx, "fig4")
 	defer span.End()
@@ -242,19 +227,15 @@ type Fig5Row struct {
 	DirectPct float64
 }
 
-// Figure5 reproduces Figure 5: the percentage of observed high-value data
-// downlinked, bent pipe versus a directly deployed 98 s/frame cloud filter
-// against the ~24 s frame deadline. The computational bottleneck lets the
-// filter triage only deadline/98s of captures — the rest are downlinked
-// raw exactly as a bent pipe would send them — so the downlink mix is only
-// slightly enriched and the improvement is ~9-16% instead of the ideal 3x.
-func (l *Lab) Figure5(satCounts []int) ([]Fig5Row, error) {
-	return l.Figure5Ctx(context.Background(), satCounts)
-}
-
-// Figure5Ctx is Figure5 with cancellation; the satellite-count sweep runs
-// on the lab's worker pool (concurrent day-long simulations are
-// single-flight per count and shared with every other figure).
+// Figure5Ctx reproduces Figure 5: the percentage of observed high-value
+// data downlinked, bent pipe versus a directly deployed 98 s/frame cloud
+// filter against the ~24 s frame deadline. The computational bottleneck
+// lets the filter triage only deadline/98s of captures — the rest are
+// downlinked raw exactly as a bent pipe would send them — so the downlink
+// mix is only slightly enriched and the improvement is ~9-16% instead of
+// the ideal 3x. The satellite-count sweep runs on the lab's worker pool
+// (concurrent day-long simulations are single-flight per count and shared
+// with every other figure).
 func (l *Lab) Figure5Ctx(ctx context.Context, satCounts []int) ([]Fig5Row, error) {
 	ctx, span := l.startFigure(ctx, "fig5")
 	defer span.End()

@@ -44,17 +44,12 @@ type ResilienceRow struct {
 	Retention float64
 }
 
-// ResilienceSweep sweeps fault intensity over a one-day two-satellite
+// ResilienceSweepCtx sweeps fault intensity over a one-day two-satellite
 // mission and reports how downlinked value degrades. Each intensity's
 // fault schedule is generated deterministically from the lab seed, so the
 // whole table is byte-identical across runs and worker counts, and the
 // intensity-0 row runs the plain fault-free path (no injector attached).
-func (l *Lab) ResilienceSweep() ([]ResilienceRow, error) {
-	return l.ResilienceSweepCtx(context.Background())
-}
-
-// ResilienceSweepCtx is ResilienceSweep with cancellation; the intensity
-// sweep runs on the lab's worker pool.
+// The intensity sweep runs on the lab's worker pool.
 func (l *Lab) ResilienceSweepCtx(ctx context.Context) ([]ResilienceRow, error) {
 	ctx, span := l.startFigure(ctx, "resilience")
 	defer span.End()

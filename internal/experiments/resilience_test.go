@@ -43,7 +43,7 @@ func TestResilienceSweepDeterministic(t *testing.T) {
 // baseline, not a separate code path that merely approximates it.
 func TestResilienceBaselineMatchesFaultFreeRun(t *testing.T) {
 	lab := NewLab(Quick)
-	rows, err := lab.ResilienceSweep()
+	rows, err := lab.ResilienceSweepCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestResilienceBaselineMatchesFaultFreeRun(t *testing.T) {
 // maximum intensity strictly degrades.
 func TestResilienceDegradesWithIntensity(t *testing.T) {
 	lab := NewLab(Quick)
-	rows, err := lab.ResilienceSweep()
+	rows, err := lab.ResilienceSweepCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

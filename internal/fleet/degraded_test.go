@@ -11,7 +11,7 @@ import (
 
 func TestDegradedNilDownMatchesHealthy(t *testing.T) {
 	sp, cfg := specs(1, 4, 7), platformConfig(true)
-	ded, err := Dedicated(sp, cfg)
+	ded, err := DedicatedCtx(t.Context(), sp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestDegradedNilDownMatchesHealthy(t *testing.T) {
 	if math.Abs(ded.TotalValueRate-dedDeg.TotalValueRate) > 1e-12 {
 		t.Errorf("nil down: degraded dedicated %g != healthy %g", dedDeg.TotalValueRate, ded.TotalValueRate)
 	}
-	sh, err := Shared(sp, cfg)
+	sh, err := SharedCtx(t.Context(), sp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDedicatedLosesAnAppSharedDoesNot(t *testing.T) {
 	if sh.AppsServed != 3 {
 		t.Errorf("shared with 4 sats down serves %d apps, want all 3", sh.AppsServed)
 	}
-	healthy, err := Shared(sp, cfg)
+	healthy, err := SharedCtx(t.Context(), sp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestSingleMemberFleetSharedEqualsDedicated(t *testing.T) {
 	sp := specs(4)
 	cfg := platformConfig(true)
 	cfg.Sats = 1
-	ded, err := Dedicated(sp, cfg)
+	ded, err := DedicatedCtx(t.Context(), sp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := Shared(sp, cfg)
+	sh, err := SharedCtx(t.Context(), sp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,15 +118,10 @@ func perSatValue(spec AppSpec, cfg Config, deadline time.Duration) float64 {
 	return est.Ledger.HighValueBits
 }
 
-// Dedicated evaluates the vertically-integrated strategy: satellites split
-// as evenly as possible among applications (earlier applications get the
-// remainder).
-func Dedicated(specs []AppSpec, cfg Config) (Report, error) {
-	return DedicatedCtx(context.Background(), specs, cfg)
-}
-
-// DedicatedCtx is Dedicated with cancellation; the per-application policy
-// evaluations run on cfg.Workers goroutines.
+// DedicatedCtx evaluates the vertically-integrated strategy: satellites
+// split as evenly as possible among applications (earlier applications get
+// the remainder). The per-application policy evaluations run on
+// cfg.Workers goroutines.
 func DedicatedCtx(ctx context.Context, specs []AppSpec, cfg Config) (Report, error) {
 	if err := cfg.validate(len(specs)); err != nil {
 		return Report{}, err
@@ -155,16 +150,11 @@ func DedicatedCtx(ctx context.Context, specs []AppSpec, cfg Config) (Report, err
 	return assemble("dedicated", vals), nil
 }
 
-// Shared evaluates the platform strategy: every satellite frame-interleaves
-// all applications. Application i sees 1/A of the frames with an A-times
-// longer effective deadline, and the per-satellite downlink is shared in
-// the same proportion.
-func Shared(specs []AppSpec, cfg Config) (Report, error) {
-	return SharedCtx(context.Background(), specs, cfg)
-}
-
-// SharedCtx is Shared with cancellation; the per-application policy
-// evaluations run on cfg.Workers goroutines.
+// SharedCtx evaluates the platform strategy: every satellite
+// frame-interleaves all applications. Application i sees 1/A of the frames
+// with an A-times longer effective deadline, and the per-satellite downlink
+// is shared in the same proportion. The per-application policy evaluations
+// run on cfg.Workers goroutines.
 func SharedCtx(ctx context.Context, specs []AppSpec, cfg Config) (Report, error) {
 	if err := cfg.validate(len(specs)); err != nil {
 		return Report{}, err
@@ -200,7 +190,7 @@ func upCount(down []bool, offset, n int) int {
 // DedicatedDegradedCtx evaluates the dedicated strategy with the marked
 // satellites unavailable (safe-mode reset, lost, or otherwise down).
 // Partitions are assigned contiguously in application order — app i owns
-// the same satellite indices Dedicated would give it — so an outage
+// the same satellite indices DedicatedCtx would give it — so an outage
 // concentrated in one partition can zero out that application entirely
 // while the rest of the fleet is untouched: the dedicated strategy's
 // brittleness under faults. A nil down slice reproduces DedicatedCtx

@@ -54,7 +54,7 @@ func platformConfig(kodan bool) Config {
 }
 
 func TestDedicatedSplitsSatellites(t *testing.T) {
-	rep, err := Dedicated(specs(1, 4, 7), platformConfig(true))
+	rep, err := DedicatedCtx(t.Context(), specs(1, 4, 7), platformConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDedicatedSplitsSatellites(t *testing.T) {
 func TestDedicatedUnevenSplit(t *testing.T) {
 	cfg := platformConfig(true)
 	cfg.Sats = 7
-	rep, err := Dedicated(specs(1, 4, 7), cfg)
+	rep, err := DedicatedCtx(t.Context(), specs(1, 4, 7), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDedicatedUnevenSplit(t *testing.T) {
 }
 
 func TestSharedServesAllAppsEverywhere(t *testing.T) {
-	rep, err := Shared(specs(1, 4, 7), platformConfig(true))
+	rep, err := SharedCtx(t.Context(), specs(1, 4, 7), platformConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestKodanPlatformNearlyFree(t *testing.T) {
 	// the downlink stays saturated with dense data.
 	s := specs(1, 4, 7)
 	cfg := platformConfig(true)
-	shared, err := Shared(s, cfg)
+	shared, err := SharedCtx(t.Context(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dedicated, err := Dedicated(s, cfg)
+	dedicated, err := DedicatedCtx(t.Context(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestDirectPlatformCollapses(t *testing.T) {
 	// on the Orin; the platform's efficiency under Kodan must decisively
 	// beat direct deployment's absolute value.
 	s := specs(1, 4, 7)
-	kodanShared, err := Shared(s, platformConfig(true))
+	kodanShared, err := SharedCtx(t.Context(), s, platformConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	directShared, err := Shared(s, platformConfig(false))
+	directShared, err := SharedCtx(t.Context(), s, platformConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +139,13 @@ func TestDirectPlatformCollapses(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Dedicated(specs(1), Config{Sats: 0, Deadline: time.Second}); err == nil {
+	if _, err := DedicatedCtx(t.Context(), specs(1), Config{Sats: 0, Deadline: time.Second}); err == nil {
 		t.Fatal("zero satellites accepted")
 	}
-	if _, err := Shared(nil, platformConfig(true)); err == nil {
+	if _, err := SharedCtx(t.Context(), nil, platformConfig(true)); err == nil {
 		t.Fatal("no apps accepted")
 	}
-	if _, err := Shared(specs(1), Config{Sats: 1}); err == nil {
+	if _, err := SharedCtx(t.Context(), specs(1), Config{Sats: 1}); err == nil {
 		t.Fatal("zero deadline accepted")
 	}
 }

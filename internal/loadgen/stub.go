@@ -53,7 +53,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // workspace. Callers layer serving knobs (cache bound, admission) on the
 // result.
 func StubConfig(work time.Duration, apps []int) (server.Config, error) {
-	sys, err := kodan.NewSystem(stubTransformConfig(7))
+	sys, err := kodan.NewSystemCtx(context.Background(), stubTransformConfig(7))
 	if err != nil {
 		return server.Config{}, fmt.Errorf("build stub workspace: %w", err)
 	}

@@ -230,13 +230,13 @@ func activateGrad(pre float64, a Activation) float64 {
 //
 // Concurrency: prediction (Predict, PredictBinary, PredictClass) is safe
 // for concurrent use — each call borrows forward buffers from an internal
-// pool. Training (Fit, FitCtx) mutates the weights and dedicated
+// pool. Training (FitCtx) mutates the weights and dedicated
 // gradient/activation state and must not run concurrently with anything
 // else on the same Net.
 type Net struct {
 	layers []*layer
 	// train holds the dedicated training scratch (activations are needed
-	// across the forward/backward pair, so Fit cannot share the pool).
+	// across the forward/backward pair, so FitCtx cannot share the pool).
 	train *scratch
 	// predict pools forward-only scratch for concurrent prediction.
 	predict sync.Pool
@@ -604,7 +604,7 @@ const (
 	Adam
 )
 
-// TrainConfig controls Fit.
+// TrainConfig controls FitCtx.
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
@@ -619,19 +619,14 @@ func DefaultTrain() TrainConfig {
 	return TrainConfig{Epochs: 6, BatchSize: 32, LearnRate: 0.1, Momentum: 0.9}
 }
 
-// Fit trains the network on (xs, ys) and returns the mean loss of the final
-// epoch. For binary nets ys hold {0,1}; for classifiers ys hold class
+// FitCtx trains the network on (xs, ys) and returns the mean loss of the
+// final epoch. For binary nets ys hold {0,1}; for classifiers ys hold class
 // indices. Shuffling draws from rng, so training is deterministic.
-func (n *Net) Fit(xs [][]float64, ys []float64, cfg TrainConfig, rng *xrand.Rand) float64 {
-	loss, _ := n.FitCtx(context.Background(), xs, ys, cfg, rng)
-	return loss
-}
-
-// FitCtx is Fit with cooperative cancellation: ctx is checked between
-// epochs, and ctx.Err() is returned promptly if the context is done. A
-// run that completes all epochs is bit-identical to Fit with the same
-// inputs; a cancelled run leaves the network partially trained and should
-// be discarded.
+//
+// ctx is checked between epochs, and ctx.Err() is returned promptly if the
+// context is done. A run that completes all epochs is bit-identical
+// whatever ctx carries; a cancelled run leaves the network partially
+// trained and should be discarded.
 //
 // When ctx carries a telemetry probe, each completed fit records its wall
 // time into the nn.fit_seconds histogram plus epoch/sample counters — the

@@ -23,7 +23,7 @@ func TestBinaryLearnsLinearlySeparable(t *testing.T) {
 		ys = append(ys, y)
 	}
 	net := NewBinary(2, nil, rng) // logistic regression
-	net.Fit(xs, ys, TrainConfig{Epochs: 20, BatchSize: 16, LearnRate: 0.5, Momentum: 0.9}, rng)
+	net.FitCtx(t.Context(), xs, ys, TrainConfig{Epochs: 20, BatchSize: 16, LearnRate: 0.5, Momentum: 0.9}, rng)
 	var c Confusion
 	for i, x := range xs {
 		c.Add(net.PredictBinary(x) > 0.5, ys[i] > 0.5)
@@ -48,7 +48,7 @@ func TestHiddenLayerLearnsXOR(t *testing.T) {
 	}
 	// XOR requires a hidden layer; logistic regression caps near 50%.
 	net := NewBinary(2, []int{12}, rng)
-	net.Fit(xs, ys, TrainConfig{Epochs: 120, BatchSize: 16, LearnRate: 0.3, Momentum: 0.9}, rng)
+	net.FitCtx(t.Context(), xs, ys, TrainConfig{Epochs: 120, BatchSize: 16, LearnRate: 0.3, Momentum: 0.9}, rng)
 	var c Confusion
 	for i, x := range xs {
 		c.Add(net.PredictBinary(x) > 0.5, ys[i] > 0.5)
@@ -76,7 +76,7 @@ func TestCapacityOrdering(t *testing.T) {
 	fit := func(hidden []int, seed uint64) float64 {
 		r := xrand.New(seed)
 		net := NewBinary(2, hidden, r)
-		net.Fit(xs, ys, TrainConfig{Epochs: 40, BatchSize: 16, LearnRate: 0.3, Momentum: 0.9}, r)
+		net.FitCtx(t.Context(), xs, ys, TrainConfig{Epochs: 40, BatchSize: 16, LearnRate: 0.3, Momentum: 0.9}, r)
 		var c Confusion
 		for i, x := range xs {
 			c.Add(net.PredictBinary(x) > 0.5, ys[i] > 0.5)
@@ -108,7 +108,7 @@ func TestClassifierLearnsQuadrants(t *testing.T) {
 		ys = append(ys, float64(cls))
 	}
 	net := NewClassifier(2, []int{12}, 4, rng)
-	net.Fit(xs, ys, TrainConfig{Epochs: 30, BatchSize: 16, LearnRate: 0.2, Momentum: 0.9}, rng)
+	net.FitCtx(t.Context(), xs, ys, TrainConfig{Epochs: 30, BatchSize: 16, LearnRate: 0.2, Momentum: 0.9}, rng)
 	correct := 0
 	for i, x := range xs {
 		if net.PredictClass(x) == int(ys[i]) {
@@ -164,7 +164,7 @@ func TestTrainingDeterministic(t *testing.T) {
 			ys = append(ys, y)
 		}
 		net := NewBinary(2, []int{4}, rng)
-		net.Fit(xs, ys, DefaultTrain(), rng)
+		net.FitCtx(t.Context(), xs, ys, DefaultTrain(), rng)
 		return net, xs, ys
 	}
 	n1, xs, _ := build()
@@ -204,7 +204,7 @@ func TestFitMismatchedPanics(t *testing.T) {
 		}
 	}()
 	rng := xrand.New(1)
-	NewBinary(1, nil, rng).Fit([][]float64{{1}}, nil, DefaultTrain(), rng)
+	NewBinary(1, nil, rng).FitCtx(t.Context(), [][]float64{{1}}, nil, DefaultTrain(), rng)
 }
 
 func TestConfusionMetrics(t *testing.T) {
@@ -272,7 +272,7 @@ func TestAdamLearnsXOR(t *testing.T) {
 		ys = append(ys, y)
 	}
 	net := NewBinary(2, []int{12}, rng)
-	net.Fit(xs, ys, TrainConfig{Epochs: 60, BatchSize: 16, LearnRate: 0.01, Optimizer: Adam}, rng)
+	net.FitCtx(t.Context(), xs, ys, TrainConfig{Epochs: 60, BatchSize: 16, LearnRate: 0.01, Optimizer: Adam}, rng)
 	var c Confusion
 	for i, x := range xs {
 		c.Add(net.PredictBinary(x) > 0.5, ys[i] > 0.5)
@@ -305,7 +305,7 @@ func TestAdamConvergesFasterThanSGDOnIllConditioned(t *testing.T) {
 	fit := func(opt Optimizer, lr float64) float64 {
 		rng := xrand.New(5)
 		net := NewBinary(2, nil, rng)
-		net.Fit(xs, ys, TrainConfig{Epochs: 60, BatchSize: 16, LearnRate: lr, Momentum: 0.9, Optimizer: opt}, rng)
+		net.FitCtx(t.Context(), xs, ys, TrainConfig{Epochs: 60, BatchSize: 16, LearnRate: lr, Momentum: 0.9, Optimizer: opt}, rng)
 		var c Confusion
 		for i, x := range xs {
 			c.Add(net.PredictBinary(x) > 0.5, ys[i] > 0.5)
@@ -340,7 +340,7 @@ func TestAdamDeterministic(t *testing.T) {
 			ys = append(ys, y)
 		}
 		net := NewBinary(2, []int{4}, rng)
-		net.Fit(xs, ys, TrainConfig{Epochs: 5, BatchSize: 8, LearnRate: 0.01, Optimizer: Adam}, rng)
+		net.FitCtx(t.Context(), xs, ys, TrainConfig{Epochs: 5, BatchSize: 8, LearnRate: 0.01, Optimizer: Adam}, rng)
 		return net.PredictBinary([]float64{0.3, 0.7})
 	}
 	if fit() != fit() {

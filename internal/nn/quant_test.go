@@ -26,7 +26,7 @@ func trainedBinary(t *testing.T, seed uint64, hidden []int) (*Net, [][]float64, 
 		ys = append(ys, y)
 	}
 	net := NewBinary(5, hidden, rng)
-	net.Fit(xs, ys, TrainConfig{Epochs: 10, BatchSize: 32, LearnRate: 0.2, Momentum: 0.9}, rng)
+	net.FitCtx(t.Context(), xs, ys, TrainConfig{Epochs: 10, BatchSize: 32, LearnRate: 0.2, Momentum: 0.9}, rng)
 	var probe [][]float64
 	for i := 0; i < 1000; i++ {
 		probe = append(probe, []float64{rng.Float64() * 2, rng.Float64() * 2, rng.Float64() * 2, rng.Float64() * 2, rng.Float64() * 2})
@@ -199,7 +199,7 @@ func TestQuantizedClassifier(t *testing.T) {
 		ys = append(ys, float64(cls))
 	}
 	net := NewClassifier(2, []int{16}, 3, rng)
-	net.Fit(xs, ys, TrainConfig{Epochs: 30, BatchSize: 16, LearnRate: 0.1, Momentum: 0.9}, rng)
+	net.FitCtx(t.Context(), xs, ys, TrainConfig{Epochs: 30, BatchSize: 16, LearnRate: 0.1, Momentum: 0.9}, rng)
 	q := net.Quantize(xs[:256])
 	agree := 0
 	for _, x := range xs {

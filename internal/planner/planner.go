@@ -11,7 +11,7 @@
 //   - Defer: buffer the tiles raw on board, downlink them against later
 //     contact windows, and process them on the ground (full value at a
 //     configurable ground-compute cost and a latency measured by
-//     sim.DrainDeferred);
+//     sim.DrainDeferredCtx);
 //
 // plus Drop — by maximizing delivered value minus the combined cost of
 // on-board compute energy (internal/power), link occupancy, and ground
@@ -387,12 +387,6 @@ func betterEval(a, b Eval) bool {
 // selection-logic optimizer).
 const maxExhaustive = 65536
 
-// Decide searches the per-context placements for one tiling profile and
-// base selection with background context. See DecideCtx.
-func Decide(prof policy.TilingProfile, base policy.Selection, env Env) (Plan, error) {
-	return DecideCtx(context.Background(), prof, base, env)
-}
-
 // DecideCtx searches the per-context placements for one tiling profile
 // and base selection. The base supplies each context's on-board action;
 // the returned plan maximizes utility over all feasible placements,
@@ -511,12 +505,6 @@ func hillClimb(opts [][]option, prof policy.TilingProfile, env Env) ([]Dispositi
 		}
 	}
 	return cur, ev, true
-}
-
-// Build generates the full hybrid plan for a transformed application with
-// background context. See BuildCtx.
-func Build(profiles []policy.TilingProfile, env Env) (Plan, error) {
-	return BuildCtx(context.Background(), profiles, env)
 }
 
 // BuildCtx generates the full hybrid plan for a transformed application:

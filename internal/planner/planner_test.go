@@ -68,11 +68,11 @@ func TestDecideDeterministic(t *testing.T) {
 	prof := testProfile()
 	env := testEnv()
 	base := baseFor(prof, env)
-	a, err := Decide(prof, base, env)
+	a, err := DecideCtx(t.Context(), prof, base, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Decide(prof, base, env)
+	b, err := DecideCtx(t.Context(), prof, base, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCheapGroundPullsWorkToDefer(t *testing.T) {
 	env := testEnv()
 	env.Policy.CapacityFrac = 2
 	env.Costs.GroundPerFrame = 0
-	plan, err := Decide(prof, baseFor(prof, env), env)
+	plan, err := DecideCtx(t.Context(), prof, baseFor(prof, env), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCheapGroundPullsWorkToDefer(t *testing.T) {
 	}
 	// Expensive ground compute must push deferral away entirely.
 	env.Costs.GroundPerFrame = 100
-	plan2, err := Decide(prof, baseFor(prof, env), env)
+	plan2, err := DecideCtx(t.Context(), prof, baseFor(prof, env), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestTightLinkKeepsProcessingOnboard(t *testing.T) {
 	prof := testProfile()
 	env := testEnv()
 	env.Policy.CapacityFrac = 0.1
-	plan, err := Decide(prof, baseFor(prof, env), env)
+	plan, err := DecideCtx(t.Context(), prof, baseFor(prof, env), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestBufferConstraintBlocksDeferral(t *testing.T) {
 	env.Costs.GroundPerFrame = 0
 	env.BufferFrames = 1
 	env.FramesBetweenContacts = 1000
-	plan, err := Decide(prof, baseFor(prof, env), env)
+	plan, err := DecideCtx(t.Context(), prof, baseFor(prof, env), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestZeroCapacityFallsBackToDropOrDiscard(t *testing.T) {
 	prof := testProfile()
 	env := testEnv()
 	env.Policy.CapacityFrac = 0
-	plan, err := Decide(prof, baseFor(prof, env), env)
+	plan, err := DecideCtx(t.Context(), prof, baseFor(prof, env), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestActionsMapOntoPolicySet(t *testing.T) {
 	prof := testProfile()
 	env := testEnv()
 	base := baseFor(prof, env)
-	plan, err := Decide(prof, base, env)
+	plan, err := DecideCtx(t.Context(), prof, base, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,41 +197,41 @@ func TestActionsMapOntoPolicySet(t *testing.T) {
 func TestBuildMatchesDecideOnOptimizerChoice(t *testing.T) {
 	profiles := []policy.TilingProfile{testProfile()}
 	env := testEnv()
-	plan, err := Build(profiles, env)
+	plan, err := BuildCtx(t.Context(), profiles, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base, _ := policy.Optimize(profiles, env.Policy)
-	want, err := Decide(profiles[0], base, env)
+	want, err := DecideCtx(t.Context(), profiles[0], base, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Eval != want.Eval {
-		t.Fatalf("Build eval %+v != Decide eval %+v", plan.Eval, want.Eval)
+		t.Fatalf("BuildCtx eval %+v != DecideCtx eval %+v", plan.Eval, want.Eval)
 	}
 }
 
 func TestValidateTypedErrors(t *testing.T) {
 	env := testEnv()
 	env.Bus = power.Bus{}
-	if _, err := Decide(testProfile(), policy.Selection{}, env); !errors.Is(err, power.ErrInvalidBus) {
+	if _, err := DecideCtx(t.Context(), testProfile(), policy.Selection{}, env); !errors.Is(err, power.ErrInvalidBus) {
 		t.Fatalf("bad bus: %v", err)
 	}
 	env = testEnv()
 	env.Policy.Deadline = 0
-	if _, err := Decide(testProfile(), policy.Selection{}, env); !errors.Is(err, power.ErrBadDeadline) {
+	if _, err := DecideCtx(t.Context(), testProfile(), policy.Selection{}, env); !errors.Is(err, power.ErrBadDeadline) {
 		t.Fatalf("zero deadline: %v", err)
 	}
 	env = testEnv()
 	env.Costs.RawDiscount = 1.5
-	if _, err := Build([]policy.TilingProfile{testProfile()}, env); err == nil {
+	if _, err := BuildCtx(t.Context(), []policy.TilingProfile{testProfile()}, env); err == nil {
 		t.Fatal("bad raw discount accepted")
 	}
 	env = testEnv()
-	if _, err := Decide(testProfile(), policy.Selection{}, env); err == nil {
+	if _, err := DecideCtx(t.Context(), testProfile(), policy.Selection{}, env); err == nil {
 		t.Fatal("action/context mismatch accepted")
 	}
-	if _, err := Build(nil, testEnv()); err == nil {
+	if _, err := BuildCtx(t.Context(), nil, testEnv()); err == nil {
 		t.Fatal("empty profiles accepted")
 	}
 }
@@ -296,7 +296,7 @@ func TestStationOutageChangesPlan(t *testing.T) {
 	env := testEnv()
 	env.Policy.CapacityFrac = 2
 	env.Costs.GroundPerFrame = 0
-	basePlan, err := Decide(prof, baseFor(prof, env), env)
+	basePlan, err := DecideCtx(t.Context(), prof, baseFor(prof, env), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestStationOutageChangesPlan(t *testing.T) {
 		t.Fatal("fault-free plan downlinks nothing")
 	}
 	outage := env.WithLink(LinkInputs{CapacityFrac: 0, FramesBetweenContacts: 1000})
-	outPlan, err := Decide(prof, baseFor(prof, outage), outage)
+	outPlan, err := DecideCtx(t.Context(), prof, baseFor(prof, outage), outage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,11 +339,11 @@ func TestHillClimbFallbackOnManyContexts(t *testing.T) {
 	}
 	env := testEnv()
 	base := policy.Selection{Tiling: prof.Tiling, Actions: actions}
-	a, err := Decide(prof, base, env)
+	a, err := DecideCtx(t.Context(), prof, base, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Decide(prof, base, env)
+	b, err := DecideCtx(t.Context(), prof, base, env)
 	if err != nil {
 		t.Fatal(err)
 	}

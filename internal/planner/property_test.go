@@ -75,7 +75,7 @@ func TestPropertyMoreCapacityNeverLowersUtility(t *testing.T) {
 		prev := 0.0
 		for i, c := range caps {
 			env.Policy.CapacityFrac = c
-			plan, err := Decide(prof, base, env)
+			plan, err := DecideCtx(t.Context(), prof, base, env)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -105,7 +105,7 @@ func TestPropertyHigherGroundCostNeverIncreasesDeferral(t *testing.T) {
 		prev := 0.0
 		for i, g := range costs {
 			env.Costs.GroundPerFrame = g
-			plan, err := Decide(prof, base, env)
+			plan, err := DecideCtx(t.Context(), prof, base, env)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}

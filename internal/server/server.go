@@ -283,13 +283,20 @@ func New(cfg Config) *Server {
 	// circuit breaker. Pass-through in the default configuration.
 	s.cfg.Transform = s.resilientTransform(cfg.Transform)
 	s.handler = s.routes()
-	s.httpSrv = &http.Server{
-		Handler:           s.handler,
+	s.httpSrv = NewHTTPServer(s.handler)
+	return s
+}
+
+// NewHTTPServer returns an http.Server for h with the package's connection
+// limits: header read timeout, idle timeout, and header size cap. The API
+// server built by New and kodan-server's debug listener both use it.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 		MaxHeaderBytes:    maxHeaderBytes,
 	}
-	return s
 }
 
 // Registry exposes the server's shared telemetry registry, so callers

@@ -36,10 +36,6 @@ func tinyTransformConfig(seed uint64) kodan.TransformConfig {
 	return cfg
 }
 
-func newTestSystem(cfg kodan.TransformConfig) (*kodan.System, error) {
-	return kodan.NewSystem(cfg)
-}
-
 // testConfig returns a server config over the tiny pipeline.
 func testConfig() Config {
 	return Config{

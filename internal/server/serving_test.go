@@ -22,7 +22,7 @@ import (
 // build (which runs while holding a worker slot) with the request's seed.
 func stubPipeline(t *testing.T, onNewSystem func(seed uint64)) (NewSystemFunc, TransformFunc) {
 	t.Helper()
-	sys, err := newTestSystem(tinyTransformConfig(7))
+	sys, err := kodan.NewSystemCtx(t.Context(), tinyTransformConfig(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // DrainStats summarizes a store-and-forward drain of deferred bits
-// through the constellation's granted contact schedule (DrainDeferred).
+// through the constellation's granted contact schedule (DrainDeferredCtx).
 // All bit totals are for the whole constellation over the simulated span.
 type DrainStats struct {
 	// DeliveredBits is the total backlog drained to the ground.
@@ -26,13 +26,6 @@ type DrainStats struct {
 	MaxLatency time.Duration
 	// PeakBufferBits is the largest single-satellite buffer occupancy.
 	PeakBufferBits float64
-}
-
-// DrainDeferred replays the capture schedule against the granted contact
-// windows as a store-and-forward queue with background context. See
-// DrainDeferredCtx.
-func (r *Result) DrainDeferred(bitsPerFrame, bufferBits float64) DrainStats {
-	return r.DrainDeferredCtx(context.Background(), bitsPerFrame, bufferBits)
 }
 
 // DrainDeferredCtx replays the capture schedule against the granted

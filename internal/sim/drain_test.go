@@ -37,7 +37,7 @@ func TestDrainDeferredSingleChunk(t *testing.T) {
 	res := drainResult([][]float64{{0}}, []link.Grant{
 		{Sat: 0, Start: epoch.Add(10 * time.Second), Dur: 10 * time.Second},
 	})
-	s := res.DrainDeferred(50, 0)
+	s := res.DrainDeferredCtx(t.Context(), 50, 0)
 	if s.DeliveredBits != 50 || s.DroppedBits != 0 || s.ResidualBits != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
@@ -56,7 +56,7 @@ func TestDrainDeferredWaitsForContact(t *testing.T) {
 		{Sat: 0, Start: epoch.Add(10 * time.Second), Dur: 10 * time.Second},
 		{Sat: 0, Start: epoch.Add(100 * time.Second), Dur: 10 * time.Second},
 	})
-	s := res.DrainDeferred(40, 0)
+	s := res.DrainDeferredCtx(t.Context(), 40, 0)
 	if s.DeliveredBits != 40 {
 		t.Fatalf("delivered = %v", s.DeliveredBits)
 	}
@@ -73,7 +73,7 @@ func TestDrainDeferredMidGrantCapture(t *testing.T) {
 	res := drainResult([][]float64{{0, 15}}, []link.Grant{
 		{Sat: 0, Start: epoch.Add(10 * time.Second), Dur: 20 * time.Second},
 	})
-	s := res.DrainDeferred(60, 0)
+	s := res.DrainDeferredCtx(t.Context(), 60, 0)
 	// Chunk 1 drains t=10..16, split by the t=15 arrival into a 50-bit
 	// portion done at t=15 (latency 15 s) and a 10-bit portion done at
 	// t=16 (latency 16 s); chunk 2 drains t=16..22 (latency 7 s). Mean =
@@ -96,7 +96,7 @@ func TestDrainDeferredBufferOverflow(t *testing.T) {
 	res := drainResult([][]float64{{0, 1, 2000}}, []link.Grant{
 		{Sat: 0, Start: epoch.Add(10 * time.Second), Dur: 100 * time.Second},
 	})
-	s := res.DrainDeferred(50, 70)
+	s := res.DrainDeferredCtx(t.Context(), 50, 70)
 	// t=0: +50 (backlog 50). t=1: +20 admitted, 30 dropped (cap 70). The
 	// grant drains all 70. t=2000 (after the grant): +50 buffered, held to
 	// span end as residual.
@@ -114,7 +114,7 @@ func TestDrainDeferredPerSatelliteQueues(t *testing.T) {
 	res := drainResult([][]float64{{0}, {0}}, []link.Grant{
 		{Sat: 0, Start: epoch.Add(10 * time.Second), Dur: 10 * time.Second},
 	})
-	s := res.DrainDeferred(50, 0)
+	s := res.DrainDeferredCtx(t.Context(), 50, 0)
 	if s.DeliveredBits != 50 || s.ResidualBits != 50 {
 		t.Fatalf("stats = %+v", s)
 	}
@@ -123,12 +123,12 @@ func TestDrainDeferredPerSatelliteQueues(t *testing.T) {
 func TestDrainDeferredConservesBits(t *testing.T) {
 	// On a real simulated day, delivered + dropped + residual must equal
 	// the bits captured, and the drain must be deterministic.
-	res, err := Run(Landsat8Config(epoch, 6*time.Hour, 2))
+	res, err := RunCtx(t.Context(), Landsat8Config(epoch, 6*time.Hour, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const perFrame = 1e9
-	s := res.DrainDeferred(perFrame, 64*perFrame)
+	s := res.DrainDeferredCtx(t.Context(), perFrame, 64*perFrame)
 	total := float64(res.FramesObserved()) * perFrame
 	if got := s.DeliveredBits + s.DroppedBits + s.ResidualBits; math.Abs(got-total) > 1e-3*total {
 		t.Fatalf("conservation: %v + %v + %v != %v", s.DeliveredBits, s.DroppedBits, s.ResidualBits, total)
@@ -139,14 +139,14 @@ func TestDrainDeferredConservesBits(t *testing.T) {
 	if s.MeanLatency <= 0 || s.MaxLatency < s.MeanLatency {
 		t.Fatalf("latency = %v / %v", s.MeanLatency, s.MaxLatency)
 	}
-	if s2 := res.DrainDeferred(perFrame, 64*perFrame); s2 != s {
+	if s2 := res.DrainDeferredCtx(t.Context(), perFrame, 64*perFrame); s2 != s {
 		t.Fatalf("drain not deterministic: %+v vs %+v", s, s2)
 	}
 }
 
 func TestDrainDeferredZeroInputs(t *testing.T) {
 	res := drainResult([][]float64{{0}}, nil)
-	if s := res.DrainDeferred(0, 0); s != (DrainStats{}) {
+	if s := res.DrainDeferredCtx(t.Context(), 0, 0); s != (DrainStats{}) {
 		t.Fatalf("zero bits-per-frame: %+v", s)
 	}
 }

@@ -63,7 +63,7 @@ func TestJournalByteIdenticalAcrossWorkers(t *testing.T) {
 // attaching a journal changes nothing about the result.
 func TestJournaledRunByteIdenticalToBaseline(t *testing.T) {
 	cfg := Landsat8Config(epoch, 6*time.Hour, 2)
-	base, err := Run(cfg)
+	base, err := RunCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestJournaledRunByteIdenticalToBaseline(t *testing.T) {
 		t.Errorf("journaled ledger diverged from baseline\n--- baseline:\n%s--- got:\n%s", want, got)
 	}
 	// Same for the drain stats.
-	baseStats := base.DrainDeferred(cfg.Camera.FrameBits(), 8*cfg.Camera.FrameBits())
+	baseStats := base.DrainDeferredCtx(t.Context(), cfg.Camera.FrameBits(), 8*cfg.Camera.FrameBits())
 	gotStats := res.DrainDeferredCtx(events.WithJournal(context.Background(), events.NewJournal()),
 		cfg.Camera.FrameBits(), 8*cfg.Camera.FrameBits())
 	if baseStats != gotStats {
@@ -186,7 +186,7 @@ func TestJournalCountersPublished(t *testing.T) {
 // the per-satellite high-water marks bound the global peak.
 func TestDrainJournalAccounting(t *testing.T) {
 	cfg := Landsat8Config(epoch, 6*time.Hour, 2)
-	res, err := Run(cfg)
+	res, err := RunCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

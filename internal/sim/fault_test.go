@@ -37,7 +37,7 @@ func testSchedule() *fault.Schedule {
 
 func TestNilInjectorByteIdenticalToBaseline(t *testing.T) {
 	cfg := Landsat8Config(epoch, 6*time.Hour, 2)
-	base, err := Run(cfg)
+	base, err := RunCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFaultedRunDeterministicAcrossWorkers(t *testing.T) {
 
 func TestFaultsDegradeTheRun(t *testing.T) {
 	cfg := Landsat8Config(epoch, 6*time.Hour, 2)
-	base, err := Run(cfg)
+	base, err := RunCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSingleStationOutageRebalancesLeastServed(t *testing.T) {
 	// keeps a share, and total served shrinks rather than collapsing onto
 	// one satellite.
 	cfg := Landsat8Config(epoch, 24*time.Hour, 2)
-	base, err := Run(cfg)
+	base, err := RunCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,11 +133,6 @@ type Result struct {
 	FadedBits []float64
 }
 
-// Run executes the simulation with background context.
-func Run(cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
 // RunCtx executes the simulation. The per-satellite propagation and
 // contact-window loops run on cfg.Workers goroutines; ctx cancellation
 // aborts the remaining satellites and returns ctx's error.

@@ -12,11 +12,11 @@ var epoch = time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 func TestRunRejectsBadConfig(t *testing.T) {
 	cfg := Landsat8Config(epoch, time.Hour, 1)
 	cfg.Satellites = 0
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunCtx(t.Context(), cfg); err == nil {
 		t.Fatal("zero satellites accepted")
 	}
 	cfg = Landsat8Config(epoch, 0, 1)
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunCtx(t.Context(), cfg); err == nil {
 		t.Fatal("zero span accepted")
 	}
 }
@@ -25,7 +25,7 @@ func TestSingleSatelliteOrbitPeriodAccounting(t *testing.T) {
 	// Over one orbit revolution, a satellite observes ~248 frames (one row
 	// pitch each) — the denominator in Figure 2's "2% downlinked" claim.
 	cfg := Landsat8Config(epoch, 99*time.Minute, 1)
-	res, err := Run(cfg)
+	res, err := RunCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestHyperspectralOrbitDownlinkMatchesFigure2(t *testing.T) {
 	// ~248 frames).
 	cfg := Landsat8Config(epoch, 99*time.Minute, 1)
 	cfg.Camera = sense.Landsat8Hyper()
-	res, err := Run(cfg)
+	res, err := RunCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestHyperspectralOrbitDownlinkMatchesFigure2(t *testing.T) {
 }
 
 func TestMultiSatCapturesScaleLinearly(t *testing.T) {
-	one, err := Run(Landsat8Config(epoch, 2*time.Hour, 1))
+	one, err := RunCtx(t.Context(), Landsat8Config(epoch, 2*time.Hour, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := Run(Landsat8Config(epoch, 2*time.Hour, 4))
+	four, err := RunCtx(t.Context(), Landsat8Config(epoch, 2*time.Hour, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDownlinkSaturates(t *testing.T) {
 	span := 6 * time.Hour
 	var caps []float64
 	for _, n := range []int{1, 4, 16, 48} {
-		res, err := Run(Landsat8Config(epoch, span, n))
+		res, err := RunCtx(t.Context(), Landsat8Config(epoch, span, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestDownlinkSaturates(t *testing.T) {
 }
 
 func TestServedNeverExceedsStationTime(t *testing.T) {
-	res, err := Run(Landsat8Config(epoch, 3*time.Hour, 8))
+	res, err := RunCtx(t.Context(), Landsat8Config(epoch, 3*time.Hour, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestServedNeverExceedsStationTime(t *testing.T) {
 }
 
 func TestUniqueScenesBounded(t *testing.T) {
-	res, err := Run(Landsat8Config(epoch, 3*time.Hour, 2))
+	res, err := RunCtx(t.Context(), Landsat8Config(epoch, 3*time.Hour, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestUniqueScenesBounded(t *testing.T) {
 func TestWalkerPlanesConfig(t *testing.T) {
 	cfg := Landsat8Config(epoch, time.Hour, 6)
 	cfg.Planes = 3
-	res, err := Run(cfg)
+	res, err := RunCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestWalkerPlanesConfig(t *testing.T) {
 }
 
 func TestDeterministicResults(t *testing.T) {
-	a, err := Run(Landsat8Config(epoch, 2*time.Hour, 3))
+	a, err := RunCtx(t.Context(), Landsat8Config(epoch, 2*time.Hour, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Landsat8Config(epoch, 2*time.Hour, 3))
+	b, err := RunCtx(t.Context(), Landsat8Config(epoch, 2*time.Hour, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestDailyBentPipeFractionMatchesFigure4(t *testing.T) {
 	}
 	// Figure 4: a lone Landsat satellite can downlink ~21% of its ~3600
 	// daily observations with the multispectral payload.
-	res, err := Run(Landsat8Config(epoch, 24*time.Hour, 1))
+	res, err := RunCtx(t.Context(), Landsat8Config(epoch, 24*time.Hour, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func TestRandomPhasesDeterministicAndSpread(t *testing.T) {
 	cfg := Landsat8Config(epoch, time.Hour, 6)
 	cfg.RandomPhases = true
 	cfg.PhaseSeed = 42
-	a, err := Run(cfg)
+	a, err := RunCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := RunCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestRandomPhasesDeterministicAndSpread(t *testing.T) {
 	}
 	// A different seed gives a different constellation.
 	cfg.PhaseSeed = 43
-	c, err := Run(cfg)
+	c, err := RunCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +212,13 @@ func TestRandomPhasesDeterministicAndSpread(t *testing.T) {
 func TestRandomPhasesDefaultSeed(t *testing.T) {
 	cfg := Landsat8Config(epoch, 30*time.Minute, 2)
 	cfg.RandomPhases = true // PhaseSeed zero defaults to 1
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunCtx(t.Context(), cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDownlinkBitsMatchesServed(t *testing.T) {
-	res, err := Run(Landsat8Config(epoch, 2*time.Hour, 2))
+	res, err := RunCtx(t.Context(), Landsat8Config(epoch, 2*time.Hour, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,6 @@
 package analyze
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -29,63 +26,30 @@ import (
 	"kodan/internal/telemetry"
 )
 
-// maxLineBytes bounds one JSONL line; attribute maps are small, so a line
-// longer than this is corruption, not data.
-const maxLineBytes = 1 << 20
-
-// ParseError reports a rejected input line. Line is 1-based.
-type ParseError struct {
-	Line int
-	Err  error
-}
-
-func (e *ParseError) Error() string { return fmt.Sprintf("line %d: %v", e.Line, e.Err) }
-
-func (e *ParseError) Unwrap() error { return e.Err }
-
 // ReadEvents parses a JSONL event stream, one telemetry.Event per line.
 // Any malformed, truncated, or semantically impossible line (unknown
 // event kind, non-positive ID, begin without a name) fails with a
-// *ParseError carrying its line number.
+// *telemetry.ParseError carrying its line number.
 func ReadEvents(r io.Reader) ([]telemetry.Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	var events []telemetry.Event
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(bytes.TrimSpace(raw)) == 0 {
-			return nil, &ParseError{Line: line, Err: fmt.Errorf("empty line")}
+	return telemetry.ReadJSONL(r, validateEvent)
+}
+
+// validateEvent checks the span contract of one trace event.
+func validateEvent(e telemetry.Event) error {
+	switch e.Ev {
+	case "b":
+		if e.Name == "" {
+			return fmt.Errorf("begin event without a name")
 		}
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		var e telemetry.Event
-		if err := dec.Decode(&e); err != nil {
-			return nil, &ParseError{Line: line, Err: fmt.Errorf("malformed event: %w", err)}
-		}
-		if dec.More() {
-			return nil, &ParseError{Line: line, Err: fmt.Errorf("trailing data after event object")}
-		}
-		switch e.Ev {
-		case "b":
-			if e.Name == "" {
-				return nil, &ParseError{Line: line, Err: fmt.Errorf("begin event without a name")}
-			}
-		case "e":
-			// End events carry no name; nothing further to require.
-		default:
-			return nil, &ParseError{Line: line, Err: fmt.Errorf("unknown event kind %q", e.Ev)}
-		}
-		if e.ID <= 0 {
-			return nil, &ParseError{Line: line, Err: fmt.Errorf("non-positive span id %d", e.ID)}
-		}
-		events = append(events, e)
+	case "e":
+		// End events carry no name; nothing further to require.
+	default:
+		return fmt.Errorf("unknown event kind %q", e.Ev)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, &ParseError{Line: line + 1, Err: err}
+	if e.ID <= 0 {
+		return fmt.Errorf("non-positive span id %d", e.ID)
 	}
-	return events, nil
+	return nil
 }
 
 // Span is one reassembled span. EndNs is -1 while unfinished; only
@@ -146,7 +110,7 @@ func Build(events []telemetry.Event) (*Trace, error) {
 		switch e.Ev {
 		case "b":
 			if _, dup := byID[e.ID]; dup {
-				return nil, &ParseError{Line: i + 1, Err: fmt.Errorf("duplicate begin for span %d", e.ID)}
+				return nil, &telemetry.ParseError{Line: i + 1, Err: fmt.Errorf("duplicate begin for span %d", e.ID)}
 			}
 			sp := &Span{ID: e.ID, Parent: e.Parent, Name: e.Name, StartNs: e.WallNs, EndNs: -1}
 			byID[e.ID] = sp
@@ -158,10 +122,10 @@ func Build(events []telemetry.Event) (*Trace, error) {
 				continue
 			}
 			if sp.EndNs >= 0 {
-				return nil, &ParseError{Line: i + 1, Err: fmt.Errorf("duplicate end for span %d", e.ID)}
+				return nil, &telemetry.ParseError{Line: i + 1, Err: fmt.Errorf("duplicate end for span %d", e.ID)}
 			}
 			if e.WallNs < sp.StartNs {
-				return nil, &ParseError{Line: i + 1, Err: fmt.Errorf("span %d ends before it begins", e.ID)}
+				return nil, &telemetry.ParseError{Line: i + 1, Err: fmt.Errorf("span %d ends before it begins", e.ID)}
 			}
 			sp.EndNs = e.WallNs
 			sp.SimStartNs, sp.SimEndNs = e.SimStartNs, e.SimEndNs

@@ -206,7 +206,7 @@ func TestParseErrorsCarryLineNumbers(t *testing.T) {
 			if err == nil {
 				t.Fatal("Parse accepted malformed input")
 			}
-			var pe *ParseError
+			var pe *telemetry.ParseError
 			if !errors.As(err, &pe) {
 				t.Fatalf("error %v is not a *ParseError", err)
 			}

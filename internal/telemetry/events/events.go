@@ -18,12 +18,11 @@
 //     simulation produced; the export is canonically ordered (sim time
 //     first), so the JSONL bytes are identical at every worker count.
 //
-// The package is stdlib-only.
+// The package uses only the standard library and internal/telemetry.
 package events
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -33,6 +32,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"kodan/internal/telemetry"
 )
 
 // Type is a mission event category.
@@ -278,53 +279,12 @@ func WriteFile(j *Journal, path string) error {
 	return f.Close()
 }
 
-// maxLineBytes bounds one JSONL line; journal events are small, so a
-// longer line is corruption, not data.
-const maxLineBytes = 1 << 20
-
-// ParseError reports a rejected input line. Line is 1-based.
-type ParseError struct {
-	Line int
-	Err  error
-}
-
-func (e *ParseError) Error() string { return fmt.Sprintf("line %d: %v", e.Line, e.Err) }
-
-func (e *ParseError) Unwrap() error { return e.Err }
-
 // ReadJournal parses a strict JSONL journal, one Event per line, with the
 // same validation discipline as the trace analyzer: unknown fields,
 // trailing data, unknown types, and contract-violating events are all
-// rejected with line numbers.
+// rejected with a *telemetry.ParseError carrying the line number.
 func ReadJournal(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	var evs []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(bytes.TrimSpace(raw)) == 0 {
-			return nil, &ParseError{Line: line, Err: fmt.Errorf("empty line")}
-		}
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			return nil, &ParseError{Line: line, Err: fmt.Errorf("malformed event: %w", err)}
-		}
-		if dec.More() {
-			return nil, &ParseError{Line: line, Err: fmt.Errorf("trailing data after event object")}
-		}
-		if err := e.validate(); err != nil {
-			return nil, &ParseError{Line: line, Err: err}
-		}
-		evs = append(evs, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, &ParseError{Line: line + 1, Err: err}
-	}
-	return evs, nil
+	return telemetry.ReadJSONL(r, Event.validate)
 }
 
 // ReadFile parses the journal at path.

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"kodan/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -154,7 +156,7 @@ func TestReadJournalRejects(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadJournal(strings.NewReader(tc.input))
-			var pe *ParseError
+			var pe *telemetry.ParseError
 			if !errors.As(err, &pe) {
 				t.Fatalf("want ParseError, got %v", err)
 			}

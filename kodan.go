@@ -6,13 +6,13 @@
 //
 // The library has two halves, mirroring the paper's Figure 7:
 //
-//   - A one-time transformation step (System.Transform): a representative
-//     dataset is clustered into geospatial contexts, a context engine is
-//     trained to recognize them at runtime, context-specialized models are
-//     trained and measured at several frame tilings, and a selection logic
-//     is generated for a concrete deployment (hardware target, frame
-//     deadline, downlink capacity) by sweeping tilings and per-context
-//     actions.
+//   - A one-time transformation step (System.TransformVariantCtx): a
+//     representative dataset is clustered into geospatial contexts, a
+//     context engine is trained to recognize them at runtime,
+//     context-specialized models are trained and measured at several frame
+//     tilings, and a selection logic is generated for a concrete deployment
+//     (hardware target, frame deadline, downlink capacity) by sweeping
+//     tilings and per-context actions.
 //
 //   - An on-orbit runtime (Application.Runtime): for every captured frame,
 //     tiles are classified by the context engine and then discarded,
@@ -28,9 +28,10 @@
 //
 // # Quick start
 //
-//	sys, _ := kodan.NewSystem(kodan.DefaultTransformConfig(42))
+//	ctx := context.Background()
+//	sys, _ := kodan.NewSystemCtx(ctx, kodan.DefaultTransformConfig(42))
 //	mission, _ := kodan.LandsatMission(epoch)
-//	app, _ := sys.Transform(4) // Table 1's App 4
+//	app, _ := sys.TransformVariantCtx(ctx, 4, false) // Table 1's App 4, float
 //	logic, est := app.SelectionLogic(mission.Deployment(kodan.Orin15W))
 //	fmt.Println(logic.Tiling, est.DVD)
 package kodan
@@ -164,15 +165,10 @@ type System struct {
 	ws *core.Workspace
 }
 
-// NewSystem renders the representative dataset and builds contexts.
-func NewSystem(cfg TransformConfig) (*System, error) {
-	return NewSystemCtx(context.Background(), cfg)
-}
-
-// NewSystemCtx is NewSystem with cooperative cancellation: ctx is checked
-// between the expensive build stages (per-tiling dataset renders,
-// clustering, engine training) and ctx.Err() is returned promptly once
-// the context is done.
+// NewSystemCtx renders the representative dataset and builds contexts.
+// ctx is checked between the expensive build stages (per-tiling dataset
+// renders, clustering, engine training epochs) and ctx.Err() is returned
+// promptly once the context is done.
 func NewSystemCtx(ctx context.Context, cfg TransformConfig) (*System, error) {
 	ws, err := core.NewWorkspaceCtx(ctx, cfg)
 	if err != nil {
@@ -187,30 +183,21 @@ func (s *System) Contexts() []ContextStats { return s.ws.Ctx.Stats }
 // ContextCount returns the number of generated contexts.
 func (s *System) ContextCount() int { return s.ws.Ctx.K }
 
-// Transform runs the one-time transformation for the application with the
-// given 1-based Table 1 index.
-func (s *System) Transform(appIndex int) (*Application, error) {
-	return s.TransformCtx(context.Background(), appIndex)
-}
-
-// TransformCtx is Transform with cooperative cancellation: ctx is checked
-// between tilings, model trainings, and training epochs, so a cancelled
-// transform returns ctx.Err() promptly instead of running to completion.
-// Completed transforms are bit-identical to Transform with the same seed.
+// TransformVariantCtx runs the one-time transformation for the application
+// with the given 1-based Table 1 index. ctx is checked between tilings,
+// model trainings, and training epochs, so a cancelled transform returns
+// ctx.Err() promptly instead of running to completion. Completed
+// transforms depend on the seed alone, never on ctx.
 //
-// Concurrent TransformCtx calls on one System are safe: the workspace's
-// datasets and context engine are read-only after NewSystem, and each
-// (application, tiling) derives its randomness from the seed alone.
-func (s *System) TransformCtx(ctx context.Context, appIndex int) (*Application, error) {
-	return s.TransformVariantCtx(ctx, appIndex, false)
-}
-
-// TransformVariantCtx is TransformCtx with an inference-variant switch:
-// with quantized set, every trained model also derives its int8 twin and
+// With quantized set, every trained model also derives its int8 twin and
 // all suite predictions — including the quality measurement the selection
 // logic prices — run through the quantized hot path. Training itself stays
 // float and consumes the identical random stream, so the float variant of
 // the same System is unaffected.
+//
+// Concurrent calls on one System are safe: the workspace's datasets and
+// context engine are read-only after NewSystemCtx, and each (application,
+// tiling) derives its randomness from the seed alone.
 func (s *System) TransformVariantCtx(ctx context.Context, appIndex int, quantized bool) (*Application, error) {
 	if appIndex < 1 || appIndex > len(app.Apps()) {
 		return nil, fmt.Errorf("kodan: no application %d", appIndex)
@@ -249,7 +236,7 @@ func (a *Application) PlanHybrid(d Deployment, env PlannerEnv) (HybridPlan, erro
 		return HybridPlan{}, err
 	}
 	env.Policy = d.Env(a.art.Arch)
-	return planner.Decide(prof, sel, env)
+	return planner.DecideCtx(context.Background(), prof, sel, env)
 }
 
 // BentPipe evaluates the bent-pipe baseline in the same environment.
@@ -362,7 +349,7 @@ type Mission struct {
 // radio) and returns its derived parameters. The simulation takes on the
 // order of a second.
 func LandsatMission(epoch time.Time) (Mission, error) {
-	res, err := sim.Run(sim.Landsat8Config(epoch, 24*time.Hour, 1))
+	res, err := sim.RunCtx(context.Background(), sim.Landsat8Config(epoch, 24*time.Hour, 1))
 	if err != nil {
 		return Mission{}, err
 	}

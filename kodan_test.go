@@ -15,7 +15,7 @@ func testSystem(t *testing.T) *System {
 	cfg.Frames = 60
 	cfg.TileRes = 16
 	cfg.Tilings = []Tiling{{PerSide: 3}, {PerSide: 6}}
-	sys, err := NewSystem(cfg)
+	sys, err := NewSystemCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestEndToEndHeadlineResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sys.Transform(4)
+	a, err := sys.TransformVariantCtx(t.Context(), 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestEndToEndHeadlineResult(t *testing.T) {
 func TestTransformRejectsBadIndex(t *testing.T) {
 	sys := testSystem(t)
 	for _, idx := range []int{0, 8, -1} {
-		if _, err := sys.Transform(idx); err == nil {
+		if _, err := sys.TransformVariantCtx(t.Context(), idx, false); err == nil {
 			t.Fatalf("index %d accepted", idx)
 		}
 	}
@@ -114,7 +114,7 @@ func TestRuntimeFromPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sys.Transform(1)
+	a, err := sys.TransformVariantCtx(t.Context(), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestBundleRoundTripThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sys.Transform(2)
+	a, err := sys.TransformVariantCtx(t.Context(), 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestImportSelectionHostileInputs(t *testing.T) {
 // mission-derived environment helper.
 func TestPlanHybridFromPublicAPI(t *testing.T) {
 	sys := testSystem(t)
-	a, err := sys.Transform(4)
+	a, err := sys.TransformVariantCtx(t.Context(), 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
