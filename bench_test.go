@@ -27,7 +27,6 @@ import (
 	"kodan/internal/dataset"
 	"kodan/internal/experiments"
 	"kodan/internal/fleet"
-	"kodan/internal/imagery"
 	"kodan/internal/link"
 	"kodan/internal/orbit"
 	"kodan/internal/pipeline"
@@ -493,13 +492,6 @@ func BenchmarkLinkAllocate(b *testing.B) {
 		_ = link.Allocate(link.Problem{
 			Start: epoch, Span: 24 * time.Hour, Quantum: 10 * time.Second, Windows: windows,
 		})
-	}
-}
-
-func BenchmarkRenderTile(b *testing.B) {
-	w := imagery.NewWorld(9)
-	for i := 0; i < b.N; i++ {
-		_ = w.RenderTile(imagery.Region{LonDeg: float64(i % 360), LatDeg: 20, SizeDeg: 0.48}, 20, 1.2)
 	}
 }
 

@@ -104,8 +104,9 @@ func TestBuildInputFinite(t *testing.T) {
 	_, _, tile := allocModels(t)
 	rng := xrand.New(31)
 	dst := make([]float64, imagery.NumFeatures)
+	sigma := App(7).inputSigma(tile)
 	for p := 0; p < tile.Pixels(); p++ {
-		buildInput(tile, p, App(7), rng, dst)
+		buildInput(tile, p, sigma, rng, dst)
 		for c, v := range dst {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("pixel %d channel %d: non-finite input %v", p, c, v)

@@ -155,17 +155,21 @@ func DefaultTrainOptions() TrainOptions {
 	}
 }
 
-// buildInput assembles the model input for pixel p of a tile, adding the
-// architecture's noise terms from rng.
-func buildInput(t *imagery.Tile, p int, a Architecture, rng *xrand.Rand, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, inputDim)
-	}
-	sigma := a.NoiseFloor + a.rfPenalty(t.Region.SizeDeg)
+// inputSigma is the architecture's per-pixel input noise on tile t: its
+// noise floor plus the receptive-field penalty of the tile's ground
+// extent. It is constant across a tile, so callers compute it once per
+// tile and pass it to buildInput.
+func (a Architecture) inputSigma(t *imagery.Tile) float64 {
+	return a.NoiseFloor + a.rfPenalty(t.Region.SizeDeg)
+}
+
+// buildInput assembles the model input for pixel p of a tile into dst,
+// adding the architecture's noise (standard deviation sigma, see
+// inputSigma) from rng.
+func buildInput(t *imagery.Tile, p int, sigma float64, rng *xrand.Rand, dst []float64) {
 	for c := 0; c < imagery.NumFeatures; c++ {
 		dst[c] = t.Features[c][p] + rng.Norm(0, sigma)
 	}
-	return dst
 }
 
 // trainModel fits one classifier on the given tiles. ctx is checked
@@ -192,10 +196,11 @@ func trainModel(ctx context.Context, a Architecture, contextIdx int, tiles []*im
 		if n > t.Pixels() {
 			n = t.Pixels()
 		}
+		sigma := a.inputSigma(t)
 		for i := 0; i < n; i++ {
 			p := sampleRng.Intn(t.Pixels())
 			in := flat[len(xs)*inputDim : (len(xs)+1)*inputDim]
-			buildInput(t, p, a, sampleRng, in)
+			buildInput(t, p, sigma, sampleRng, in)
 			xs = append(xs, in)
 			y := 0.0
 			if t.Truth[p] {
@@ -277,8 +282,9 @@ func (m *Model) PredictTileInto(t *imagery.Tile, rng *xrand.Rand, mask []bool) n
 	n := t.Pixels()
 	s := predictPool.Get().(*predictScratch)
 	s.grow(n)
+	sigma := m.Arch.inputSigma(t)
 	for p := 0; p < n; p++ {
-		buildInput(t, p, m.Arch, rng, s.xs[p])
+		buildInput(t, p, sigma, rng, s.xs[p])
 	}
 	m.predictBatch(s.xs[:n], s.probs)
 	var c nn.Confusion
@@ -302,10 +308,11 @@ func evalModel(m *Model, tiles []*imagery.Tile, perTile int, rng *xrand.Rand) nn
 		if n > t.Pixels() {
 			n = t.Pixels()
 		}
+		sigma := m.Arch.inputSigma(t)
 		for i := 0; i < n; i++ {
 			p := rng.Intn(t.Pixels())
 			s.pix[i] = p
-			buildInput(t, p, m.Arch, rng, s.xs[i])
+			buildInput(t, p, sigma, rng, s.xs[i])
 		}
 		m.predictBatch(s.xs[:n], s.probs)
 		for i := 0; i < n; i++ {

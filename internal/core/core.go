@@ -23,6 +23,7 @@ import (
 	"kodan/internal/dataset"
 	"kodan/internal/deploy"
 	"kodan/internal/hw"
+	"kodan/internal/parallel"
 	"kodan/internal/policy"
 	"kodan/internal/telemetry"
 	"kodan/internal/tiling"
@@ -58,6 +59,11 @@ type Config struct {
 	// the RNG stream is unchanged, so a quantized transform differs from
 	// its float sibling only in the measured confusions.
 	Quantized bool
+	// Workers bounds the parallelism of the transformation: dataset frames
+	// render, and per-tiling suites train, on this many goroutines. 0 uses
+	// GOMAXPROCS, 1 forces the sequential path. Workspaces and artifacts
+	// are bit-identical at every worker count.
+	Workers int
 }
 
 // DefaultConfig returns the reproduction's standard transformation sizing.
@@ -145,6 +151,7 @@ func NewWorkspaceCtx(ctx context.Context, cfg Config) (*Workspace, error) {
 		dcfg := dataset.DefaultConfig(cfg.Seed, tl)
 		dcfg.Frames = cfg.Frames
 		dcfg.TileRes = cfg.TileRes
+		dcfg.Workers = cfg.Workers
 		ds, err := dataset.Generate(dcfg)
 		if err != nil {
 			sp.End()
@@ -198,12 +205,15 @@ type Artifacts struct {
 }
 
 // TransformAppCtx trains and measures one application across every
-// candidate tiling in the workspace. ctx is checked between tilings and,
-// inside suite construction, between model trainings and epochs, so a
-// cancelled transform returns ctx.Err() promptly. A completed transform
-// depends on its inputs alone: each (application, tiling) pair derives its
-// randomness from the workspace seed, never from call timing or
-// interleaving — which is also what makes concurrent transforms on one
+// candidate tiling in the workspace. The per-tiling suites are independent
+// (Section 3.3), so they build on Cfg.Workers goroutines, each into its own
+// slot, and are assembled in workspace tiling order afterwards. ctx is
+// checked before each tiling and, inside suite construction, between
+// model trainings and epochs, so a cancelled transform returns ctx.Err()
+// promptly once its running suites stop. A completed transform depends on
+// its inputs alone: each (application, tiling) pair derives its randomness
+// from the workspace seed, never from call timing, interleaving or the
+// worker count — which is also what makes concurrent transforms on one
 // workspace deterministic.
 func (w *Workspace) TransformAppCtx(ctx context.Context, arch app.Architecture) (*Artifacts, error) {
 	ctx, span := telemetry.StartSpan(ctx, "transform.app")
@@ -211,33 +221,38 @@ func (w *Workspace) TransformAppCtx(ctx context.Context, arch app.Architecture) 
 	span.Set("app", fmt.Sprint(arch.Index))
 	span.Set("quantized", fmt.Sprint(w.Cfg.Quantized))
 	scope := telemetry.ProbeFrom(ctx).Metrics.Scope("transform")
-	art := &Artifacts{Arch: arch, Ctx: w.Ctx, Suites: make(map[int]*app.Suite)}
-	for _, tl := range w.Cfg.Tilings {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	tilings := w.Cfg.Tilings
+	suites := make([]*app.Suite, len(tilings))
+	err := parallel.ForEach(ctx, parallel.Workers(w.Cfg.Workers), len(tilings), func(ctx context.Context, i int) error {
+		tl := tilings[i]
 		tctx, sp := telemetry.StartSpan(ctx, "transform.tiling")
+		defer sp.End()
 		sp.Set("app", fmt.Sprint(arch.Index))
 		sp.Set("tiling", fmt.Sprint(tl.PerSide))
 		sp.Set("quantized", fmt.Sprint(w.Cfg.Quantized))
 		stageStart := time.Now()
-		s := w.data[tl.PerSide]
 		opts := app.DefaultTrainOptions()
 		opts.Augment = w.Cfg.Augment
 		opts.Quantized = w.Cfg.Quantized
 		opts.PixelsPerTile = perTileBudget(w.Cfg.PixelsPerFrame, tl)
 		opts.EvalPixelsPerTile = perTileBudget(w.Cfg.EvalPixelsPerFrame, tl)
 		rng := xrand.New(w.Cfg.Seed ^ uint64(arch.Index)<<32 ^ uint64(tl.PerSide))
-		suite, err := app.BuildSuiteData(tctx, arch, tl, s.prepared(w), w.Ctx, opts, rng)
+		suite, err := app.BuildSuiteData(tctx, arch, tl, w.data[tl.PerSide].prepared(w), w.Ctx, opts, rng)
 		if err != nil {
-			sp.End()
-			return nil, err
+			return err
 		}
-		art.Suites[tl.PerSide] = suite
-		art.Profiles = append(art.Profiles, w.profile(tl, suite))
-		sp.End()
+		suites[i] = suite
 		scope.Histogram("tiling_seconds").Observe(time.Since(stageStart).Seconds())
 		scope.Counter("suites_trained").Inc()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	art := &Artifacts{Arch: arch, Ctx: w.Ctx, Suites: make(map[int]*app.Suite, len(tilings))}
+	for i, tl := range tilings {
+		art.Suites[tl.PerSide] = suites[i]
+		art.Profiles = append(art.Profiles, w.profile(tl, suites[i]))
 	}
 	scope.Counter("apps_transformed").Inc()
 	return art, nil

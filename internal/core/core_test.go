@@ -3,12 +3,17 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"kodan/internal/app"
 	"kodan/internal/hw"
 	"kodan/internal/imagery"
+	"kodan/internal/parallel"
 	"kodan/internal/policy"
 	"kodan/internal/tiling"
 	"kodan/internal/xrand"
@@ -189,6 +194,106 @@ func TestTransformDeterministic(t *testing.T) {
 	}
 }
 
+// TestTransformAppWorkersByteIdentical pins the fan-out's contract: a
+// workspace built and an application transformed at any worker count
+// yields the same profiles, the same measured suite quality and the same
+// selection logic on every target as the sequential path. Each worker
+// count gets a fresh workspace, so the concurrent first use of each
+// tiling's prepared data runs under the race detector too.
+func TestTransformAppWorkersByteIdentical(t *testing.T) {
+	transform := func(workers int) *Artifacts {
+		cfg := testConfig()
+		cfg.Workers = workers
+		w, err := NewWorkspaceCtx(t.Context(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := w.TransformAppCtx(t.Context(), app.App(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art
+	}
+	want := transform(1)
+	for _, workers := range []int{2, 5} {
+		got := transform(workers)
+		if !reflect.DeepEqual(got.Profiles, want.Profiles) {
+			t.Errorf("workers=%d: profiles differ from the sequential transform", workers)
+		}
+		for _, tl := range testConfig().Tilings {
+			if !reflect.DeepEqual(got.Suites[tl.PerSide].Quality, want.Suites[tl.PerSide].Quality) {
+				t.Errorf("workers=%d at %v: suite quality differs", workers, tl)
+			}
+		}
+		for _, tg := range hw.Targets() {
+			d := testDeployment
+			d.Target = tg
+			gs, ge := got.SelectionLogic(d)
+			ws, we := want.SelectionLogic(d)
+			if !reflect.DeepEqual(gs, ws) || ge != we {
+				t.Errorf("workers=%d on %v: selection logic differs", workers, tg)
+			}
+		}
+	}
+}
+
+// TestTransformAppCancelledMidway cancels a parallel transform while its
+// suites are training: the call must return context.Canceled promptly and
+// must not leave a fan-out worker running behind it. The cancel lands a
+// quarter of the way through a transform timed on the same workspace, so
+// it falls mid-training on any machine.
+func TestTransformAppCancelledMidway(t *testing.T) {
+	cfg := testConfig()
+	cfg.Workers = 2
+	w, err := NewWorkspaceCtx(t.Context(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := w.TransformAppCtx(t.Context(), app.App(2)); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	cancelledAt := make(chan time.Time, 1)
+	timer := time.AfterFunc(full/4, func() {
+		cancelledAt <- time.Now()
+		cancel()
+	})
+	defer timer.Stop()
+	_, err = w.TransformAppCtx(ctx, app.App(2))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("TransformAppCtx cancelled midway: %v, want context.Canceled", err)
+	}
+	if d := time.Since(<-cancelledAt); d > 5*time.Second {
+		t.Fatalf("cancelled transform returned %v after cancel, want a prompt return", d)
+	}
+	// No suite work may run once the call has returned. A worker that has
+	// signalled ForEach's WaitGroup may still be unwinding its goroutine,
+	// so its exit is awaited with a deadline.
+	if stacks := goroutineStacks(); strings.Contains(stacks, "kodan/internal/app.") {
+		t.Fatalf("suite work still running after the cancelled transform returned:\n%s", stacks)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		stacks := goroutineStacks()
+		if !strings.Contains(stacks, "kodan/internal/parallel.ForEach") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a fan-out worker outlived the cancelled transform:\n%s", stacks)
+		}
+		runtime.Gosched()
+	}
+}
+
+// goroutineStacks returns the stack traces of every goroutine.
+func goroutineStacks() string {
+	buf := make([]byte, 1<<20)
+	return string(buf[:runtime.Stack(buf, true)])
+}
+
 func TestPerTileBudget(t *testing.T) {
 	if got := perTileBudget(360, tiling.Tiling{PerSide: 3}); got != 40 {
 		t.Fatalf("budget(9) = %d", got)
@@ -225,5 +330,35 @@ func TestCancellation(t *testing.T) {
 	}
 	if len(a.Profiles) != len(w.Cfg.Tilings) {
 		t.Fatalf("profiles = %d, want %d", len(a.Profiles), len(w.Cfg.Tilings))
+	}
+}
+
+// BenchmarkTransformApp times one application transform at the quick lab
+// sizing (60 frames, tile resolution 16, tilings 3 and 11), sequential and
+// fanned out over GOMAXPROCS workers. The workspace and each tiling's
+// prepared training data are built once outside the timer, so the figure
+// is suite training and quality measurement.
+func BenchmarkTransformApp(b *testing.B) {
+	cfg := DefaultConfig(2023)
+	cfg.Frames = 60
+	cfg.TileRes = 16
+	cfg.Tilings = []tiling.Tiling{{PerSide: 3}, {PerSide: 11}}
+	w, err := NewWorkspaceCtx(b.Context(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := w.TransformAppCtx(b.Context(), app.App(4)); err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 0} {
+		ws := *w
+		ws.Cfg.Workers = workers
+		b.Run(fmt.Sprintf("workers=%d", parallel.Workers(workers)), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ws.TransformAppCtx(b.Context(), app.App(4)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -8,10 +8,12 @@
 package dataset
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"kodan/internal/imagery"
+	"kodan/internal/parallel"
 	"kodan/internal/tiling"
 	"kodan/internal/xrand"
 )
@@ -41,6 +43,10 @@ type Config struct {
 	FrameSizeDeg float64
 	// MaxLatDeg bounds the sampled frame latitudes.
 	MaxLatDeg float64
+	// Workers bounds the parallelism of frame rendering: 0 uses
+	// GOMAXPROCS, 1 forces the sequential path. The samples are
+	// bit-identical at every worker count.
+	Workers int
 }
 
 // DefaultConfig returns a configuration sized for the reproduction's
@@ -87,7 +93,10 @@ type Dataset struct {
 // Generate renders the dataset. Frame centers are scattered by a
 // golden-angle sequence (deterministic, near-uniform) over the latitude
 // band; each frame is split by the configured tiling and every tile is
-// rendered with the tiling's decimation blur.
+// rendered with the tiling's decimation blur. Frames render on
+// cfg.Workers goroutines into preallocated slots (frame f's tile k lands
+// at f*Tiles()+k); the world is immutable and every tile seeds its noise
+// from its own region, so the samples do not depend on the worker count.
 func Generate(cfg Config) (*Dataset, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -95,9 +104,12 @@ func Generate(cfg Config) (*Dataset, error) {
 	w := imagery.NewWorld(cfg.Seed)
 	blur := cfg.Tiling.RenderBlurPx(FramePx, ModelInputPx)
 
-	ds := &Dataset{Config: cfg}
+	tiles := cfg.Tiling.Tiles()
+	ds := &Dataset{Config: cfg, Samples: make([]Sample, cfg.Frames*tiles)}
 	const golden = 137.50776405003785
-	for f := 0; f < cfg.Frames; f++ {
+	// The loop body never fails and the context never cancels, so
+	// ForEach always returns nil.
+	_ = parallel.ForEach(context.TODO(), parallel.Workers(cfg.Workers), cfg.Frames, func(_ context.Context, f int) error {
 		lon := math.Mod(float64(f)*golden, 360) - 180
 		// Low-discrepancy latitude scatter over the band.
 		lat := -cfg.MaxLatDeg + math.Mod(float64(f)*0.6180339887498949, 1)*2*cfg.MaxLatDeg
@@ -106,13 +118,14 @@ func Generate(cfg Config) (*Dataset, error) {
 			LatDeg:  lat - cfg.FrameSizeDeg/2,
 			SizeDeg: cfg.FrameSizeDeg,
 		}
-		for _, reg := range frame.Split(cfg.Tiling.PerSide) {
-			ds.Samples = append(ds.Samples, Sample{
+		for k, reg := range frame.Split(cfg.Tiling.PerSide) {
+			ds.Samples[f*tiles+k] = Sample{
 				Tile:  w.RenderTile(reg, cfg.TileRes, blur),
 				Frame: f,
-			})
+			}
 		}
-	}
+		return nil
+	})
 	return ds, nil
 }
 

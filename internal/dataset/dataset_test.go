@@ -1,10 +1,13 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"kodan/internal/imagery"
+	"kodan/internal/parallel"
 	"kodan/internal/tiling"
 	"kodan/internal/xrand"
 )
@@ -50,6 +53,49 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a.Samples[i].Tile.CloudFrac != b.Samples[i].Tile.CloudFrac {
 			t.Fatal("generation not deterministic")
 		}
+	}
+}
+
+// TestGenerateWorkersIdentical pins the parallel render's contract: the
+// samples (features, truth, region, frame and their order) are deep-equal
+// to the sequential render's.
+func TestGenerateWorkersIdentical(t *testing.T) {
+	generate := func(workers int) *Dataset {
+		cfg := smallConfig(tiling.Tiling{PerSide: 4})
+		cfg.Workers = workers
+		ds, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	seq, par := generate(1), generate(4)
+	if len(seq.Samples) != len(par.Samples) {
+		t.Fatalf("sample counts %d vs %d", len(seq.Samples), len(par.Samples))
+	}
+	for i := range seq.Samples {
+		if !reflect.DeepEqual(seq.Samples[i], par.Samples[i]) {
+			t.Fatalf("sample %d differs between workers=1 and workers=4", i)
+		}
+	}
+}
+
+// BenchmarkGenerate times one 60-frame render at 36 tiles per frame,
+// sequential and on GOMAXPROCS workers. The samples are identical at both
+// settings (TestGenerateWorkersIdentical), so the ratio is pure scaling.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := DefaultConfig(2023, tiling.Tiling{PerSide: 6})
+	cfg.Frames = 60
+	cfg.TileRes = 16
+	for _, workers := range []int{1, 0} {
+		cfg.Workers = workers
+		b.Run(fmt.Sprintf("workers=%d", parallel.Workers(workers)), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

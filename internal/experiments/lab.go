@@ -49,9 +49,10 @@ type Lab struct {
 	Epoch time.Time
 	// Size selects Quick or Full sizing.
 	Size Size
-	// Workers bounds the parallelism of the figure sweeps and the
-	// constellation simulations: 0 uses GOMAXPROCS, 1 forces the
-	// sequential path. Any value yields byte-identical figures.
+	// Workers bounds the parallelism of the figure sweeps, the
+	// constellation simulations and the transformation (core.Config's
+	// Workers): 0 uses GOMAXPROCS, 1 forces the sequential path. Any value
+	// yields byte-identical figures.
 	Workers int
 	// Probe, when set, receives the lab's telemetry: one span per figure,
 	// memoization hit/miss counters, and everything the instrumented
@@ -149,9 +150,11 @@ func (l *Lab) memoCounters(kind string) (hit, miss *telemetry.Counter) {
 	return scope.Counter("memo." + kind + ".hit"), scope.Counter("memo." + kind + ".miss")
 }
 
-// transformConfig returns the lab's transformation sizing.
+// transformConfig returns the lab's transformation sizing, with the
+// lab's worker knob, so Workers 1 keeps the transformation sequential too.
 func (l *Lab) transformConfig() core.Config {
 	cfg := core.DefaultConfig(l.Seed)
+	cfg.Workers = l.Workers
 	if l.Size == Quick {
 		cfg.Frames = 60
 		cfg.TileRes = 16

@@ -27,6 +27,7 @@ package imagery
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"kodan/internal/xrand"
 )
@@ -349,15 +350,17 @@ func (w *World) RenderTile(reg Region, res int, blurPx float64) *Tile {
 	// quantized region coordinates, so rendering is order-independent.
 	rng := xrand.New(w.seed ^ regionKey(reg))
 
+	sc := renderPool.Get().(*renderScratch)
+	defer renderPool.Put(sc)
+	sc.grow(res)
+	opacity, lons, rows := sc.opacity, sc.lons, sc.rows
+
 	step := reg.SizeDeg / float64(res)
 	var geoCounts [NumGeoClasses]int
 	cloudy := 0
-	opacity := make([]float64, n)
-	lons := make([]float64, res)
 	for j := range lons {
 		lons[j] = reg.LonDeg + (float64(j)+0.5)*step
 	}
-	rows := newRowScratch(res)
 	for i := 0; i < res; i++ {
 		lat := reg.LatDeg + (float64(i)+0.5)*step
 		w.fillRow(rows, lons, lat)
@@ -386,7 +389,7 @@ func (w *World) RenderTile(reg Region, res int, blurPx float64) *Tile {
 	// tilings easier, the opposite of the physical effect.
 	if blurPx > 0 {
 		for c := range t.Features {
-			boxBlur(t.Features[c], res, blurPx)
+			boxBlur(t.Features[c], res, blurPx, &sc.blur)
 		}
 	}
 	for p := 0; p < n; p++ {
@@ -420,28 +423,29 @@ func regionKey(r Region) uint64 {
 // boxBlur applies a separable box blur of the given (possibly fractional)
 // radius to a res x res channel in place. A fractional radius blends the
 // blur at floor(radius) and floor(radius)+1.
-func boxBlur(ch []float64, res int, radius float64) {
+func boxBlur(ch []float64, res int, radius float64, s *blurScratch) {
 	r0 := int(radius)
 	frac := radius - float64(r0)
 	if r0 > 0 {
-		boxBlurInt(ch, res, r0)
+		boxBlurInt(ch, res, r0, s)
 	}
 	if frac > 1e-9 {
-		tmp := make([]float64, len(ch))
-		copy(tmp, ch)
-		boxBlurInt(tmp, res, r0+1)
+		wide := s.frac[:len(ch)]
+		copy(wide, ch)
+		boxBlurInt(wide, res, r0+1, s)
 		for i := range ch {
-			ch[i] = (1-frac)*ch[i] + frac*tmp[i]
+			ch[i] = (1-frac)*ch[i] + frac*wide[i]
 		}
 	}
 }
 
-// boxBlurInt applies a separable integer-radius box blur in place.
-func boxBlurInt(ch []float64, res, radius int) {
+// boxBlurInt applies a separable integer-radius box blur in place, using
+// s.tmp, s.col and s.outCol as working space.
+func boxBlurInt(ch []float64, res, radius int, s *blurScratch) {
 	if radius <= 0 {
 		return
 	}
-	tmp := make([]float64, len(ch))
+	tmp, col, outCol := s.tmp[:len(ch)], s.col[:res], s.outCol[:res]
 	// Horizontal pass.
 	for i := 0; i < res; i++ {
 		row := ch[i*res : (i+1)*res]
@@ -449,8 +453,6 @@ func boxBlurInt(ch []float64, res, radius int) {
 		blurLine(row, out, radius)
 	}
 	// Vertical pass (via strided lines).
-	col := make([]float64, res)
-	outCol := make([]float64, res)
 	for j := 0; j < res; j++ {
 		for i := 0; i < res; i++ {
 			col[i] = tmp[i*res+j]
@@ -486,6 +488,52 @@ func blurLine(src, dst []float64, radius int) {
 type rowScratch struct {
 	xs                                       []float64
 	cont, urban, tree, dry, weather, cumulus []float64
+}
+
+// blurScratch holds boxBlur's working space for a res x res channel: the
+// horizontal-pass raster, the wider blur of a fractional radius, and one
+// column pair for the vertical pass. Every buffer is fully written before
+// it is read, so reuse across channels and tiles cannot change a value.
+type blurScratch struct {
+	tmp, frac, col, outCol []float64
+}
+
+func newBlurScratch(res int) blurScratch {
+	n := res * res
+	backing := make([]float64, 2*n+2*res)
+	return blurScratch{
+		tmp:    backing[:n],
+		frac:   backing[n : 2*n],
+		col:    backing[2*n : 2*n+res],
+		outCol: backing[2*n+res:],
+	}
+}
+
+// renderScratch holds RenderTile's per-call working buffers (the opacity
+// raster, scanline longitudes, noise rows and blur space). They are pooled
+// so a render allocates only the tile it returns; every buffer is fully
+// overwritten on each call, so reuse is bit-identical to fresh buffers.
+type renderScratch struct {
+	res           int
+	opacity, lons []float64
+	rows          *rowScratch
+	blur          blurScratch
+}
+
+// renderPool recycles render scratch across tiles and goroutines.
+var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
+
+// grow sizes the scratch for res x res tiles, reallocating only when the
+// resolution changes.
+func (s *renderScratch) grow(res int) {
+	if s.res == res {
+		return
+	}
+	s.res = res
+	s.opacity = make([]float64, res*res)
+	s.lons = make([]float64, res)
+	s.rows = newRowScratch(res)
+	s.blur = newBlurScratch(res)
 }
 
 func newRowScratch(res int) *rowScratch {

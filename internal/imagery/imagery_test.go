@@ -258,7 +258,8 @@ func TestBoxBlurPreservesMean(t *testing.T) {
 		for _, v := range rngVals {
 			before += v
 		}
-		boxBlurInt(rngVals, 16, 2)
+		bs := newBlurScratch(16)
+		boxBlurInt(rngVals, 16, 2, &bs)
 		var after float64
 		for _, v := range rngVals {
 			after += v
@@ -298,5 +299,14 @@ func TestGeoClassString(t *testing.T) {
 		if g.String() != want {
 			t.Errorf("%d -> %q", g, g.String())
 		}
+	}
+}
+
+// BenchmarkRenderTile times one 20 px tile render with decimation blur, the
+// unit of work dataset.Generate fans out.
+func BenchmarkRenderTile(b *testing.B) {
+	w := NewWorld(9)
+	for i := 0; i < b.N; i++ {
+		_ = w.RenderTile(Region{LonDeg: float64(i % 360), LatDeg: 20, SizeDeg: 0.48}, 20, 1.2)
 	}
 }
