@@ -459,32 +459,17 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // --- Substrate microbenchmarks ---
 
-func BenchmarkOrbitPropagate(b *testing.B) {
-	e := orbit.Landsat8(time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC))
-	t0 := e.Epoch
-	for i := 0; i < b.N; i++ {
-		_ = orbit.Propagate(e, t0.Add(time.Duration(i)*time.Second))
-	}
-}
-
-func BenchmarkContactWindows(b *testing.B) {
-	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
-	e := orbit.Landsat8(epoch)
-	st := station.LandsatSegment()[2]
-	for i := 0; i < b.N; i++ {
-		_ = station.ContactWindows(st, e, epoch, 24*time.Hour, 30*time.Second)
-	}
-}
-
 func BenchmarkLinkAllocate(b *testing.B) {
 	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 	sats := orbit.Constellation(orbit.Landsat8(epoch), 8)
 	stations := station.LandsatSegment()
 	windows := make([][][]station.Window, len(stations))
-	for si, st := range stations {
+	for si := range stations {
 		windows[si] = make([][]station.Window, len(sats))
-		for j, e := range sats {
-			windows[si][j] = station.ContactWindows(st, e, epoch, 24*time.Hour, 30*time.Second)
+	}
+	for j, e := range sats {
+		for si, ws := range station.ContactWindows(stations, e, epoch, 24*time.Hour, 30*time.Second) {
+			windows[si][j] = ws
 		}
 	}
 	b.ResetTimer()

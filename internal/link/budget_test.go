@@ -62,7 +62,7 @@ func TestGrantBitsAdaptiveVsConstant(t *testing.T) {
 	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 	e := orbit.Landsat8(epoch)
 	st := station.LandsatSegment()[2]
-	windows := station.ContactWindows(st, e, epoch, 24*time.Hour, 30*time.Second)
+	windows := station.ContactWindows([]station.Station{st}, e, epoch, 24*time.Hour, 30*time.Second)[0]
 	if len(windows) == 0 {
 		t.Fatal("no passes")
 	}

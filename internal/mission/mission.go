@@ -160,8 +160,8 @@ func Run(cfg Config) (*Result, error) {
 	captures := im.Captures(cfg.Epoch, span)
 
 	windows := make([][][]station.Window, len(cfg.Stations))
-	for si, st := range cfg.Stations {
-		windows[si] = [][]station.Window{station.ContactWindows(st, cfg.Orbit, cfg.Epoch, span, 30*time.Second)}
+	for si, ws := range station.ContactWindows(cfg.Stations, cfg.Orbit, cfg.Epoch, span, 30*time.Second) {
+		windows[si] = [][]station.Window{ws}
 	}
 	grants := link.Allocate(link.Problem{
 		Start: cfg.Epoch, Span: span, Quantum: 10 * time.Second, Windows: windows,
@@ -308,9 +308,11 @@ func processFrame(cfg Config, contexts []int, tileBits float64) (time.Duration, 
 
 // qitem is a queued chunk plus whether the system holds a value estimate
 // for it (raw unassessed data cannot be ranked by the storage manager).
+// A dead item is a tombstone left by a whole-chunk eviction.
 type qitem struct {
 	chunk    value.Chunk
 	assessed bool
+	dead     bool
 }
 
 // queue is a FIFO downlink queue with an optional bit bound. Overflow
@@ -318,11 +320,24 @@ type qitem struct {
 // lowest-estimated-density assessed chunks. The estimate comes from the
 // context engine and measured model rates — never from ground truth — so
 // a bent pipe, which assesses nothing, degrades to plain FIFO eviction.
+//
+// The resident items are the live entries of items[head:], in FIFO order.
+// Draining advances head and evictions leave tombstones, so neither
+// shifts the tail; compact reclaims the dead entries once they outnumber
+// the live ones.
 type queue struct {
 	limit float64 // 0 = unlimited
 	items []qitem
+	head  int // index of the oldest entry not yet drained
+	raw   int // no live unassessed item sits below this index
+	live  int // resident (non-tombstoned) items in items[head:]
+	dead  int // tombstones in items[head:]
 	bits  float64
 }
+
+// compactMin is the garbage (drained plus tombstoned entries) below which
+// compact is not worth a copy.
+const compactMin = 64
 
 func newQueue(limit float64) *queue { return &queue{limit: limit} }
 
@@ -331,6 +346,7 @@ func (q *queue) push(c value.Chunk, assessed bool) {
 		return
 	}
 	q.items = append(q.items, qitem{chunk: c, assessed: assessed})
+	q.live++
 	q.bits += c.Bits
 }
 
@@ -340,12 +356,14 @@ func (q *queue) enforce() float64 {
 		return 0
 	}
 	var dropped float64
-	for q.bits > q.limit && len(q.items) > 0 {
+	for q.bits > q.limit && q.live > 0 {
 		victimIdx := q.pickVictim()
 		victim := q.items[victimIdx]
 		over := q.bits - q.limit
 		if victim.chunk.Bits <= over {
-			q.items = append(q.items[:victimIdx], q.items[victimIdx+1:]...)
+			q.items[victimIdx].dead = true
+			q.live--
+			q.dead++
 			q.bits -= victim.chunk.Bits
 			dropped += victim.chunk.Bits
 			continue
@@ -358,20 +376,25 @@ func (q *queue) enforce() float64 {
 		q.bits -= over
 		dropped += over
 	}
+	q.compact()
 	return dropped
 }
 
 // pickVictim returns the index to evict: the oldest unassessed chunk if
-// any exist, else the lowest-estimated-density assessed chunk.
+// any exist, else the lowest-estimated-density assessed chunk (the oldest
+// among equals).
 func (q *queue) pickVictim() int {
-	for i, it := range q.items {
-		if !it.assessed {
-			return i
+	for ; q.raw < len(q.items); q.raw++ {
+		if it := q.items[q.raw]; !it.dead && !it.assessed {
+			return q.raw
 		}
 	}
-	worst := 0
-	for i := 1; i < len(q.items); i++ {
-		if q.items[i].chunk.Density() < q.items[worst].chunk.Density() {
+	worst := -1
+	for i := q.head; i < len(q.items); i++ {
+		if q.items[i].dead {
+			continue
+		}
+		if worst < 0 || q.items[i].chunk.Density() < q.items[worst].chunk.Density() {
 			worst = i
 		}
 	}
@@ -380,25 +403,61 @@ func (q *queue) pickVictim() int {
 
 // drain sends up to capacity bits FIFO and returns (bits, valueBits) sent.
 func (q *queue) drain(capacity float64) (bits, val float64) {
-	for capacity > 0 && len(q.items) > 0 {
-		head := q.items[0].chunk
+	for capacity > 0 && q.live > 0 {
+		if q.items[q.head].dead {
+			q.head++
+			q.dead--
+			continue
+		}
+		head := q.items[q.head].chunk
 		if head.Bits <= capacity {
 			bits += head.Bits
 			val += head.ValueBits
 			capacity -= head.Bits
 			q.bits -= head.Bits
-			q.items = q.items[1:]
+			q.head++
+			q.live--
 			continue
 		}
 		frac := capacity / head.Bits
 		bits += capacity
 		val += head.ValueBits * frac
-		q.items[0].chunk = value.Chunk{
+		q.items[q.head].chunk = value.Chunk{
 			Bits:      head.Bits - capacity,
 			ValueBits: head.ValueBits * (1 - frac),
 		}
 		q.bits -= capacity
 		capacity = 0
 	}
+	q.raw = max(q.raw, q.head)
+	q.compact()
 	return bits, val
+}
+
+// compact moves the live items to the front of the backing array once the
+// drained and tombstoned entries outnumber them, which keeps the copying
+// amortised O(1) per removal.
+func (q *queue) compact() {
+	garbage := q.head + q.dead
+	if garbage < compactMin || garbage <= q.live {
+		return
+	}
+	n := 0
+	raw := -1
+	for i := q.head; i < len(q.items); i++ {
+		if q.items[i].dead {
+			continue
+		}
+		if raw < 0 && i >= q.raw {
+			raw = n
+		}
+		q.items[n] = q.items[i]
+		n++
+	}
+	if raw < 0 {
+		raw = n
+	}
+	clear(q.items[n:])
+	q.items = q.items[:n]
+	q.head, q.raw, q.dead = 0, raw, 0
 }

@@ -104,36 +104,93 @@ type State struct {
 }
 
 // Propagate returns the satellite state at time t using two-body motion
-// plus J2 secular precession of RAAN and argument of perigee.
+// plus J2 secular precession of RAAN and argument of perigee. Callers that
+// sample one orbit repeatedly should build a Propagator once instead.
 func Propagate(e Elements, t time.Time) State {
-	dt := t.Sub(e.Epoch).Seconds()
+	p := NewPropagator(e)
+	return p.State(t)
+}
+
+// Propagator propagates one element set. It computes the orbit's
+// time-invariant terms once — mean motion, both J2 drift rates, the
+// perifocal constants, the inclination's cosine and sine, and the
+// draconitic rate — so each sample pays only for the time-varying terms.
+// Every term is the same expression Elements evaluates, so a Propagator's
+// states are bit-identical to evaluating the element set afresh.
+type Propagator struct {
+	e           Elements
+	n           float64 // mean motion, rad/s
+	nodeRate    float64 // J2 RAAN drift, rad/s
+	perigeeRate float64 // J2 argument-of-perigee drift, rad/s
+	draconitic  float64 // node-to-node rate of the argument of latitude, rad/s
+	sqrtOnePlus float64 // sqrt(1+e)
+	sqrtOneMin  float64 // sqrt(1-e)
+	negMuOverH  float64 // -mu/h, perifocal velocity scale along -sin(nu)
+	muOverH     float64 // mu/h, perifocal velocity scale along e+cos(nu)
+	cosI, sinI  float64
+}
+
+// NewPropagator precomputes the time-invariant terms of e.
+func NewPropagator(e Elements) Propagator {
 	n := e.MeanMotion()
-
-	raan := geo.WrapTwoPi(e.RAANRad + e.NodalPrecessionRate()*dt)
-	argp := geo.WrapTwoPi(e.ArgPerigeeRad + e.ArgPerigeePrecessionRate()*dt)
-	m := geo.WrapTwoPi(e.MeanAnomalyRad + n*dt)
-
-	ea := SolveKepler(m, e.Eccentricity)
-	// True anomaly.
-	nu := 2 * math.Atan2(
-		math.Sqrt(1+e.Eccentricity)*math.Sin(ea/2),
-		math.Sqrt(1-e.Eccentricity)*math.Cos(ea/2),
-	)
-	r := e.SemiMajorAxisM * (1 - e.Eccentricity*math.Cos(ea))
-
-	// Perifocal frame position and velocity.
+	perigeeRate := e.ArgPerigeePrecessionRate()
 	p := e.SemiMajorAxisM * (1 - e.Eccentricity*e.Eccentricity)
 	h := math.Sqrt(geo.EarthMu * p)
-	cosNu, sinNu := math.Cos(nu), math.Sin(nu)
-	posPF := geo.Vec3{X: r * cosNu, Y: r * sinNu}
-	velPF := geo.Vec3{
-		X: -geo.EarthMu / h * sinNu,
-		Y: geo.EarthMu / h * (e.Eccentricity + cosNu),
+	return Propagator{
+		e:           e,
+		n:           n,
+		nodeRate:    e.NodalPrecessionRate(),
+		perigeeRate: perigeeRate,
+		draconitic:  n + perigeeRate, // Elements.DraconiticRate
+		sqrtOnePlus: math.Sqrt(1 + e.Eccentricity),
+		sqrtOneMin:  math.Sqrt(1 - e.Eccentricity),
+		negMuOverH:  -geo.EarthMu / h,
+		muOverH:     geo.EarthMu / h,
+		cosI:        math.Cos(e.InclinationRad),
+		sinI:        math.Sin(e.InclinationRad),
 	}
+}
 
-	rot := perifocalToECI(raan, e.InclinationRad, argp)
-	pos := rot.apply(posPF)
-	vel := rot.apply(velPF)
+// Elements returns the propagated element set.
+func (p *Propagator) Elements() Elements { return p.e }
+
+// DraconiticRate returns Elements.DraconiticRate, precomputed.
+func (p *Propagator) DraconiticRate() float64 { return p.draconitic }
+
+// perifocal returns the perifocal-to-ECI rotation, the orbit radius and the
+// true anomaly's cosine and sine at time t.
+func (p *Propagator) perifocal(t time.Time) (rot mat3, r, cosNu, sinNu float64) {
+	dt := t.Sub(p.e.Epoch).Seconds()
+	raan := geo.WrapTwoPi(p.e.RAANRad + p.nodeRate*dt)
+	argp := geo.WrapTwoPi(p.e.ArgPerigeeRad + p.perigeeRate*dt)
+	m := geo.WrapTwoPi(p.e.MeanAnomalyRad + p.n*dt)
+
+	ea := SolveKepler(m, p.e.Eccentricity)
+	// True anomaly.
+	nu := 2 * math.Atan2(
+		p.sqrtOnePlus*math.Sin(ea/2),
+		p.sqrtOneMin*math.Cos(ea/2),
+	)
+	r = p.e.SemiMajorAxisM * (1 - p.e.Eccentricity*math.Cos(ea))
+	cosNu, sinNu = math.Cos(nu), math.Sin(nu)
+	return perifocalToECI(raan, argp, p.cosI, p.sinI), r, cosNu, sinNu
+}
+
+// Position returns the ECI position at time t: State(t).Position without
+// the velocity terms.
+func (p *Propagator) Position(t time.Time) geo.Vec3 {
+	rot, r, cosNu, sinNu := p.perifocal(t)
+	return rot.apply(geo.Vec3{X: r * cosNu, Y: r * sinNu})
+}
+
+// State returns the satellite state at time t.
+func (p *Propagator) State(t time.Time) State {
+	rot, r, cosNu, sinNu := p.perifocal(t)
+	pos := rot.apply(geo.Vec3{X: r * cosNu, Y: r * sinNu})
+	vel := rot.apply(geo.Vec3{
+		X: p.negMuOverH * sinNu,
+		Y: p.muOverH * (p.e.Eccentricity + cosNu),
+	})
 
 	// Secular J2 precession rotates the node about the polar axis and the
 	// perigee about the orbit normal; both contribute rigid-rotation terms
@@ -141,10 +198,15 @@ func Propagate(e Elements, t time.Time) State {
 	zAxis := geo.Vec3{Z: 1}
 	normal := rot.apply(geo.Vec3{Z: 1})
 	vel = vel.
-		Add(zAxis.Scale(e.NodalPrecessionRate()).Cross(pos)).
-		Add(normal.Scale(e.ArgPerigeePrecessionRate()).Cross(pos))
+		Add(zAxis.Scale(p.nodeRate).Cross(pos)).
+		Add(normal.Scale(p.perigeeRate).Cross(pos))
 
 	return State{Time: t, Position: pos, Velocity: vel}
+}
+
+// Subpoint returns the geodetic point beneath the satellite at time t.
+func (p *Propagator) Subpoint(t time.Time) geo.Geodetic {
+	return geo.SubsatellitePoint(p.Position(t), t)
 }
 
 // mat3 is a 3x3 rotation matrix stored row-major.
@@ -158,10 +220,10 @@ func (m mat3) apply(v geo.Vec3) geo.Vec3 {
 	}
 }
 
-// perifocalToECI builds the 3-1-3 rotation from the perifocal frame to ECI.
-func perifocalToECI(raan, inc, argp float64) mat3 {
+// perifocalToECI builds the 3-1-3 rotation from the perifocal frame to ECI,
+// given the inclination's cosine ci and sine si.
+func perifocalToECI(raan, argp, ci, si float64) mat3 {
 	cO, sO := math.Cos(raan), math.Sin(raan)
-	ci, si := math.Cos(inc), math.Sin(inc)
 	cw, sw := math.Cos(argp), math.Sin(argp)
 	return mat3{
 		cO*cw - sO*sw*ci, -cO*sw - sO*cw*ci, sO * si,
@@ -255,8 +317,8 @@ func GroundSpeed(e Elements) float64 {
 
 // Subpoint returns the geodetic point beneath the satellite at time t.
 func Subpoint(e Elements, t time.Time) geo.Geodetic {
-	s := Propagate(e, t)
-	return geo.SubsatellitePoint(s.Position, t)
+	p := NewPropagator(e)
+	return p.Subpoint(t)
 }
 
 // GroundTrack samples the subsatellite point every step over the window
@@ -265,9 +327,10 @@ func GroundTrack(e Elements, start time.Time, span, step time.Duration) []geo.Ge
 	if step <= 0 {
 		panic("orbit: non-positive ground track step")
 	}
+	p := NewPropagator(e)
 	var pts []geo.Geodetic
 	for dt := time.Duration(0); dt < span; dt += step {
-		pts = append(pts, Subpoint(e, start.Add(dt)))
+		pts = append(pts, p.Subpoint(start.Add(dt)))
 	}
 	return pts
 }

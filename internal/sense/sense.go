@@ -126,20 +126,24 @@ func (im Imager) FrameDeadline() time.Duration {
 // order. Frames are aligned to row boundaries (ascending-node crossings) so
 // that each capture maps to a stable grid scene.
 func (im Imager) Captures(start time.Time, span time.Duration) []Capture {
+	p := orbit.NewPropagator(im.Orbit)
 	fp := im.FrameDeadline()
 	end := start.Add(span)
 	// Align to the row boundary at or before start.
-	node := wrs.AscendingNodeTime(im.Orbit, start)
+	node := wrs.AscendingNodeTime(&p, start)
 	sinceNode := start.Sub(node)
 	k := sinceNode / fp
 	t := node.Add(k * fp)
 	if t.Before(start) {
 		t = t.Add(fp)
 	}
-	var caps []Capture
+	if !t.Before(end) {
+		return nil
+	}
+	caps := make([]Capture, 0, (end.Sub(t)+fp-1)/fp)
 	for ; t.Before(end); t = t.Add(fp) {
 		mid := t.Add(fp / 2)
-		caps = append(caps, Capture{Time: mid, Scene: im.Grid.SceneAt(im.Orbit, mid)})
+		caps = append(caps, Capture{Time: mid, Scene: im.Grid.SceneAt(&p, mid)})
 	}
 	return caps
 }

@@ -58,11 +58,10 @@ type Config struct {
 	// Quantum is the station-time allocation granularity (default 10 s).
 	Quantum time.Duration
 	// Workers bounds the parallelism of the per-satellite capture
-	// schedules and the per-(station, satellite) contact-window search:
-	// 0 uses GOMAXPROCS, 1 forces the sequential path. Results are
-	// bit-identical at every worker count — each satellite's schedule is
-	// a pure function of its own elements, and results are written back
-	// by satellite index.
+	// schedules and contact-window scans: 0 uses GOMAXPROCS, 1 forces the
+	// sequential path. Results are bit-identical at every worker count —
+	// each satellite's schedule is a pure function of its own elements,
+	// and results are written back by satellite index.
 	Workers int
 }
 
@@ -139,8 +138,8 @@ type Result struct {
 //
 // When ctx carries a telemetry probe, the run emits a sim.run span (sim-
 // time stamped with the simulated interval) with per-satellite capture
-// spans, per-(station, satellite) contact-window spans, and a downlink-
-// allocation span underneath, plus frame/window/grant counters in the
+// spans, per-satellite contact-window spans, and a downlink-allocation
+// span underneath, plus frame/window/grant counters in the
 // "sim" scope. When ctx carries a mission event journal
 // (events.WithJournal), the finished run is journaled in sim time —
 // captures, scene boundaries, contacts, grants, fault windows — and
@@ -240,34 +239,36 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Contact windows: every (station, satellite) pair is an independent
-	// scan, flattened into one sweep. The contention-resolving allocation
-	// below stays sequential — grants depend on the whole window set.
+	// Contact windows: one scan per satellite propagates its orbit once per
+	// step and tests every station against that point. Station cuts then
+	// apply per station, in station order. The contention-resolving
+	// allocation below stays sequential — grants depend on the whole
+	// window set.
 	windows := make([][][]station.Window, len(cfg.Stations))
 	for si := range cfg.Stations {
 		windows[si] = make([][]station.Window, len(sats))
 	}
 	windowsCtr := scope.Counter("contact_windows")
 	cutCtr := faultScope.Counter("fault.contact_cut_seconds")
-	err = parallel.ForEach(ctx, workers, len(cfg.Stations)*len(sats), func(ictx context.Context, k int) error {
-		si, j := k/len(sats), k%len(sats)
+	err = parallel.ForEach(ctx, workers, len(sats), func(ictx context.Context, j int) error {
 		_, sp := telemetry.StartSpan(ictx, "sim.contacts")
 		defer sp.End()
 		sp.Sim(cfg.Epoch, cfg.Epoch.Add(cfg.Span))
-		sp.Set("station", cfg.Stations[si].Name)
 		sp.Set("sat", fmt.Sprint(j))
-		ws := station.ContactWindows(cfg.Stations[si], sats[j], cfg.Epoch, cfg.Span, cfg.ScanStep)
-		if cuts := inj.StationCuts(cfg.Stations[si].Name, j); len(cuts) > 0 {
-			sw := make([]station.Window, len(cuts))
-			for c, cut := range cuts {
-				sw[c] = station.Window{Start: cut.Start, End: cut.End}
+		scanned := station.ContactWindows(cfg.Stations, sats[j], cfg.Epoch, cfg.Span, cfg.ScanStep)
+		for si, ws := range scanned {
+			if cuts := inj.StationCuts(cfg.Stations[si].Name, j); len(cuts) > 0 {
+				sw := make([]station.Window, len(cuts))
+				for c, cut := range cuts {
+					sw[c] = station.Window{Start: cut.Start, End: cut.End}
+				}
+				before := station.TotalContact(ws)
+				ws = station.SubtractWindows(ws, sw)
+				cutCtr.Add(int64((before - station.TotalContact(ws)).Seconds()))
 			}
-			before := station.TotalContact(ws)
-			ws = station.SubtractWindows(ws, sw)
-			cutCtr.Add(int64((before - station.TotalContact(ws)).Seconds()))
+			windows[si][j] = ws
+			windowsCtr.Add(int64(len(ws)))
 		}
-		windows[si][j] = ws
-		windowsCtr.Add(int64(len(ws)))
 		return nil
 	})
 	if err != nil {

@@ -52,8 +52,26 @@ func (s Station) Visible(e orbit.Elements, t time.Time) bool {
 // Elevation returns the satellite's elevation above the station's horizon
 // in radians at time t.
 func (s Station) Elevation(e orbit.Elements, t time.Time) float64 {
-	sat := geo.ECIToECEF(orbit.Propagate(e, t).Position, t)
-	return geo.ElevationAngle(s.ecef(), sat)
+	p := orbit.NewPropagator(e)
+	return geo.ElevationAngle(s.ecef(), satECEF(&p, t))
+}
+
+// satECEF returns the satellite's Earth-fixed position at time t.
+func satECEF(p *orbit.Propagator, t time.Time) geo.Vec3 {
+	return geo.ECIToECEF(p.Position(t), t)
+}
+
+// site is a station prepared for a scan: its Earth-fixed position is
+// computed once rather than at every visibility test.
+type site struct {
+	ecef geo.Vec3
+	mask float64
+}
+
+// visible reports whether a satellite at Earth-fixed position sat is above
+// the site's elevation mask.
+func (s site) visible(sat geo.Vec3) bool {
+	return geo.ElevationAngle(s.ecef, sat) >= s.mask
 }
 
 // Window is a contiguous visibility interval.
@@ -70,47 +88,67 @@ func (w Window) Contains(t time.Time) bool {
 	return !t.Before(w.Start) && t.Before(w.End)
 }
 
-// ContactWindows returns the satellite's visibility windows at station s
-// over [start, start+span), found by coarse scanning at step and refined to
-// one-second precision by bisection. step must be shorter than the shortest
-// pass to avoid missed contacts; 30 s is safe for LEO with a 5-degree mask.
-func ContactWindows(s Station, e orbit.Elements, start time.Time, span, step time.Duration) []Window {
+// ContactWindows returns the visibility windows of the satellite with
+// elements e at every station in ss over [start, start+span): windows[i]
+// belongs to ss[i]. One coarse scan at step propagates the orbit and
+// rotates it to Earth-fixed coordinates once per step, then tests every
+// station against that point; each station's edges are refined to
+// one-second precision by bisection. step must be shorter than the
+// shortest pass to avoid missed contacts; 30 s is safe for LEO with a
+// 5-degree mask.
+func ContactWindows(ss []Station, e orbit.Elements, start time.Time, span, step time.Duration) [][]Window {
 	if step <= 0 {
 		panic("station: non-positive scan step")
 	}
+	if len(ss) == 0 {
+		return nil
+	}
+	p := orbit.NewPropagator(e)
 	end := start.Add(span)
-	var windows []Window
-	up := s.Visible(e, start)
-	var winStart time.Time
-	if up {
-		winStart = start
+	sites := make([]site, len(ss))
+	windows := make([][]Window, len(ss))
+	up := make([]bool, len(ss))
+	winStart := make([]time.Time, len(ss))
+	sat := satECEF(&p, start)
+	for i, s := range ss {
+		sites[i] = site{ecef: s.ecef(), mask: s.MinElevationRad}
+		up[i] = sites[i].visible(sat)
+		if up[i] {
+			winStart[i] = start
+		}
 	}
 	prev := start
 	for t := start.Add(step); !t.After(end); t = t.Add(step) {
-		now := s.Visible(e, t)
-		if now != up {
-			edge := refineEdge(s, e, prev, t, up)
-			if now {
-				winStart = edge
-			} else {
-				windows = append(windows, Window{Start: winStart, End: edge})
+		sat := satECEF(&p, t)
+		for i, st := range sites {
+			now := st.visible(sat)
+			if now == up[i] {
+				continue
 			}
-			up = now
+			edge := refineEdge(&p, st, prev, t, up[i])
+			if now {
+				winStart[i] = edge
+			} else {
+				windows[i] = append(windows[i], Window{Start: winStart[i], End: edge})
+			}
+			up[i] = now
 		}
 		prev = t
 	}
-	if up {
-		windows = append(windows, Window{Start: winStart, End: end})
+	for i := range sites {
+		if up[i] {
+			windows[i] = append(windows[i], Window{Start: winStart[i], End: end})
+		}
 	}
 	return windows
 }
 
 // refineEdge bisects to one-second precision the transition between lo
 // (visibility == wasUp) and hi (visibility == !wasUp).
-func refineEdge(s Station, e orbit.Elements, lo, hi time.Time, wasUp bool) time.Time {
+func refineEdge(p *orbit.Propagator, s site, lo, hi time.Time, wasUp bool) time.Time {
 	for hi.Sub(lo) > time.Second {
 		mid := lo.Add(hi.Sub(lo) / 2)
-		if s.Visible(e, mid) == wasUp {
+		if s.visible(satECEF(p, mid)) == wasUp {
 			lo = mid
 		} else {
 			hi = mid

@@ -86,17 +86,22 @@ func (g Grid) SceneOf(index int) Scene {
 // orbit at time t, in [0, 2*pi). Valid for near-circular orbits, where the
 // argument of latitude advances uniformly at the draconitic rate (mean
 // motion plus J2 perigee drift).
-func argumentOfLatitude(e orbit.Elements, t time.Time) float64 {
+func argumentOfLatitude(p *orbit.Propagator, t time.Time) float64 {
+	e := p.Elements()
 	dt := t.Sub(e.Epoch).Seconds()
 	u0 := e.MeanAnomalyRad + e.ArgPerigeeRad
-	return geo.WrapTwoPi(u0 + e.DraconiticRate()*dt)
+	return geo.WrapTwoPi(u0 + p.DraconiticRate()*dt)
 }
 
 // AscendingNodeTime returns the time of the most recent ascending-node
 // crossing at or before t.
-func AscendingNodeTime(e orbit.Elements, t time.Time) time.Time {
-	u := argumentOfLatitude(e, t)
-	back := u / e.DraconiticRate()
+func AscendingNodeTime(p *orbit.Propagator, t time.Time) time.Time {
+	return nodeTime(p, t, argumentOfLatitude(p, t))
+}
+
+// nodeTime steps back from t by the argument of latitude u at t.
+func nodeTime(p *orbit.Propagator, t time.Time, u float64) time.Time {
+	back := u / p.DraconiticRate()
 	return t.Add(-time.Duration(back * float64(time.Second)))
 }
 
@@ -104,14 +109,17 @@ func AscendingNodeTime(e orbit.Elements, t time.Time) time.Time {
 // The path is fixed for a whole revolution (determined by the longitude of
 // that revolution's ascending node); the row advances uniformly along the
 // orbit.
-func (g Grid) SceneAt(e orbit.Elements, t time.Time) Scene {
-	u := argumentOfLatitude(e, t)
+func (g Grid) SceneAt(p *orbit.Propagator, t time.Time) Scene {
+	u := argumentOfLatitude(p, t)
 	row := int(u / (2 * math.Pi) * float64(g.rows))
 	if row >= g.rows {
 		row = g.rows - 1
 	}
-	tan := AscendingNodeTime(e, t)
-	nodeLon := orbit.Subpoint(e, tan).LonDeg
+	tan := nodeTime(p, t, u)
+	// The node's longitude, read straight off its Earth-fixed position: the
+	// same value geo.ECEFToGeodetic returns, without the latitude solve.
+	node := geo.ECIToECEF(p.Position(tan), tan)
+	nodeLon := geo.Rad2Deg(geo.WrapPi(math.Atan2(node.Y, node.X)))
 	frac := geo.WrapTwoPi(geo.Deg2Rad(nodeLon)) / (2 * math.Pi)
 	path := int(frac * float64(g.paths))
 	if path >= g.paths {

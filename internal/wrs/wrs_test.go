@@ -63,8 +63,9 @@ func TestFramesPerDayNearPaper(t *testing.T) {
 func TestAscendingNodeTime(t *testing.T) {
 	e := orbit.Landsat8(epoch)
 	e.MeanAnomalyRad = 1.0
+	p := orbit.NewPropagator(e)
 	tt := epoch.Add(1000 * time.Second)
-	tan := AscendingNodeTime(e, tt)
+	tan := AscendingNodeTime(&p, tt)
 	if tan.After(tt) {
 		t.Fatal("node time in the future")
 	}
@@ -82,12 +83,13 @@ func TestAscendingNodeTime(t *testing.T) {
 func TestSceneAtPathConstantWithinRevolution(t *testing.T) {
 	g := Landsat8Grid()
 	e := orbit.Landsat8(epoch)
-	tan := AscendingNodeTime(e, epoch.Add(30*time.Minute))
-	first := g.SceneAt(e, tan.Add(5*time.Second))
+	p := orbit.NewPropagator(e)
+	tan := AscendingNodeTime(&p, epoch.Add(30*time.Minute))
+	first := g.SceneAt(&p, tan.Add(5*time.Second))
 	// Sample strictly inside the same revolution.
 	for frac := 0.1; frac < 0.95; frac += 0.1 {
 		dt := time.Duration(frac * float64(e.Period()))
-		s := g.SceneAt(e, tan.Add(dt))
+		s := g.SceneAt(&p, tan.Add(dt))
 		if s.Path != first.Path {
 			t.Fatalf("path changed mid-revolution: %v -> %v at %.0f%%", first, s, frac*100)
 		}
@@ -97,11 +99,12 @@ func TestSceneAtPathConstantWithinRevolution(t *testing.T) {
 func TestSceneAtRowsAdvanceMonotonically(t *testing.T) {
 	g := Landsat8Grid()
 	e := orbit.Landsat8(epoch)
-	tan := AscendingNodeTime(e, epoch.Add(time.Hour))
+	p := orbit.NewPropagator(e)
+	tan := AscendingNodeTime(&p, epoch.Add(time.Hour))
 	prev := -1
 	fp := g.FramePeriod(e)
 	for i := 0; i < g.Rows(); i++ {
-		s := g.SceneAt(e, tan.Add(time.Duration(i)*fp+fp/2))
+		s := g.SceneAt(&p, tan.Add(time.Duration(i)*fp+fp/2))
 		if s.Row != prev+1 {
 			t.Fatalf("row %d followed row %d at frame %d", s.Row, prev, i)
 		}
@@ -115,8 +118,9 @@ func TestSceneAtRowsAdvanceMonotonically(t *testing.T) {
 func TestSuccessiveOrbitsChangePath(t *testing.T) {
 	g := Landsat8Grid()
 	e := orbit.Landsat8(epoch)
-	s0 := g.SceneAt(e, epoch.Add(10*time.Second))
-	s1 := g.SceneAt(e, epoch.Add(10*time.Second).Add(e.Period()))
+	p := orbit.NewPropagator(e)
+	s0 := g.SceneAt(&p, epoch.Add(10*time.Second))
+	s1 := g.SceneAt(&p, epoch.Add(10*time.Second).Add(e.Period()))
 	if s0.Path == s1.Path {
 		t.Fatalf("path did not advance across revolutions: %v vs %v", s0, s1)
 	}
@@ -134,11 +138,12 @@ func TestSixteenDayRepeatCoversMostPaths(t *testing.T) {
 	}
 	g := Landsat8Grid()
 	e := orbit.Landsat8(epoch)
+	p := orbit.NewPropagator(e)
 	cov := NewCoverage(g)
 	fp := g.FramePeriod(e)
 	end := epoch.Add(16 * 24 * time.Hour)
 	for tt := epoch; tt.Before(end); tt = tt.Add(fp) {
-		cov.Mark(g.SceneAt(e, tt.Add(fp/2)))
+		cov.Mark(g.SceneAt(&p, tt.Add(fp/2)))
 	}
 	// The analytic grid will not match USGS numbering exactly, but a single
 	// satellite must reach nearly all paths over its 16-day repeat cycle.

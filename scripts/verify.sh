@@ -48,15 +48,16 @@ echo "    total coverage ${total}% (threshold ${threshold}%)"
 # Fuzz smoke: a bounded run of each native fuzz target over its committed
 # seed corpus plus fresh mutations. Catches quantization/inference
 # robustness regressions (panics, non-finite probabilities) and parser
-# regressions on outside input (panics, broken trace/journal/bundle round
-# trips) without the open-ended cost of a real fuzzing campaign. Mirrored
-# in .github/workflows/ci.yml.
-echo "==> go test -fuzz smoke (nn, trace, journal and bundle parsers)"
+# regressions on outside input (panics, broken trace/journal/bundle/fault
+# schedule round trips) without the open-ended cost of a real fuzzing
+# campaign. Mirrored in .github/workflows/ci.yml.
+echo "==> go test -fuzz smoke (nn, trace, journal, bundle and fault-schedule parsers)"
 go test ./internal/nn -run '^$' -fuzz '^FuzzPredict$' -fuzztime 10s > /dev/null
 go test ./internal/nn -run '^$' -fuzz '^FuzzQuantize$' -fuzztime 10s > /dev/null
 go test ./internal/telemetry/analyze -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s > /dev/null
 go test ./internal/telemetry/events -run '^$' -fuzz '^FuzzReadJournal$' -fuzztime 10s > /dev/null
 go test ./internal/bundle -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s > /dev/null
+go test ./internal/fault -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s > /dev/null
 
 # Benchmark module: perfbench has its own go.mod, so the root ./... never
 # compiles it. Vet and test it here so a change to an API it calls fails
