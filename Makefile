@@ -3,7 +3,7 @@ SIZE ?= full
 PARALLEL ?= 0
 APP ?= 4
 
-.PHONY: build test race verify bench bench-check fmt fmtcheck vet trace trace-diff events
+.PHONY: build test race verify bench fmt fmtcheck vet trace trace-diff events
 
 build:
 	$(GO) build ./...
@@ -67,22 +67,14 @@ events:
 	$(GO) run ./cmd/kodan-events diff \
 		events-out/mission.jsonl events-out/mission.faulted.jsonl
 
-# bench runs the Go micro/figure benchmarks, then regenerates every
-# BENCH_*.json artifact by running the full figure suite through
-# kodan-bench. SIZE=quick PARALLEL=4 make bench for a faster pass.
+# bench runs every Go benchmark (the layer micro-benchmarks sit next to
+# their code), then regenerates every BENCH_*.json figure export by
+# running the full figure suite through kodan-bench. SIZE=quick
+# PARALLEL=4 make bench for a faster pass. Speed claims come from the
+# repository benchmark instead: bash perfbench/run.sh.
 bench:
-	$(GO) test -bench=. -benchmem
+	$(GO) test -run '^$$' -bench=. -benchmem ./...
 	$(GO) run ./cmd/kodan-bench -size $(SIZE) -parallel $(PARALLEL) -json .
-
-# bench-check is the perf-regression gate: it reruns the benchmark suite,
-# records BENCH_*.json + BENCH_timings.json into the committed bench/
-# trajectory, and exits nonzero when any figure's wall time regressed
-# beyond the threshold vs the committed baseline. Overridable via
-# BENCH_SIZE / BENCH_ONLY / BENCH_THRESHOLD / BENCH_BASELINE (see the
-# script header); BENCH_THRESHOLD=-1 injects a synthetic regression to
-# prove the failure path.
-bench-check:
-	sh scripts/bench_compare.sh
 
 fmt:
 	gofmt -w .

@@ -1,36 +1,30 @@
 // Command kodan-bench regenerates every table and figure of the paper's
 // evaluation and prints the rows the paper reports. By default it runs the
-// full-size experiments (the same scale as the repository's benchmark
-// suite); -size=quick runs the down-sized variant used by unit tests.
+// full-size experiments; -size=quick runs the down-sized variant used by
+// unit tests. It generates and exports figures; it makes no speed claims
+// (the repository benchmark, perfbench, does), and the layer
+// micro-benchmarks sit next to the code they time (go test -bench).
 //
 // Usage:
 //
 //	kodan-bench [-size full|quick] [-parallel N] [-only table1,fig2,...] [-csv DIR] [-json DIR]
-//	            [-trace FILE] [-cpuprofile FILE] [-memprofile FILE]
-//	            [-timings FILE] [-baseline FILE] [-regress-threshold 0.5] [-v]
+//	            [-trace FILE] [-cpuprofile FILE] [-memprofile FILE] [-v]
 //
 // -parallel bounds the evaluation worker pool (0 = GOMAXPROCS, 1 =
-// sequential); every setting produces byte-identical output. -csv writes
-// one <figure>.csv per selected table/figure; -json writes one
-// BENCH_<figure>.json (an array of row objects) for machine consumption.
+// sequential); every setting produces byte-identical output, and a
+// negative value is a usage error. -csv writes one <figure>.csv per
+// selected table/figure; -json writes one BENCH_<figure>.json (an array of
+// row objects) for machine consumption. bench/ holds the committed
+// BENCH_<figure>.json files of a -size quick run, which the verify gate
+// regenerates and compares byte for byte.
 //
 // -trace records a span trace of the run (one span per figure, with the
 // transformation, simulation, and policy-sweep phases nested inside) as
 // JSONL and prints an end-of-run summary to stderr; -cpuprofile and
 // -memprofile write pprof profiles. Telemetry goes to its files and
 // stderr only — stdout (the figures) stays byte-identical with or
-// without it, at every -parallel setting.
-//
-// -timings records per-figure wall times as a JSON timing report;
-// -baseline compares this run against a previously recorded report and
-// exits nonzero when any figure regressed beyond -regress-threshold (the
-// perf-regression gate `make bench-check` drives; bench/ holds the
-// committed trajectory). -v emits structured slog debug lines from the
-// instrumented layers to stderr.
-//
-// Contradictory flag combinations are rejected before any work starts:
-// -regress-threshold without -baseline, -baseline and -timings naming the
-// same file, and a negative -parallel are all usage errors.
+// without it, at every -parallel setting. -v emits structured slog debug
+// lines from the instrumented layers to stderr.
 //
 // The "resilience" figure sweeps injected fault intensity (station
 // outages, link fades, sensor dropouts, satellite resets; see
@@ -150,16 +144,9 @@ func generators(lab *experiments.Lab) []generator {
 	}
 }
 
-// validateFlags rejects contradictory flag combinations up front, before
-// any expensive work starts. explicitly reports which flags the user set
-// on the command line (flag defaults are not contradictions).
-func validateFlags(explicitly map[string]bool, baseline, timings string, parallel int) error {
-	if explicitly["regress-threshold"] && baseline == "" {
-		return fmt.Errorf("-regress-threshold has no effect without -baseline")
-	}
-	if baseline != "" && timings != "" && baseline == timings {
-		return fmt.Errorf("-baseline and -timings point at the same file %q: the baseline would be overwritten before the comparison", baseline)
-	}
+// validateFlags rejects out-of-range flag values up front, before any
+// expensive work starts.
+func validateFlags(parallel int) error {
 	if parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (0 = GOMAXPROCS), got %d", parallel)
 	}
@@ -215,15 +202,10 @@ func main() {
 	traceFile := flag.String("trace", "", "write a JSONL span trace to this file and print a summary to stderr")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	timingsFile := flag.String("timings", "", "write this run's per-figure wall times as a timing report (JSON)")
-	baselineFile := flag.String("baseline", "", "compare per-figure wall times against this timing report and exit nonzero on a regression")
-	regressThreshold := flag.Float64("regress-threshold", 0.5, "with -baseline: fail when a figure is more than this fraction slower (0.5 = +50%)")
 	verbose := flag.Bool("v", false, "structured debug logs (slog) to stderr")
 	flag.Parse()
 
-	explicitly := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicitly[f.Name] = true })
-	if err := validateFlags(explicitly, *baselineFile, *timingsFile, *parallelFlag); err != nil {
+	if err := validateFlags(*parallelFlag); err != nil {
 		log.Fatal(err)
 	}
 
@@ -301,7 +283,6 @@ func main() {
 		}
 	}
 
-	report := experiments.TimingReport{Size: *sizeFlag, Parallel: *parallelFlag}
 	for _, g := range gens {
 		t0 := time.Now()
 		out, rows, err := g.gen(ctx)
@@ -312,7 +293,6 @@ func main() {
 		fmt.Println(out)
 		writeCSV(g.key, rows)
 		writeJSON(g.key, rows)
-		report.Figures = append(report.Figures, experiments.FigureTiming{Key: g.key, WallSeconds: took.Seconds()})
 		fmt.Fprintf(os.Stderr, "[%s took %v]\n\n", g.key, took.Round(time.Millisecond))
 	}
 
@@ -327,42 +307,4 @@ func main() {
 		}
 		fmt.Fprint(os.Stderr, telemetry.Summarize(tracer, 10).Render())
 	}
-
-	if *timingsFile != "" {
-		f, err := os.Create(*timingsFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := experiments.WriteTimingReport(f, report); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *baselineFile != "" {
-		rendered, failed, err := checkBaseline(*baselineFile, report, *regressThreshold)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprint(os.Stderr, rendered)
-		if failed {
-			os.Exit(1)
-		}
-	}
-}
-
-// checkBaseline compares this run's timing report against the baseline
-// file. It returns the rendered comparison and whether the run regressed.
-func checkBaseline(path string, current experiments.TimingReport, threshold float64) (string, bool, error) {
-	baseline, err := experiments.ReadTimingReport(path)
-	if err != nil {
-		return "", false, err
-	}
-	regressions, skipped, err := experiments.CompareTimings(baseline, current, threshold)
-	if err != nil {
-		return "", false, err
-	}
-	return experiments.RenderTimingComparison(regressions, skipped, threshold), len(regressions) > 0, nil
 }

@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -77,100 +75,23 @@ func TestTable1Generator(t *testing.T) {
 	}
 }
 
-func writeTimings(t *testing.T, path string, r experiments.TimingReport) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := experiments.WriteTimingReport(f, r); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCheckBaseline covers the perf-regression gate end to end at the
-// command layer: clean pass, injected synthetic regression (negative
-// threshold), and unreadable baseline.
-func TestCheckBaseline(t *testing.T) {
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "baseline.json")
-	rep := experiments.TimingReport{
-		Size: "quick", Parallel: 1,
-		Figures: []experiments.FigureTiming{{Key: "fig2", WallSeconds: 1.0}},
-	}
-	writeTimings(t, baseline, rep)
-
-	// Identical run, generous threshold: clean.
-	rendered, failed, err := checkBaseline(baseline, rep, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed {
-		t.Fatalf("identical run flagged as regression:\n%s", rendered)
-	}
-	if !strings.Contains(rendered, "no regressions") {
-		t.Errorf("clean comparison render = %q", rendered)
-	}
-
-	// Synthetic regression via negative threshold: every figure fails —
-	// this is the switch `make bench-check`'s own gate test flips to prove
-	// the nonzero exit without slowing real code.
-	rendered, failed, err = checkBaseline(baseline, rep, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Fatal("negative threshold did not inject a regression")
-	}
-	if !strings.Contains(rendered, "fig2") {
-		t.Errorf("regression render does not name the figure: %q", rendered)
-	}
-
-	// A genuinely slower current run fails at the default threshold.
-	slow := rep
-	slow.Figures = []experiments.FigureTiming{{Key: "fig2", WallSeconds: 2.0}}
-	if _, failed, err = checkBaseline(baseline, slow, 0.5); err != nil || !failed {
-		t.Fatalf("2x slowdown: failed=%v err=%v, want failure", failed, err)
-	}
-
-	// Missing baseline is an error, not a silent pass.
-	if _, _, err = checkBaseline(filepath.Join(dir, "absent.json"), rep, 0.5); err == nil {
-		t.Fatal("missing baseline file did not error")
-	}
-
-	// Shape mismatch is an error.
-	other := rep
-	other.Parallel = 8
-	if _, _, err = checkBaseline(baseline, other, 0.5); err == nil {
-		t.Fatal("shape mismatch did not error")
-	}
-}
-
-// TestValidateFlags covers the contradictory-combination rejections and
-// the combinations that must stay legal (verify.sh uses -baseline without
-// -timings).
+// TestValidateFlags covers the one out-of-range rejection: a negative
+// -parallel is a usage error, zero (GOMAXPROCS) and positive counts are
+// legal.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
-		name       string
-		explicitly map[string]bool
-		baseline   string
-		timings    string
-		parallel   int
-		wantErr    string
+		name     string
+		parallel int
+		wantErr  string
 	}{
-		{"defaults", nil, "", "", 0, ""},
-		{"baseline without timings is legal", nil, "b.json", "", 0, ""},
-		{"explicit threshold with baseline is legal",
-			map[string]bool{"regress-threshold": true}, "b.json", "", 0, ""},
-		{"explicit threshold without baseline",
-			map[string]bool{"regress-threshold": true}, "", "", 0, "-baseline"},
-		{"baseline and timings same file", nil, "t.json", "t.json", 0, "same file"},
-		{"distinct baseline and timings are legal", nil, "b.json", "t.json", 0, ""},
-		{"negative parallel", nil, "", "", -2, "-parallel"},
+		{"defaults", 0, ""},
+		{"sequential", 1, ""},
+		{"four workers", 4, ""},
+		{"negative parallel", -2, "-parallel"},
+		{"minus one", -1, "-parallel"},
 	}
 	for _, tc := range cases {
-		err := validateFlags(tc.explicitly, tc.baseline, tc.timings, tc.parallel)
+		err := validateFlags(tc.parallel)
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -178,7 +99,7 @@ func TestValidateFlags(t *testing.T) {
 			continue
 		}
 		if err == nil {
-			t.Errorf("%s: contradiction accepted", tc.name)
+			t.Errorf("%s: out-of-range value accepted", tc.name)
 		} else if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
 		}

@@ -11,7 +11,7 @@ import (
 	"kodan/internal/xrand"
 )
 
-func testData(t *testing.T, frames int) (*dataset.Dataset, *dataset.Dataset) {
+func testData(t testing.TB, frames int) (*dataset.Dataset, *dataset.Dataset) {
 	t.Helper()
 	cfg := dataset.DefaultConfig(2023, tiling.Tiling{PerSide: 3})
 	cfg.Frames = frames

@@ -11,7 +11,7 @@ import (
 // returns the net together with a held-out input set drawn from the same
 // distribution — the shared fixture for the float-vs-int8 equivalence
 // tests.
-func trainedBinary(t *testing.T, seed uint64, hidden []int) (*Net, [][]float64, [][]float64) {
+func trainedBinary(t testing.TB, seed uint64, hidden []int) (*Net, [][]float64, [][]float64) {
 	t.Helper()
 	rng := xrand.New(seed)
 	var xs [][]float64

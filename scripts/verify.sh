@@ -49,15 +49,23 @@ echo "    total coverage ${total}% (threshold ${threshold}%)"
 # seed corpus plus fresh mutations. Catches quantization/inference
 # robustness regressions (panics, non-finite probabilities) and parser
 # regressions on outside input (panics, broken trace/journal/bundle/fault
-# schedule round trips) without the open-ended cost of a real fuzzing
-# campaign. Mirrored in .github/workflows/ci.yml.
-echo "==> go test -fuzz smoke (nn, trace, journal, bundle and fault-schedule parsers)"
+# schedule/request round trips, non-uniform HTTP errors) without the
+# open-ended cost of a real fuzzing campaign. Mirrored in
+# .github/workflows/ci.yml.
+echo "==> go test -fuzz smoke (nn, trace, journal, bundle, fault-schedule and request parsers)"
 go test ./internal/nn -run '^$' -fuzz '^FuzzPredict$' -fuzztime 10s > /dev/null
 go test ./internal/nn -run '^$' -fuzz '^FuzzQuantize$' -fuzztime 10s > /dev/null
 go test ./internal/telemetry/analyze -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s > /dev/null
 go test ./internal/telemetry/events -run '^$' -fuzz '^FuzzReadJournal$' -fuzztime 10s > /dev/null
 go test ./internal/bundle -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s > /dev/null
 go test ./internal/fault -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s > /dev/null
+go test ./internal/server -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s > /dev/null
+
+# Benchmark smoke: one iteration of every Go benchmark, so the layer
+# micro-benchmarks next to their code keep compiling and running.
+# Mirrored in .github/workflows/ci.yml.
+echo "==> go test -bench smoke (one iteration each)"
+go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
 
 # Benchmark module: perfbench has its own go.mod, so the root ./... never
 # compiles it. Vet and test it here so a change to an API it calls fails
@@ -122,21 +130,28 @@ if go run ./cmd/kodan-events anomalies "$smokedir/ev.fault.jsonl" > /dev/null; t
     exit 1
 fi
 
-# Perf-harness smoke: record a baseline from a tiny subset (including the
-# fault-injection resilience sweep and the quantized figure-8 variant),
-# compare a second run against it (generous threshold — this verifies the
-# machinery, not runner speed), and prove the synthetic-regression switch
-# exits nonzero. Mirrored in .github/workflows/ci.yml.
-echo "==> kodan-bench baseline smoke"
-go run ./cmd/kodan-bench -size quick -only table1,fig2,resilience,fig8q,hybridplan \
-    -json "$smokedir" -timings "$smokedir/baseline.json" > /dev/null
-go run ./cmd/kodan-bench -size quick -only table1,fig2,resilience,fig8q,hybridplan \
-    -baseline "$smokedir/baseline.json" -regress-threshold 4 > /dev/null
-if go run ./cmd/kodan-bench -size quick -only table1 \
-    -baseline "$smokedir/baseline.json" -regress-threshold -1 > /dev/null 2>&1; then
-    echo "verify: synthetic regression did not fail the bench gate" >&2
-    exit 1
-fi
+# Figure-export smoke: regenerate a figure subset that spans the fault
+# injection resilience sweep, the quantized figure-8 variant and the
+# hybrid planner, sequentially and at the default worker count (0 =
+# GOMAXPROCS), and require every exported BENCH_<key>.json to match the
+# committed bench/ copy byte for byte. Mirrored in .github/workflows/ci.yml.
+echo "==> kodan-bench figure-export smoke"
+figures="table1 fig2 resilience fig8q hybridplan"
+only=$(echo $figures | tr ' ' ',')
+for parallel in 1 0; do
+    out="$smokedir/bench.p$parallel"
+    if ! go run ./cmd/kodan-bench -size quick -only "$only" -parallel "$parallel" \
+        -json "$out" > /dev/null 2> "$out.log"; then
+        cat "$out.log" >&2
+        exit 1
+    fi
+    for key in $figures; do
+        if ! cmp -s "$out/BENCH_$key.json" "bench/BENCH_$key.json"; then
+            echo "verify: BENCH_$key.json at -parallel $parallel differs from bench/" >&2
+            exit 1
+        fi
+    done
+done
 
 # Serving smoke: drive the self-hosted serving plane with the
 # deterministic multi-tenant stream, twice, against two fresh servers of
