@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"kodan/internal/policy"
@@ -25,5 +27,37 @@ func BenchmarkBuild(b *testing.B) {
 		if _, err := BuildCtx(b.Context(), profiles, env); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchCase builds a mission-like placement problem: k measured-looking
+// contexts at a 3x3 tiling, App 4 on the Orin at the reference costs and
+// 3U bus, FillIdle, a shared link pool of half a frame, a contact every
+// four frames, the given deferral buffer, and the optimizer's base.
+func benchCase(k int, buffer float64) (policy.TilingProfile, policy.Selection, Env) {
+	prof := randProfileK(xrand.New(29), k)
+	env := testEnv()
+	env.Policy.FillIdle = true
+	env.Policy.CapacityFrac = 0.5
+	env.FramesBetweenContacts = 4
+	env.BufferFrames = buffer
+	return prof, baseFor(prof, env), env
+}
+
+// BenchmarkDecide times the placement search alone (no selection-logic
+// sweep) over eight contexts, at the 16- and 64-frame buffers the mission
+// workload plans with.
+func BenchmarkDecide(b *testing.B) {
+	for _, buffer := range []float64{16, 64} {
+		b.Run(fmt.Sprintf("buffer=%v", buffer), func(b *testing.B) {
+			prof, base, env := benchCase(8, buffer)
+			ctx := context.Background()
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := DecideCtx(ctx, prof, base, env); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

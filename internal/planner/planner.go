@@ -36,6 +36,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 	"time"
 
 	"kodan/internal/policy"
@@ -315,45 +317,70 @@ func evaluate(dispositions []Disposition, opts [][]option, prof policy.TilingPro
 		}
 	}
 	ev.FrameTime = time.Duration(ms * float64(time.Millisecond))
-
-	// Constraints: frame deadline (and optional duty cap) on the on-board
-	// work, the shared link pool on all downlinked bits, and the buffer on
-	// the peak deferred backlog between contacts.
-	deadline := env.Policy.Deadline
-	if hasModels {
-		if ev.FrameTime > deadline {
-			return ev, false
-		}
-		if dutyCap := env.Policy.MaxDutyCycle; dutyCap > 0 &&
-			float64(ev.FrameTime)/float64(deadline) > dutyCap+feasEps {
-			return ev, false
-		}
-	}
-	if ev.NowBits+ev.DeferBits > env.Policy.CapacityFrac+feasEps {
-		return ev, false
-	}
-	if ev.DeferBits*env.contactGap() > env.BufferFrames+feasEps {
+	if env.limits().violated(ev.FrameTime, hasModels, ev.NowBits, ev.DeferBits) {
 		return ev, false
 	}
 
 	// EnergyPerFrame clamps at the deadline, so even the engine-overrun
 	// fallback prices finitely.
-	energy, err := power.EnergyPerFrame(env.Policy.Target, ev.FrameTime, deadline)
+	energy, err := power.EnergyPerFrame(env.Policy.Target, ev.FrameTime, env.Policy.Deadline)
 	if err != nil {
 		return ev, false
 	}
 	ev.EnergyPerFrameJ = energy
 
 	ev.ValueFrames = finished + raw
-	cost := env.Costs
-	ev.Utility = cost.ValuePerFrame*(finished+cost.RawDiscount*raw) -
-		cost.LinkPerFrame*(ev.NowBits+ev.DeferBits) -
-		cost.GroundPerFrame*ev.GroundFrames -
-		cost.EnergyPerKJ*energy/1000
+	ev.Utility = env.Costs.utility(finished, raw, ev.NowBits, ev.DeferBits, ev.GroundFrames, energy)
 	if link := ev.NowBits + ev.DeferBits; link > 0 {
 		ev.DVD = ev.ValueFrames / link
 	}
 	return ev, true
+}
+
+// limits is the hard-constraint side of an Env, unpacked once per search.
+type limits struct {
+	deadline                       time.Duration
+	dutyCap, capacity, gap, buffer float64
+}
+
+func (e Env) limits() limits {
+	return limits{
+		deadline: e.Policy.Deadline,
+		dutyCap:  e.Policy.MaxDutyCycle,
+		capacity: e.Policy.CapacityFrac,
+		gap:      e.contactGap(),
+		buffer:   e.BufferFrames,
+	}
+}
+
+// violated reports whether sums over some or all contexts break a hard
+// constraint: the frame deadline (and optional duty cap) on the on-board
+// work, the shared link pool on all downlinked bits, or the buffer on the
+// peak deferred backlog between contacts. Each check is monotone in its
+// sums, so when every priced term is non-negative a prefix that violates
+// has no feasible completion (placeSearch prunes on that).
+func (l limits) violated(ft time.Duration, hasModels bool, nowBits, deferBits float64) bool {
+	if hasModels {
+		if ft > l.deadline {
+			return true
+		}
+		if l.dutyCap > 0 && float64(ft)/float64(l.deadline) > l.dutyCap+feasEps {
+			return true
+		}
+	}
+	if nowBits+deferBits > l.capacity+feasEps {
+		return true
+	}
+	return deferBits*l.gap > l.buffer+feasEps
+}
+
+// utility is the plan objective: finished plus discounted raw value, minus
+// link, ground and energy costs.
+func (c Costs) utility(finished, raw, nowBits, deferBits, ground, energy float64) float64 {
+	return c.ValuePerFrame*(finished+c.RawDiscount*raw) -
+		c.LinkPerFrame*(nowBits+deferBits) -
+		c.GroundPerFrame*ground -
+		c.EnergyPerKJ*energy/1000
 }
 
 // betterEval orders plan evaluations: utility first, then less deferral
@@ -383,9 +410,10 @@ func betterEval(a, b Eval) bool {
 	return a.NowBits < b.NowBits-eps
 }
 
-// maxExhaustive bounds the exhaustive placement sweep (4^8, matching the
-// selection-logic optimizer).
-const maxExhaustive = 65536
+// maxExhaustiveContexts bounds the exhaustive placement search: 4^8 =
+// 65 536 placements, matching the selection-logic optimizer. It also
+// sizes placeSearch's fixed prefix stacks.
+const maxExhaustiveContexts = 8
 
 // DecideCtx searches the per-context placements for one tiling profile
 // and base selection. The base supplies each context's on-board action;
@@ -408,37 +436,11 @@ func DecideCtx(ctx context.Context, prof policy.TilingProfile, base policy.Selec
 	env.Policy.UseEngine = true
 	opts := contextOptions(prof, base, env)
 	k := len(prof.Contexts)
-
-	combos := 1
-	exhaustive := true
-	for i := 0; i < k; i++ {
-		combos *= int(numDispositions)
-		if combos > maxExhaustive {
-			exhaustive = false
-			break
-		}
-	}
 	var best []Disposition
 	var bestEv Eval
 	found := false
-	if exhaustive {
-		cur := make([]Disposition, k)
-		for code := 0; code < combos; code++ {
-			c := code
-			for i := 0; i < k; i++ {
-				cur[i] = Disposition(c % int(numDispositions))
-				c /= int(numDispositions)
-			}
-			ev, ok := evaluate(cur, opts, prof, env)
-			if !ok {
-				continue
-			}
-			if !found || betterEval(ev, bestEv) {
-				best = append(best[:0], cur...)
-				bestEv = ev
-				found = true
-			}
-		}
+	if k <= maxExhaustiveContexts {
+		best, bestEv, found = placeSearch(opts, prof, env)
 	} else {
 		best, bestEv, found = hillClimb(opts, prof, env)
 	}
@@ -472,7 +474,157 @@ func DecideCtx(ctx context.Context, prof policy.TilingProfile, base policy.Selec
 	}, nil
 }
 
-// hillClimb is the deterministic fallback past maxExhaustive: start from
+// placeScore is one feasible placement's comparison keys: everything
+// betterEval reads.
+type placeScore struct {
+	utility, deferBits, energy, nowBits float64
+}
+
+// placeTable is placeSearch's score table, indexed by placement code, with
+// a bitset of the feasible codes. Tables are pooled so repeated plans
+// allocate nothing once warm.
+type placeTable struct {
+	scores   []placeScore
+	feasible []uint64
+}
+
+var placeTables = sync.Pool{New: func() any { return new(placeTable) }}
+
+// reset sizes the table for combos placements and clears the bitset.
+func (t *placeTable) reset(combos int) {
+	if cap(t.scores) < combos {
+		t.scores = make([]placeScore, combos)
+	}
+	t.scores = t.scores[:combos]
+	words := (combos + 63) / 64
+	if cap(t.feasible) < words {
+		t.feasible = make([]uint64, words)
+	}
+	t.feasible = t.feasible[:words]
+	clear(t.feasible)
+}
+
+// placeSearch is the exhaustive placement search. Placement code = sum of
+// d_c * 4^c over the contexts' dispositions, so code order is the
+// odometer order with context 0 fastest; the result is the plan a
+// code-order scan evaluating every placement with evaluate and keeping
+// the betterEval-best would return.
+//
+// The search walks the contexts depth-first in order 0..k-1, carrying the
+// running sums evaluate accumulates (model milliseconds, immediate,
+// deferred and ground bits, finished and raw value), so every leaf's sums
+// are evaluate's left-to-right sums bit for bit. When every priced term is
+// non-negative, each partial sum only grows as contexts are added and IEEE
+// rounding is monotone, so a prefix that already breaks the deadline (with
+// a model placed), the duty cap, the link pool or the buffer has no
+// feasible completion, and its subtree is skipped. Depth-first order is
+// not code order and betterEval is eps-based (not transitive), so leaves
+// only record their keys in a score table indexed by code; one code-order
+// scan with betterEval picks the winner, and evaluate recomputes its Eval.
+func placeSearch(opts [][]option, prof policy.TilingProfile, env Env) ([]Disposition, Eval, bool) {
+	k := len(opts)
+	if k == 0 {
+		ev, ok := evaluate(nil, opts, prof, env)
+		return nil, ev, ok
+	}
+	type partial struct {
+		ms, now, def, ground, finished, raw float64
+		models                              bool
+		code                                int
+	}
+	var pre [maxExhaustiveContexts + 1]partial
+	var disp [maxExhaustiveContexts]Disposition
+	var pow4 [maxExhaustiveContexts]int
+	combos := 1
+	for c := 0; c < k; c++ {
+		pow4[c] = combos
+		combos *= int(numDispositions)
+	}
+	// Pruning needs non-negative terms (NaN fails the test) and a frame
+	// time that cannot overflow time.Duration, where the conversion stops
+	// being monotone.
+	pre[0].ms = float64(prof.Tiling.Tiles()) * env.Policy.Target.ContextEngineMsPerTile()
+	prune := pre[0].ms >= 0
+	maxMs := pre[0].ms
+	for _, os := range opts {
+		top := 0.0
+		for _, o := range os {
+			prune = prune && o.modelMs >= 0 && o.nowBits >= 0 && o.deferBits >= 0
+			top = math.Max(top, o.modelMs)
+		}
+		maxMs += top
+	}
+	prune = prune && maxMs*float64(time.Millisecond) < 1<<62
+
+	lim := env.limits()
+	target, costs := env.Policy.Target, env.Costs
+	tab := placeTables.Get().(*placeTable)
+	defer placeTables.Put(tab)
+	tab.reset(combos)
+	for c := 0; c >= 0; {
+		d := disp[c]
+		o := &opts[c][d]
+		p, s := &pre[c], &pre[c+1]
+		s.ms = p.ms + o.modelMs
+		s.models = p.models || o.modelMs > 0
+		s.now = p.now + o.nowBits
+		s.def = p.def + o.deferBits
+		s.ground = p.ground + o.ground
+		s.finished = p.finished + o.finished
+		s.raw = p.raw + o.raw
+		s.code = p.code + int(d)*pow4[c]
+		ft := time.Duration(s.ms * float64(time.Millisecond))
+		if c+1 < k && !(prune && lim.violated(ft, s.models, s.now, s.def)) {
+			c++
+			disp[c] = 0
+			continue
+		}
+		if c+1 == k && !lim.violated(ft, s.models, s.now, s.def) {
+			if energy, err := power.EnergyPerFrame(target, ft, lim.deadline); err == nil {
+				tab.scores[s.code] = placeScore{
+					utility:   costs.utility(s.finished, s.raw, s.now, s.def, s.ground, energy),
+					deferBits: s.def,
+					energy:    energy,
+					nowBits:   s.now,
+				}
+				tab.feasible[s.code/64] |= 1 << (s.code % 64)
+			}
+		}
+		// Next candidate: bump the deepest context with a placement left,
+		// unwinding the exhausted ones.
+		for ; c >= 0; c-- {
+			if disp[c]++; disp[c] < numDispositions {
+				break
+			}
+		}
+	}
+
+	var bestEv Eval
+	bestCode, found := 0, false
+	for w, word := range tab.feasible {
+		for ; word != 0; word &= word - 1 {
+			code := w*64 + bits.TrailingZeros64(word)
+			sc := &tab.scores[code]
+			ev := Eval{Utility: sc.utility, DeferBits: sc.deferBits, EnergyPerFrameJ: sc.energy, NowBits: sc.nowBits}
+			if !found || betterEval(ev, bestEv) {
+				bestCode, bestEv = code, ev
+				found = true
+			}
+		}
+	}
+	if !found {
+		return nil, Eval{}, false
+	}
+	best := make([]Disposition, k)
+	for c := range best {
+		best[c] = Disposition(bestCode % int(numDispositions))
+		bestCode /= int(numDispositions)
+	}
+	bestEv, _ = evaluate(best, opts, prof, env)
+	return best, bestEv, true
+}
+
+// hillClimb is the deterministic fallback past maxExhaustiveContexts: start from
 // all-Drop (always feasible) and greedily improve one context at a time.
 func hillClimb(opts [][]option, prof policy.TilingProfile, env Env) ([]Disposition, Eval, bool) {
 	k := len(prof.Contexts)

@@ -11,7 +11,12 @@ import (
 
 // randProfile draws a random tiling profile with 2-5 contexts.
 func randProfile(rng *xrand.Rand) policy.TilingProfile {
-	k := 2 + int(rng.Float64()*4)
+	return randProfileK(rng, 2+int(rng.Float64()*4))
+}
+
+// randProfileK draws a random tiling profile with k contexts: tile shares
+// that sum to one and specialists that tend to beat the generic model.
+func randProfileK(rng *xrand.Rand, k int) policy.TilingProfile {
 	prof := policy.TilingProfile{Tiling: tiling.Tiling{PerSide: 3}}
 	fracs := make([]float64, k)
 	var sum float64
@@ -79,6 +84,9 @@ func TestPropertyMoreCapacityNeverLowersUtility(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
+			if err := CheckPlan(plan, prof, env); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
 			if i > 0 && plan.Eval.Utility < prev-1e-9 {
 				t.Fatalf("trial %d: utility fell from %v to %v when capacity grew to %v",
 					trial, prev, plan.Eval.Utility, c)
@@ -107,6 +115,9 @@ func TestPropertyHigherGroundCostNeverIncreasesDeferral(t *testing.T) {
 			env.Costs.GroundPerFrame = g
 			plan, err := DecideCtx(t.Context(), prof, base, env)
 			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			if err := CheckPlan(plan, prof, env); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 			if i > 0 && plan.Eval.DeferFrac > prev+1e-9 {

@@ -14,6 +14,8 @@ package policy
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 	"time"
 
 	"kodan/internal/app"
@@ -308,9 +310,9 @@ func DirectSelection(tp TilingProfile) Selection {
 
 // Optimize generates the selection logic: it sweeps every candidate tiling
 // and per-context action assignment and returns the selection maximizing
-// DVD (ties broken toward higher recovery, then shorter frame time). For
-// context counts where the exhaustive sweep would be large (> maxExhaustive
-// combinations) it falls back to deterministic hill climbing from the
+// DVD (ties broken toward higher recovery, then shorter frame time). Past
+// maxExhaustiveContexts contexts, where the exhaustive sweep would be
+// large, it falls back to deterministic hill climbing from the
 // all-specialized assignment.
 func Optimize(profiles []TilingProfile, env Env) (Selection, Estimate) {
 	if len(profiles) == 0 {
@@ -337,59 +339,155 @@ func Optimize(profiles []TilingProfile, env Env) (Selection, Estimate) {
 // cost, so the optimizer skips it.
 var optActions = []Action{Discard, Downlink, Specialized, Merged}
 
-// maxExhaustive bounds the exhaustive action sweep (4^8).
-const maxExhaustive = 65536
+// maxExhaustiveContexts bounds the exhaustive action sweep: 4^8 = 65 536
+// candidates. It also sizes the sweep's fixed prefix stacks.
+const maxExhaustiveContexts = 8
 
 func optimizeActions(tp TilingProfile, env Env) (Selection, Estimate) {
-	k := len(tp.Contexts)
-	combos := 1
-	exhaustive := true
-	for i := 0; i < k; i++ {
-		combos *= len(optActions)
-		if combos > maxExhaustive {
-			exhaustive = false
-			break
-		}
-	}
-	if exhaustive {
-		return exhaustiveSearch(tp, env, combos)
+	if len(tp.Contexts) <= maxExhaustiveContexts {
+		return exhaustiveSearch(tp, env)
 	}
 	return hillClimb(tp, env)
 }
 
-func exhaustiveSearch(tp TilingProfile, env Env, combos int) (Selection, Estimate) {
+// sweepScore is one candidate's comparison keys: everything better reads.
+type sweepScore struct {
+	dvd, val float64
+	ft       time.Duration
+}
+
+// sweepTable is the exhaustive search's score table, indexed by candidate
+// code, with a bitset of the codes that were scored. Tables are pooled so
+// repeated selection-logic generations allocate nothing once warm.
+type sweepTable struct {
+	scores []sweepScore
+	scored []uint64
+}
+
+var sweepTables = sync.Pool{New: func() any { return new(sweepTable) }}
+
+// reset sizes the table for combos candidates and clears the bitset.
+func (t *sweepTable) reset(combos int) {
+	if cap(t.scores) < combos {
+		t.scores = make([]sweepScore, combos)
+	}
+	t.scores = t.scores[:combos]
+	words := (combos + 63) / 64
+	if cap(t.scored) < words {
+		t.scored = make([]uint64, words)
+	}
+	t.scored = t.scored[:words]
+	clear(t.scored)
+}
+
+// score records the comparison keys of candidate code, which downlinks
+// high-value bits val into capacity at frame time ft.
+func (t *sweepTable) score(code int, ft time.Duration, capacity, val float64) {
+	dvd := value.Ledger{CapacityBits: capacity, HighValueBits: val}.DVD()
+	t.scores[code] = sweepScore{dvd: dvd, val: val, ft: ft}
+	t.scored[code/64] |= 1 << (code % 64)
+}
+
+// exhaustiveSearch returns the best selection over every action assignment
+// in optActions^k. Candidate code = sum of digit_c * 4^c, digit c indexing
+// optActions for context c, so code order is the odometer order with
+// context 0 fastest; ties resolve exactly as a code-order scan with better
+// would resolve them.
+//
+// Frame time depends only on which contexts run a model (Specialized and
+// Merged share msAdd, Discard and Downlink add literal zero), so the search
+// walks the 2^k model masks and computes the frame time, the processed
+// fraction and admissibility once per mask. Within a mask it walks the
+// contexts depth-first in order 0..k-1, carrying the running chunk sums, so
+// every leaf's sums are the evaluator's left-to-right sums bit for bit.
+// Depth-first order is not code order and better is eps-based (not
+// transitive), so leaves only record their keys in a score table indexed by
+// code; one code-order scan with better then picks the winner, and the
+// evaluator recomputes its Estimate.
+func exhaustiveSearch(tp TilingProfile, env Env) (Selection, Estimate) {
 	k := len(tp.Contexts)
 	ev := newEvaluator(tp, env)
-	sel := Selection{Tiling: tp.Tiling, Actions: make([]Action, k)}
-	best := Selection{Tiling: tp.Tiling, Actions: make([]Action, k)}
-	var bestEst Estimate
-	first := true
-	// Odometer enumeration, digit 0 fastest — the same order as decoding
-	// each code by repeated division, without the per-candidate div/mod.
-	digits := make([]int, k)
-	for i := range sel.Actions {
-		sel.Actions[i] = optActions[0]
+
+	type partial struct {
+		bits, val float64
+		chunks    int
+		code      int
 	}
-	for code := 0; code < combos; code++ {
-		if code > 0 {
-			for i := 0; ; i++ {
-				digits[i]++
-				if digits[i] < len(optActions) {
-					sel.Actions[i] = optActions[digits[i]]
-					break
-				}
-				digits[i] = 0
-				sel.Actions[i] = optActions[0]
+	var pre [maxExhaustiveContexts + 1]partial
+	var choice [maxExhaustiveContexts]int
+	var pow4 [maxExhaustiveContexts]int
+	combos := 1
+	for c := 0; c < k; c++ {
+		pow4[c] = combos
+		combos *= len(optActions)
+	}
+	tab := sweepTables.Get().(*sweepTable)
+	defer sweepTables.Put(tab)
+	tab.reset(combos)
+	actions := make([]Action, k)
+	for mask := 0; mask < 1<<k; mask++ {
+		for c := range actions {
+			actions[c] = Discard
+			if mask>>c&1 != 0 {
+				actions[c] = Specialized
 			}
 		}
-		est := ev.evaluate(sel.Actions)
-		if !env.admissible(est.FrameTime) && !isAllElide(sel) {
+		ft := ev.frameTime(actions)
+		if mask != 0 && !env.admissible(ft) {
 			continue
 		}
-		if first || better(est, bestEst) {
-			copy(best.Actions, sel.Actions)
-			bestEst = est
-			first = false
+		p := ev.processedFrac(ft)
+		if k == 0 {
+			_, val := ev.drain(p, 0, 0, 0)
+			tab.score(0, ft, env.CapacityFrac, val)
+			continue
+		}
+		choice[0] = 0
+		for c := 0; c >= 0; {
+			// Context c takes digit 2*modelBit + choice: Discard/Downlink
+			// off the mask, Specialized/Merged on it.
+			d := 2*(mask>>c&1) + choice[c]
+			idx := c*actionStride + int(optActions[d])
+			s := &pre[c+1]
+			*s = pre[c]
+			if ev.counted[idx] {
+				pf := p * ev.tf[c]
+				s.bits += pf * ev.kept[idx]
+				s.val += pf * ev.frac[idx]
+				s.chunks++
+			}
+			s.code += d * pow4[c]
+			if c+1 < k {
+				c++
+				choice[c] = 0
+				continue
+			}
+			_, val := ev.drain(p, s.bits, s.val, s.chunks)
+			tab.score(s.code, ft, env.CapacityFrac, val)
+			// Next leaf: bump the deepest context with a choice left,
+			// unwinding the exhausted ones.
+			for ; c >= 0; c-- {
+				if choice[c]++; choice[c] < 2 {
+					break
+				}
+			}
+		}
+	}
+
+	best := Selection{Tiling: tp.Tiling, Actions: make([]Action, k)}
+	var bestEst Estimate
+	bestCode, first := 0, true
+	for w, word := range tab.scored {
+		for ; word != 0; word &= word - 1 {
+			code := w*64 + bits.TrailingZeros64(word)
+			sc := &tab.scores[code]
+			est := Estimate{FrameTime: sc.ft, DVD: sc.dvd, Ledger: value.Ledger{
+				HighValueBits: sc.val, ObservedHighValueBits: ev.prevalence,
+			}}
+			if first || better(est, bestEst) {
+				bestCode, bestEst = code, est
+				first = false
+			}
 		}
 	}
 	if first {
@@ -398,9 +496,13 @@ func exhaustiveSearch(tp TilingProfile, env Env, combos int) (Selection, Estimat
 		for i := range best.Actions {
 			best.Actions[i] = Discard
 		}
-		bestEst = ev.evaluate(best.Actions)
+		return best, ev.evaluate(best.Actions)
 	}
-	return best, bestEst
+	for c := range best.Actions {
+		best.Actions[c] = optActions[bestCode%len(optActions)]
+		bestCode /= len(optActions)
+	}
+	return best, ev.evaluate(best.Actions)
 }
 
 // isAllElide reports whether a selection runs no models at all (always
@@ -560,15 +662,22 @@ func (e *evaluator) frameTime(actions []Action) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
+// processedFrac is the fraction of frames processed before the next
+// capture at frame time ft.
+func (e *evaluator) processedFrac(ft time.Duration) float64 {
+	p := 1.0
+	if ft > e.env.Deadline && ft > 0 {
+		p = float64(e.env.Deadline) / float64(ft)
+	}
+	return p
+}
+
 // evaluate is EvaluateAtTime(sel, tp, env, frameTime(sel)) without the
 // chunk-slice allocation: the drain (value.Drain) is inlined as a running
 // sum because a frame's chunk mix is consumed exactly once, in order.
 func (e *evaluator) evaluate(actions []Action) Estimate {
 	ft := e.frameTime(actions)
-	p := 1.0
-	if ft > e.env.Deadline && ft > 0 {
-		p = float64(e.env.Deadline) / float64(ft)
-	}
+	p := e.processedFrac(ft)
 	var totalBits, totalVal float64
 	chunks := 0
 	nA := actionStride
@@ -582,21 +691,12 @@ func (e *evaluator) evaluate(actions []Action) Estimate {
 		totalVal += pf * e.frac[idx]
 		chunks++
 	}
-	if e.env.FillIdle && p < 1 {
-		totalBits += 1 - p
-		totalVal += (1 - p) * e.prevalence
-		chunks++
-	}
-	bits, val := totalBits, totalVal
-	switch {
-	case e.env.CapacityFrac <= 0 || chunks == 0:
-		// Mirrors value.Drain's empty cases: no capacity, or no chunks at
-		// all (all-discard with no filler) downlinks nothing.
-		bits, val = 0, 0
-	case totalBits > e.env.CapacityFrac:
-		f := e.env.CapacityFrac / totalBits
-		bits, val = e.env.CapacityFrac, totalVal*f
-	}
+	return e.finish(ft, p, totalBits, totalVal, chunks)
+}
+
+// finish completes an evaluation from the summed per-context chunks.
+func (e *evaluator) finish(ft time.Duration, p, totalBits, totalVal float64, chunks int) Estimate {
+	bits, val := e.drain(p, totalBits, totalVal, chunks)
 	led := value.Ledger{
 		CapacityBits:          e.env.CapacityFrac,
 		DownlinkedBits:        bits,
@@ -605,6 +705,28 @@ func (e *evaluator) evaluate(actions []Action) Estimate {
 		ObservedHighValueBits: e.prevalence,
 	}
 	return Estimate{FrameTime: ft, ProcessedFrac: p, Ledger: led, DVD: led.DVD()}
+}
+
+// drain adds the FillIdle filler to the summed per-context chunks and
+// downlinks the mix into capacity, returning the bits and value sent.
+// exhaustiveSearch calls it on its depth-first prefix sums, so the sweep
+// and evaluate share every expression after the per-context loop.
+func (e *evaluator) drain(p, totalBits, totalVal float64, chunks int) (bits, val float64) {
+	if e.env.FillIdle && p < 1 {
+		totalBits += 1 - p
+		totalVal += (1 - p) * e.prevalence
+		chunks++
+	}
+	switch {
+	case e.env.CapacityFrac <= 0 || chunks == 0:
+		// Mirrors value.Drain's empty cases: no capacity, or no chunks at
+		// all (all-discard with no filler) downlinks nothing.
+		return 0, 0
+	case totalBits > e.env.CapacityFrac:
+		f := e.env.CapacityFrac / totalBits
+		return e.env.CapacityFrac, totalVal * f
+	}
+	return totalBits, totalVal
 }
 
 // SatellitesForCoverage returns the constellation population needed for

@@ -183,7 +183,7 @@ func TestOptimizeUnconstrainedPrefersPrecision(t *testing.T) {
 func TestHillClimbMatchesExhaustiveOnSmallProblem(t *testing.T) {
 	tp := testProfile(3)
 	env := testEnv()
-	exSel, exEst := exhaustiveSearch(tp, env, 27)
+	exSel, exEst := exhaustiveSearch(tp, env)
 	hcSel, hcEst := hillClimb(tp, env)
 	if math.Abs(exEst.DVD-hcEst.DVD) > 0.02 {
 		t.Fatalf("hill climb DVD %v far from exhaustive %v (%v vs %v)",

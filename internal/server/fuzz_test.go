@@ -15,8 +15,9 @@ import (
 // simulate is false, simulateRequest (/v1/simulate) when it is true. It
 // must never panic; the only outcomes are success, 400 and 413 (the last
 // only for a body over maxBodyBytes); every error is the uniform
-// {"error": ...} JSON document; and an accepted request re-encodes and
-// decodes to an equal value. The committed corpus under
+// {"error": ...} JSON document; an accepted body is one JSON value
+// followed by nothing but JSON whitespace; and an accepted request
+// re-encodes and decodes to an equal value. The committed corpus under
 // testdata/fuzz/FuzzDecode holds valid requests for each route, unknown
 // fields, wrong types and trailing data; the oversized seed is built here
 // so it tracks maxBodyBytes.
@@ -41,12 +42,20 @@ func FuzzDecode(f *testing.F) {
 
 		switch rec.Code {
 		case http.StatusOK:
+			var first json.RawMessage
+			dec := json.NewDecoder(bytes.NewReader(body))
+			if err := dec.Decode(&first); err != nil {
+				t.Fatalf("accepted body is not JSON: %v", err)
+			}
+			if rest := body[dec.InputOffset():]; len(bytes.Trim(rest, " \t\r\n")) > 0 {
+				t.Fatalf("accepted body has trailing data %q", rest)
+			}
 			enc, err := json.Marshal(req)
 			if err != nil {
 				t.Fatalf("accepted request does not encode: %v", err)
 			}
 			again := newReq()
-			dec := json.NewDecoder(bytes.NewReader(enc))
+			dec = json.NewDecoder(bytes.NewReader(enc))
 			dec.DisallowUnknownFields()
 			if err := dec.Decode(again); err != nil {
 				t.Fatalf("re-encoded request does not decode: %v\n%s", err, enc)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -85,20 +86,28 @@ func (s *Server) requestContext(r *http.Request, req planRequest) (context.Conte
 // hundred bytes.
 const maxBodyBytes = 1 << 20
 
-// decode parses a JSON body strictly into v. On failure it writes the
-// error response — 413 for a body over maxBodyBytes, 400 otherwise — and
-// returns false.
+// decode parses a JSON body strictly into v: exactly one JSON value with
+// no unknown fields, followed by nothing but whitespace. On failure it
+// writes the error response — 413 for a body over maxBodyBytes, 400
+// otherwise — and returns false.
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
 	var tooLarge *http.MaxBytesError
-	switch {
-	case err == nil:
-		return true
-	case errors.As(err, &tooLarge):
+	err := dec.Decode(v)
+	if err == nil {
+		// A second read must hit the end of the body. dec.More alone
+		// would accept a stray closing delimiter such as {"app":4}}.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if !errors.As(err, &tooLarge) {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if errors.As(err, &tooLarge) {
 		writeJSONError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-	default:
+	} else {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 	}
 	return false

@@ -54,6 +54,42 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected posts bodies with something after the first
+// JSON value: a second value, a stray closing brace, or garbage. Each is a
+// 400 in the uniform JSON error body that never reaches the cache, while
+// trailing whitespace stays acceptable. A body whose trailing data pushes
+// it over maxBodyBytes is still a 413.
+func TestTrailingDataRejected(t *testing.T) {
+	s := New(testConfig())
+	base := "http://" + serveLoopback(t, s)
+	for _, body := range []string{
+		`{"app":4} {"app":5}`,
+		`{"app":4}}`,
+		`{"app":4}]`,
+		`{"app":4} x`,
+		`{"app":4} ` + strings.Repeat(" ", 16) + `0`,
+	} {
+		resp, data := post(t, http.DefaultClient, base+"/v1/plan", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: status %d (%s), want 400", body, resp.StatusCode, data)
+		}
+		if msg := decodeError(t, resp, data); !strings.Contains(msg, "trailing data") {
+			t.Errorf("%q: error %q does not name the trailing data", body, msg)
+		}
+	}
+	if got := s.Metrics().Cache.Misses; got != 0 {
+		t.Errorf("a request with trailing data reached the cache (%d misses)", got)
+	}
+	resp, data := post(t, http.DefaultClient, base+"/v1/plan", `{"app":4} `+strings.Repeat(" ", maxBodyBytes))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized trailing whitespace: status %d (%.200s), want 413", resp.StatusCode, data)
+	}
+	resp, data = post(t, http.DefaultClient, base+"/v1/plan", planBody(4)+" \r\n\t")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace: status %d (%s), want 200", resp.StatusCode, data)
+	}
+}
+
 // TestSlowHeaderClientDisconnected opens a connection that never finishes
 // its request headers. The server drops it after readHeaderTimeout, keeps
 // serving other clients meanwhile, and answers an oversized header block

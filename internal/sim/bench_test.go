@@ -67,3 +67,28 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		run(b, ctx)
 	})
 }
+
+// BenchmarkDrainDeferred times the store-and-forward drain as the mission
+// workload uses it: one 8-satellite, 4-day Result drained 12 times (six
+// per-frame deferred loads at 16- and 64-frame buffers). Each op starts
+// from a fresh Result over the same schedule, so it pays the one-time
+// capture and grant conversion as a freshly simulated Result would.
+func BenchmarkDrainDeferred(b *testing.B) {
+	cfg := Landsat8Config(epoch, 96*time.Hour, 8)
+	res, err := RunCtx(b.Context(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frameBits := cfg.Camera.FrameBits()
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		fresh := &Result{Config: res.Config, Orbits: res.Orbits, Captures: res.Captures,
+			Grants: res.Grants, Served: res.Served, FadedBits: res.FadedBits}
+		for _, buffer := range []float64{16, 64} {
+			for _, load := range []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.8} {
+				fresh.DrainDeferredCtx(ctx, load*frameBits, buffer*frameBits)
+			}
+		}
+	}
+}

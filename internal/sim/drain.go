@@ -46,6 +46,11 @@ type DrainStats struct {
 // already expose their capacity loss through DownlinkBits/FrameCapacity,
 // which is what planning consumes.
 //
+// The first drain converts the Result's capture and grant times to
+// seconds and keeps them for every later drain, so a Result is read-only
+// once drained: edits to Captures, Grants or Config.Epoch after that are
+// not seen. Concurrent drains of one Result are safe.
+//
 // When ctx carries a mission event journal, the replay is journaled in
 // sim time: one defer_enqueue per admitted frame, one defer_overflow per
 // tail-drop, one defer_drain per fully delivered chunk (Value = latency
@@ -66,31 +71,22 @@ func (r *Result) DrainDeferredCtx(ctx context.Context, bitsPerFrame, bufferBits 
 	rate := r.Config.Radio.RateBps
 	epoch := r.Config.Epoch
 	spanEnd := r.Config.Span.Seconds()
-	sec := func(t time.Time) float64 { return t.Sub(epoch).Seconds() }
+	times := r.times()
 
-	// Per-satellite grant lists, preserving the allocator's time order.
-	satGrants := make([][][2]float64, len(r.Captures))
-	for _, g := range r.Grants {
-		if g.Sat < 0 || g.Sat >= len(satGrants) {
-			continue
-		}
-		satGrants[g.Sat] = append(satGrants[g.Sat],
-			[2]float64{sec(g.Start), sec(g.End())})
-	}
-
+	type chunk struct{ t, bits float64 }
+	queue := make([]chunk, 0, times.maxCaptures)
 	var latBitSeconds float64
-	for sat, caps := range r.Captures {
+	for sat, caps := range times.captures {
 		sat := sat
-		type chunk struct{ t, bits float64 }
-		var queue []chunk
+		queue = queue[:0]
 		qi := 0
 		backlog := 0.0
 		ci := 0
 		satPeak, satPeakT := 0.0, 0.0
 		// admit enqueues every capture up to now, applying the buffer cap.
 		admit := func(now float64) {
-			for ci < len(caps) && sec(caps[ci].Time) <= now {
-				t := sec(caps[ci].Time)
+			for ci < len(caps) && caps[ci] <= now {
+				t := caps[ci]
 				incoming := bitsPerFrame
 				if bufferBits > 0 && backlog+incoming > bufferBits {
 					dropped := backlog + incoming - bufferBits
@@ -123,23 +119,23 @@ func (r *Result) DrainDeferredCtx(ctx context.Context, bitsPerFrame, bufferBits 
 				ci++
 			}
 		}
-		for _, g := range satGrants[sat] {
+		for _, g := range times.grants[sat] {
 			t := g[0]
 			admit(t)
 			for t < g[1] {
 				if qi >= len(queue) {
 					// Idle: jump to the next capture inside the grant.
-					if ci >= len(caps) || sec(caps[ci].Time) >= g[1] {
+					if ci >= len(caps) || caps[ci] >= g[1] {
 						break
 					}
-					t = sec(caps[ci].Time)
+					t = caps[ci]
 					admit(t)
 					continue
 				}
 				// Drain until the next capture arrives or the grant ends.
 				segEnd := g[1]
 				if ci < len(caps) {
-					if ct := sec(caps[ci].Time); ct > t && ct < segEnd {
+					if ct := caps[ci]; ct > t && ct < segEnd {
 						segEnd = ct
 					}
 				}
@@ -191,4 +187,50 @@ func (r *Result) DrainDeferredCtx(ctx context.Context, bitsPerFrame, bufferBits 
 	scope.Counter("residual_bits").Add(int64(s.ResidualBits))
 	scope.Gauge("peak_buffer_bits").Set(int64(s.PeakBufferBits))
 	return s
+}
+
+// drainTimes is a Result's capture and grant instants as seconds since the
+// epoch, per satellite: the only time values the drain reads, converted
+// once per Result instead of once per drain and comparison.
+type drainTimes struct {
+	// captures[sat] holds the satellite's capture instants in time order.
+	captures [][]float64
+	// grants[sat] holds the satellite's [start, end) grant intervals in
+	// the allocator's time order; grants naming no satellite are dropped.
+	grants [][][2]float64
+	// maxCaptures is the longest capture list, the FIFO's capacity.
+	maxCaptures int
+}
+
+// times returns the Result's converted drain times, building them on
+// first use. Concurrent first drains may both build; one copy wins, and
+// every caller reads identical values.
+func (r *Result) times() *drainTimes {
+	if t := r.drainCache.Load(); t != nil {
+		return t
+	}
+	epoch := r.Config.Epoch
+	sec := func(t time.Time) float64 { return t.Sub(epoch).Seconds() }
+	t := &drainTimes{
+		captures: make([][]float64, len(r.Captures)),
+		grants:   make([][][2]float64, len(r.Captures)),
+	}
+	for sat, caps := range r.Captures {
+		secs := make([]float64, len(caps))
+		for i, c := range caps {
+			secs[i] = sec(c.Time)
+		}
+		t.captures[sat] = secs
+		t.maxCaptures = max(t.maxCaptures, len(caps))
+	}
+	for _, g := range r.Grants {
+		if g.Sat < 0 || g.Sat >= len(t.grants) {
+			continue
+		}
+		t.grants[g.Sat] = append(t.grants[g.Sat], [2]float64{sec(g.Start), sec(g.End())})
+	}
+	if !r.drainCache.CompareAndSwap(nil, t) {
+		return r.drainCache.Load()
+	}
+	return t
 }

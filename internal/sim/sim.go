@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"kodan/internal/fault"
@@ -112,7 +113,8 @@ func Landsat8Config(epoch time.Time, span time.Duration, n int) Config {
 	}
 }
 
-// Result holds everything a simulation produced.
+// Result holds everything a simulation produced. It is read-only once
+// drained: DrainDeferredCtx caches its converted capture and grant times.
 type Result struct {
 	// Config echoes the (defaulted) configuration that ran.
 	Config Config
@@ -130,6 +132,10 @@ type Result struct {
 	// DownlinkBits falls back to the nominal rate and stays byte-identical
 	// to an uninjected run.
 	FadedBits []float64
+
+	// drainCache holds the capture and grant times DrainDeferredCtx reads,
+	// converted on the first drain; a Result is read-only once drained.
+	drainCache atomic.Pointer[drainTimes]
 }
 
 // RunCtx executes the simulation. The per-satellite propagation and
