@@ -41,20 +41,23 @@ trace:
 # trace-diff transforms App $(APP) twice — float and int8 quantized —
 # with span tracing and prints the per-phase attribution table: which
 # phase gained or lost time, and which variant attributes changed. The
-# traces land in ./trace-out for further kodan-trace analysis.
+# traces land in ./trace-out for further kodan-inspect trace analysis.
 trace-diff:
 	mkdir -p trace-out
 	$(GO) run ./cmd/kodan-transform -app $(APP) \
 		-trace trace-out/transform.float.jsonl > /dev/null
 	$(GO) run ./cmd/kodan-transform -app $(APP) -quantized \
 		-trace trace-out/transform.quant.jsonl > /dev/null
-	$(GO) run ./cmd/kodan-trace diff \
+	$(GO) run ./cmd/kodan-inspect trace diff \
 		trace-out/transform.float.jsonl trace-out/transform.quant.jsonl
 
 # events journals a clean and a seeded-fault mission, prints the faulted
 # timeline and its anomaly findings, and diffs the two journals. The
-# JSONL journals land in ./events-out for further kodan-events analysis.
-# The anomalies step exits 2 by design (findings found), so it is guarded.
+# JSONL journals land in ./events-out for further kodan-inspect events
+# analysis.
+# The anomalies step exits 2 by design (findings found), so exit 2 is
+# accepted; an error (exit 1) still fails. The binary is built once
+# because go run reports every non-zero exit as 1.
 events:
 	mkdir -p events-out
 	$(GO) run ./cmd/kodan-sim -hours 6 -sats 4 -parallel $(PARALLEL) \
@@ -62,9 +65,10 @@ events:
 	$(GO) run ./cmd/kodan-sim -hours 6 -sats 4 -parallel $(PARALLEL) \
 		-fault-intensity 1 -fault-seed 7 \
 		-events events-out/mission.faulted.jsonl > /dev/null
-	$(GO) run ./cmd/kodan-events timeline events-out/mission.faulted.jsonl
-	$(GO) run ./cmd/kodan-events anomalies events-out/mission.faulted.jsonl || true
-	$(GO) run ./cmd/kodan-events diff \
+	$(GO) build -o events-out/kodan-inspect ./cmd/kodan-inspect
+	events-out/kodan-inspect events timeline events-out/mission.faulted.jsonl
+	events-out/kodan-inspect events anomalies events-out/mission.faulted.jsonl || test $$? -eq 2
+	events-out/kodan-inspect events diff \
 		events-out/mission.jsonl events-out/mission.faulted.jsonl
 
 # bench runs every Go benchmark (the layer micro-benchmarks sit next to

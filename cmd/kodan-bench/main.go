@@ -47,6 +47,7 @@ import (
 
 	"kodan/internal/experiments"
 	"kodan/internal/telemetry"
+	"kodan/internal/telemetry/analyze"
 )
 
 // generator produces one table or figure: the rendered text plus the typed
@@ -305,6 +306,6 @@ func main() {
 		if werr := telemetry.WriteTraceFile(tracer, *traceFile); werr != nil {
 			log.Fatal(werr)
 		}
-		fmt.Fprint(os.Stderr, telemetry.Summarize(tracer, 10).Render())
+		fmt.Fprint(os.Stderr, analyze.RenderTracer(tracer, 10))
 	}
 }

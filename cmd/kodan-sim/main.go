@@ -23,14 +23,16 @@
 // contact windows, downlink grants, fault windows, planner dispositions,
 // and the deferral-drain replay — as strict JSONL stamped in *sim* time
 // (the simulated instant, not wall time). The journal is byte-identical
-// at every -parallel setting and feeds kodan-events (summary, timeline,
-// anomalies, diff). Like -trace, it observes the run without changing it.
+// at every -parallel setting and feeds kodan-inspect events (summary,
+// timeline, anomalies, diff). Like -trace, it observes the run without changing it.
 //
 // -trace records a span trace of the run (per-satellite propagation,
 // capture, contact-window, and downlink phases, plus the -transform-app
-// training and inference phases when enabled) as JSONL and prints an
-// end-of-run summary — per-phase wall time and the slowest spans — to
-// stderr. The file feeds kodan-trace (summary, critical, folded, diff). -cpuprofile and -memprofile write pprof profiles. None of the
+// training and inference phases when enabled) as JSONL and prints to
+// stderr the summary kodan-inspect trace summary renders for that file —
+// per-phase self and total time and the slowest spans. The file feeds
+// kodan-inspect trace (summary, critical, folded, diff). -cpuprofile and
+// -memprofile write pprof profiles. None of the
 // three changes the ledgers: telemetry observes the run, it never feeds
 // back into it.
 //
@@ -76,6 +78,7 @@ import (
 	"kodan/internal/sense"
 	"kodan/internal/sim"
 	"kodan/internal/telemetry"
+	"kodan/internal/telemetry/analyze"
 	"kodan/internal/telemetry/events"
 	"kodan/internal/tiling"
 )
@@ -325,7 +328,7 @@ func main() {
 		if werr := telemetry.WriteTraceFile(tracer, *traceFile); werr != nil {
 			log.Fatal(werr)
 		}
-		fmt.Fprint(os.Stderr, telemetry.Summarize(tracer, 10).Render())
+		fmt.Fprint(os.Stderr, analyze.RenderTracer(tracer, 10))
 	}
 }
 

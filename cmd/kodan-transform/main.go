@@ -14,7 +14,7 @@
 //
 // -trace records a JSONL span trace of the transformation (workspace
 // preparation, per-tiling training and measurement, nn.train/nn.infer
-// stages with their variant attributes) for kodan-trace; diffing a float
+// stages with their variant attributes) for kodan-inspect trace; diffing a float
 // run against a -quantized run attributes the speedup per phase.
 package main
 
@@ -28,6 +28,7 @@ import (
 
 	"kodan"
 	"kodan/internal/telemetry"
+	"kodan/internal/telemetry/analyze"
 )
 
 func main() {
@@ -95,7 +96,7 @@ func main() {
 		if werr := telemetry.WriteTraceFile(tracer, *traceFile); werr != nil {
 			log.Fatal(werr)
 		}
-		fmt.Fprint(os.Stderr, telemetry.Summarize(tracer, 10).Render())
+		fmt.Fprint(os.Stderr, analyze.RenderTracer(tracer, 10))
 	}
 
 	d := mission.Deployment(target)

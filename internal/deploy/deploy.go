@@ -60,9 +60,8 @@ func (f FrameOutcome) Chunks() []value.Chunk {
 }
 
 // Classifier assigns a context to each tile at runtime. The trained
-// context engine (ctxengine.Set) is the standard implementation; the
-// position-based expert classifier (geomap.PositionClassifier) is the
-// paper's map-projection alternative.
+// context engine (ctxengine.Set) is the implementation; it serves both
+// expert contexts (Source: ctxengine.Expert) and automatic ones.
 type Classifier interface {
 	// Classify returns the tile's context in [0, Contexts()).
 	Classify(t *imagery.Tile) int

@@ -8,7 +8,6 @@ import (
 	"kodan/internal/app"
 	"kodan/internal/ctxengine"
 	"kodan/internal/dataset"
-	"kodan/internal/geomap"
 	"kodan/internal/hw"
 	"kodan/internal/imagery"
 	"kodan/internal/policy"
@@ -248,31 +247,5 @@ func TestDeploymentEmptyOutcomes(t *testing.T) {
 	led := d.Ledger(nil)
 	if led.DownlinkedBits != 0 || led.CapacityBits != 50 {
 		t.Fatalf("empty ledger = %+v", led)
-	}
-}
-
-// The position-based expert classifier must satisfy the runtime interface
-// and drive the runtime end to end.
-var _ Classifier = geomap.PositionClassifier{}
-
-func TestRuntimeWithPositionClassifier(t *testing.T) {
-	f := buildFixture(t)
-	m, err := geomap.Build(imagery.NewWorld(2023), 360)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := *f.runtime
-	rt.Engine = geomap.PositionClassifier{Map: m}
-	// Geography classes (5) may exceed the logic's context count; the
-	// runtime falls back to filtering for unknown contexts, so just check
-	// it runs and produces sane chunks.
-	out := rt.ProcessFrame(f.frames[0], xrand.New(9))
-	if len(out.Tiles) != 9 {
-		t.Fatalf("tiles = %d", len(out.Tiles))
-	}
-	for _, to := range out.Tiles {
-		if to.Chunk.ValueBits > to.Chunk.Bits+1e-12 {
-			t.Fatal("value exceeds bits")
-		}
 	}
 }

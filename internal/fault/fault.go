@@ -10,13 +10,15 @@
 //     seeded xrand stream (identical seed ⇒ identical schedule, on every
 //     platform) or loaded from JSON.
 //   - An Injector is a queryable, read-only view over a schedule that the
-//     simulator, link allocator, and fleet evaluator consult. It rides a
-//     context, mirroring the telemetry.Probe pattern: nil is the no-op,
-//     and instrumented layers are byte-identical with no injector
-//     attached.
-//   - A Chaos striker injects latency and transient errors into the
-//     serving path, driving the server's retry and circuit-breaker
-//     machinery (see internal/server).
+//     simulator and link allocator consult. It rides a context, mirroring
+//     the telemetry.Probe pattern: nil is the no-op, and instrumented
+//     layers are byte-identical with no injector attached.
+//
+// ComputeThrottle windows are generated, validated and journaled like
+// every other kind, but no layer reads them: the simulator models no
+// onboard compute time, so a throttle changes no capture, contact or
+// downlink. The kind stays because removing it would move every
+// generated schedule, journal and digest that draws one.
 //
 // Like telemetry, fault injection is observe-and-perturb only in declared
 // ways: a nil injector changes nothing, and an injector's effect is a pure
@@ -50,7 +52,7 @@ const (
 	LinkFade Kind = "link_fade"
 	// ComputeThrottle slows a satellite's compute: Severity is the
 	// slowdown factor (2 means tiles take twice as long). Target is the
-	// satellite index.
+	// satellite index. No layer reads it yet (see the package doc).
 	ComputeThrottle Kind = "compute_throttle"
 	// SensorDropout blinds a satellite's imager: captures inside the
 	// window are lost. Target is the satellite index.

@@ -69,19 +69,6 @@ func (inj *Injector) AllWindows() []Window {
 	return out
 }
 
-// StationDown reports whether the named station is inside an outage at t.
-func (inj *Injector) StationDown(station string, t time.Time) bool {
-	if inj == nil {
-		return false
-	}
-	for _, w := range inj.byStation[station] {
-		if w.Kind == StationOutage && w.Contains(t) {
-			return true
-		}
-	}
-	return false
-}
-
 // StationCuts returns the outage windows of the named station, plus the
 // reset windows of satellite sat — the intervals during which the
 // (station, sat) pair cannot communicate. Nil when no cuts apply.
@@ -153,112 +140,13 @@ func (inj *Injector) SensorDown(sat int, t time.Time) bool {
 	return false
 }
 
-// SatDown reports whether satellite sat is inside a safe-mode reset at t.
-func (inj *Injector) SatDown(sat int, t time.Time) bool {
-	if inj == nil {
-		return false
-	}
-	for _, w := range inj.bySat[sat] {
-		if w.Kind == SatelliteReset && w.Contains(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// ThrottleFactor returns satellite sat's compute slowdown at t: 1.0
-// nominal; inside overlapping throttle windows the largest factor wins.
-func (inj *Injector) ThrottleFactor(sat int, t time.Time) float64 {
-	if inj == nil {
-		return 1
-	}
-	f := 1.0
-	for _, w := range inj.bySat[sat] {
-		if w.Kind == ComputeThrottle && w.Contains(t) && w.Severity > f {
-			f = w.Severity
-		}
-	}
-	return f
-}
-
-// MaxThrottle returns the largest compute-throttle factor satellite sat
-// sees anywhere in its schedule (1.0 when none): the conservative
-// deployment-planning number.
-func (inj *Injector) MaxThrottle(sat int) float64 {
-	if inj == nil {
-		return 1
-	}
-	f := 1.0
-	for _, w := range inj.bySat[sat] {
-		if w.Kind == ComputeThrottle && w.Severity > f {
-			f = w.Severity
-		}
-	}
-	return f
-}
-
-// ThrottleTimeFactor returns satellite sat's time-weighted mean compute
-// slowdown over [start, start+span): 1.0 when never throttled, rising
-// toward the window factors as throttled time grows. Overlapping windows
-// add their excess slowdowns (a conservative upper bound).
-func (inj *Injector) ThrottleTimeFactor(sat int, start time.Time, span time.Duration) float64 {
-	if inj == nil || span <= 0 {
-		return 1
-	}
-	end := start.Add(span)
-	excess := 0.0
-	for _, w := range inj.bySat[sat] {
-		if w.Kind != ComputeThrottle {
-			continue
-		}
-		s, e := w.Start, w.End
-		if s.Before(start) {
-			s = start
-		}
-		if e.After(end) {
-			e = end
-		}
-		if e.After(s) {
-			excess += (w.Severity - 1) * float64(e.Sub(s))
-		}
-	}
-	return 1 + excess/float64(span)
-}
-
-// DownFrac returns the fraction of [start, start+span) that satellite sat
-// spends in safe-mode reset, clamped to [0, 1].
-func (inj *Injector) DownFrac(sat int, start time.Time, span time.Duration) float64 {
-	if inj == nil || span <= 0 {
-		return 0
-	}
-	end := start.Add(span)
-	var down time.Duration
-	for _, w := range inj.bySat[sat] {
-		if w.Kind != SatelliteReset {
-			continue
-		}
-		s, e := w.Start, w.End
-		if s.Before(start) {
-			s = start
-		}
-		if e.After(end) {
-			e = end
-		}
-		if e.After(s) {
-			down += e.Sub(s)
-		}
-	}
-	f := float64(down) / float64(span)
-	return math.Min(f, 1)
-}
-
 type ctxKey int
 
 const injectorKey ctxKey = iota
 
 // WithInjector attaches an injector to the context. The instrumented
-// layers below — the simulator, the link allocator, the fleet evaluator —
-// pick it up with InjectorFrom.
+// layers below — the simulator and the link allocator — pick it up with
+// InjectorFrom.
 func WithInjector(ctx context.Context, inj *Injector) context.Context {
 	if inj == nil {
 		return ctx

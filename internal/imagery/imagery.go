@@ -274,12 +274,6 @@ func (w *World) geoAt(lon, lat float64) GeoClass {
 	return Forest
 }
 
-// GeoClassAt returns the geography class at a world coordinate — the
-// basis for position-derived expert contexts (internal/geomap).
-func (w *World) GeoClassAt(lonDeg, latDeg float64) GeoClass {
-	return w.geoAt(lonDeg, latDeg)
-}
-
 // cloudNoiseAt returns the raw weather field in [0, 1].
 func (w *World) cloudNoiseAt(lon, lat float64) float64 {
 	return fbm(lon/weatherScale, lat/weatherScale, w.seed^0x57086, 4)

@@ -14,7 +14,6 @@ import (
 
 	"kodan"
 	"kodan/internal/admission"
-	"kodan/internal/fault"
 	"kodan/internal/planner"
 	"kodan/internal/sim"
 	"kodan/internal/telemetry"
@@ -154,11 +153,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrBreakerOpen):
 		w.Header().Set("Retry-After", s.retryAfter(s.breaker.Cooldown()))
 		writeJSONError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.Is(err, fault.ErrInjected):
-		// Transient failures survived the retry budget: the client may
-		// try again shortly.
-		w.Header().Set("Retry-After", s.retryAfter(time.Second))
-		writeJSONError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		writeJSONError(w, http.StatusGatewayTimeout, "deadline exceeded")
 	case errors.Is(err, context.Canceled):
@@ -268,7 +262,7 @@ func (s *Server) mission(ctx context.Context, days, sats int) (kodan.Mission, er
 	}
 	key := fmt.Sprintf("sim|%d|%d", days, sats)
 	v, _, err := s.cache.Do(ctx, key, func(cctx context.Context) (interface{}, error) {
-		cfg := sim.Landsat8Config(s.cfg.SimEpoch, time.Duration(days)*24*time.Hour, sats)
+		cfg := sim.Landsat8Config(simEpoch, time.Duration(days)*24*time.Hour, sats)
 		res, err := sim.RunCtx(cctx, cfg)
 		if err != nil {
 			return nil, err
@@ -278,7 +272,7 @@ func (s *Server) mission(ctx context.Context, days, sats int) (kodan.Mission, er
 			return nil, fmt.Errorf("simulation observed no frames")
 		}
 		return kodan.Mission{
-			Epoch:            s.cfg.SimEpoch,
+			Epoch:            simEpoch,
 			FrameDeadline:    cfg.Grid.FramePeriod(cfg.BaseOrbit),
 			FramesPerDay:     observed / float64(days),
 			CapacityFrac:     res.FrameCapacity() / observed,

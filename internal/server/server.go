@@ -41,7 +41,6 @@ import (
 
 	"kodan"
 	"kodan/internal/admission"
-	"kodan/internal/fault"
 	"kodan/internal/telemetry"
 	"kodan/internal/xrand"
 )
@@ -67,21 +66,12 @@ type Config struct {
 	// Timeout is the per-request ceiling for the expensive endpoints
 	// (default 120s). A request's own timeoutMs may shorten it.
 	Timeout time.Duration
-	// MetricsWindow is the per-route latency reservoir size (default 512).
-	MetricsWindow int
 	// TransformConfig maps a seed to the transformation sizing (default
 	// kodan.DefaultTransformConfig).
 	TransformConfig func(seed uint64) kodan.TransformConfig
 	// NewSystem and Transform override the underlying pipeline (tests).
 	NewSystem NewSystemFunc
 	Transform TransformFunc
-	// SimEpoch anchors the orbital simulation (default 2023-03-25 UTC,
-	// the reproduction's reference epoch); fixing it keeps every
-	// response deterministic for a given request.
-	SimEpoch time.Time
-	// Logf, when set, receives one line per served request. Superseded by
-	// Logger; kept for callers that only want printf-style lines.
-	Logf func(format string, args ...interface{})
 	// Logger, when set, receives structured request logs (one record per
 	// served request, carrying the request ID) and lifecycle events, and
 	// is threaded through request contexts so the layers below can log
@@ -91,23 +81,6 @@ type Config struct {
 	// transform, and simulation spans underneath, each annotated with the
 	// request ID that triggered the work.
 	Tracer *telemetry.Tracer
-	// Chaos, when set, injects seeded latency and transient failures into
-	// the transform path for resilience testing (see internal/fault).
-	Chaos *fault.Chaos
-	// RetryAttempts bounds total transform attempts when a transient
-	// (injected) failure occurs: 0 means the default of 3, negative
-	// disables retry.
-	RetryAttempts int
-	// RetryBackoff is the delay before the first retry, doubling each
-	// attempt (default 50ms).
-	RetryBackoff time.Duration
-	// BreakerThreshold is how many consecutive transform failures open
-	// the circuit breaker: 0 means the default of 5, negative disables
-	// the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects requests before
-	// admitting a half-open probe (default 5s).
-	BreakerCooldown time.Duration
 	// CacheEntries bounds completed cache entries, evicting the
 	// least-recently-used beyond it (default 1024; negative means
 	// unbounded). In-flight computations never count against it.
@@ -122,17 +95,12 @@ type Config struct {
 	// each): a weight-3 tenant gets 3x the grants of a weight-1 tenant when
 	// both queue, and neither can starve the other.
 	TenantWeights map[string]float64
-	// MaxTenants bounds distinct tenant state — buckets, fair queues,
-	// per-tenant metrics (default admission.DefaultMaxTenants); surplus
-	// tenants share one overflow identity.
-	MaxTenants int
 	// RetryAfterJitterMax adds a seeded random 0..N seconds to every
 	// Retry-After header, desynchronizing client retry herds (default 0:
-	// no jitter, exact headers — tests rely on that).
+	// no jitter, exact headers — tests rely on that). The jitter stream
+	// is seeded from Seed, so a seeded server emits a reproducible
+	// sequence.
 	RetryAfterJitterMax int
-	// JitterSeed seeds the Retry-After jitter stream (default Seed), so a
-	// seeded server emits a reproducible jitter sequence.
-	JitterSeed uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -156,18 +124,6 @@ func (c Config) withDefaults() Config {
 			return sys.TransformVariantCtx(ctx, appIndex, quantized)
 		}
 	}
-	if c.SimEpoch.IsZero() {
-		c.SimEpoch = time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
 	switch {
 	case c.CacheEntries == 0:
 		c.CacheEntries = 1024
@@ -176,9 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfterJitterMax < 0 {
 		c.RetryAfterJitterMax = 0
-	}
-	if c.JitterSeed == 0 {
-		c.JitterSeed = c.Seed
 	}
 	return c
 }
@@ -239,10 +192,27 @@ const (
 	maxHeaderBytes = 64 << 10
 )
 
+// Fixed serving parameters: no binary sizes these, so they are constants
+// rather than Config fields.
+const (
+	// metricsWindow is the per-route latency reservoir size.
+	metricsWindow = 512
+	// breakerThreshold consecutive transform failures open the circuit
+	// breaker; an open breaker rejects requests for breakerCooldown
+	// before admitting a half-open probe.
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Second
+)
+
+// simEpoch anchors the orbital simulation at the reproduction's
+// reference epoch (2023-03-25 UTC); fixing it keeps every response
+// deterministic for a given request.
+var simEpoch = time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
+
 // New builds a server from the configuration.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	metrics := NewMetrics(cfg.MetricsWindow, nil)
+	metrics := NewMetrics(metricsWindow, nil)
 	probe := telemetry.Probe{Metrics: metrics.Registry(), Trace: cfg.Tracer}
 	logger := cfg.Logger
 	if logger == nil {
@@ -264,23 +234,20 @@ func New(cfg Config) *Server {
 			Workers:    cfg.Workers,
 			QueueDepth: cfg.QueueDepth,
 			Weights:    cfg.TenantWeights,
-			MaxTenants: cfg.MaxTenants,
 		}),
 		limiter: admission.NewLimiter(admission.LimiterOptions{
-			Rate:       cfg.TenantRate,
-			Burst:      cfg.TenantBurst,
-			MaxTenants: cfg.MaxTenants,
+			Rate:  cfg.TenantRate,
+			Burst: cfg.TenantBurst,
 		}),
-		tenants: admission.NewTenantMetrics(metrics.Registry().Scope("server.tenant"), cfg.MaxTenants),
-		jitter:  &jitterSource{rng: xrand.New(cfg.JitterSeed), max: cfg.RetryAfterJitterMax},
+		tenants: admission.NewTenantMetrics(metrics.Registry().Scope("server.tenant"), admission.DefaultMaxTenants),
+		jitter:  &jitterSource{rng: xrand.New(cfg.Seed), max: cfg.RetryAfterJitterMax},
 		metrics: metrics,
 		probe:   probe,
 		logger:  logger,
-		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breaker: NewBreaker(breakerThreshold, breakerCooldown),
 	}
-	// Every transform goes through the resilience wrapper: chaos strikes
-	// (when configured), bounded retry for transient failures, and the
-	// circuit breaker. Pass-through in the default configuration.
+	// Every transform goes through the circuit breaker, which is
+	// pass-through while the pipeline is healthy.
 	s.cfg.Transform = s.resilientTransform(cfg.Transform)
 	s.handler = s.routes()
 	s.httpSrv = NewHTTPServer(s.handler)
@@ -457,9 +424,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 				slog.Int("status", sw.status),
 				slog.Int64("durMs", d.Milliseconds()),
 			)
-			if s.cfg.Logf != nil {
-				s.cfg.Logf("%s %s -> %d in %v", r.Method, r.URL.Path, sw.status, d.Round(time.Millisecond))
-			}
 		}()
 		h(sw, r)
 	})

@@ -159,6 +159,16 @@ func TestPlanSingleFlight(t *testing.T) {
 func TestClientTimeoutCancelsWorker(t *testing.T) {
 	observed := make(chan struct{})
 	cfg := testConfig()
+	// Build the workspace before the request starts, so the 150ms budget
+	// covers only the stubbed transform: a system built inside the
+	// budget can outlast it under -race, and the transform never runs.
+	sys, err := kodan.NewSystemCtx(t.Context(), tinyTransformConfig(cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.NewSystem = func(context.Context, kodan.TransformConfig) (*kodan.System, error) {
+		return sys, nil
+	}
 	cfg.Transform = func(ctx context.Context, _ *kodan.System, _ int, _ bool) (*kodan.Application, error) {
 		<-ctx.Done() // simulate a long training loop hitting its ctx check
 		close(observed)

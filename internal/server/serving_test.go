@@ -257,8 +257,97 @@ func TestTenantAdmissionTokenBucket(t *testing.T) {
 	}
 }
 
+// TestAdmissionBalancesPerTenant: under concurrent streams of
+// admission-gated POSTs from several tenants — within-burst requests that
+// succeed or fail decoding (oversized and trailing-data bodies), then
+// token-bucket rejections — every request a tenant sends is counted
+// exactly once, as admitted or rejected.
+func TestAdmissionBalancesPerTenant(t *testing.T) {
+	cfg := testConfig()
+	cfg.Workers = 4
+	cfg.QueueDepth = 32
+	cfg.TenantRate = 0.001 // trickle refill: effectively burst-only
+	cfg.TenantBurst = 6
+	cfg.NewSystem, cfg.Transform = stubPipeline(t, nil)
+	s := New(cfg)
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// The first six requests spend the burst, so each passes the gate and
+	// meets the handler's decoder; the rest are token-bucket rejections.
+	type call struct {
+		path, body string
+		want       int
+	}
+	stream := []call{
+		{"/v1/transform", transformBody(7, 1), http.StatusOK},
+		{"/v1/plan", planBody(1), http.StatusOK},
+		{"/v1/transform", `{"app":1} {"app":2}`, http.StatusBadRequest},
+		{"/v1/plan", `{"app":1}}`, http.StatusBadRequest},
+		{"/v1/simulate", `{"app":1,"mode":"warp"}`, http.StatusBadRequest},
+		{"/v1/transform", `{"app":1,"target":"` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+	}
+	burst := len(stream)
+	for i := 0; i < 7; i++ {
+		// Cycle the small bodies only: a rejected request's body is never
+		// read, so an oversized one could break the client's write.
+		c := stream[i%(burst-1)]
+		stream = append(stream, call{c.path, c.body, http.StatusTooManyRequests})
+	}
+
+	tenants := []string{"alpha", "beta", "gamma", ""} // "" sends no header: anon
+	var wg sync.WaitGroup
+	for _, tenant := range tenants {
+		wg.Add(1)
+		go func(tenant string) {
+			defer wg.Done()
+			for i, c := range stream {
+				req, err := http.NewRequest(http.MethodPost, ts.URL+c.path, strings.NewReader(c.body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if tenant != "" {
+					req.Header.Set(TenantHeader, tenant)
+				}
+				resp, err := ts.Client().Do(req)
+				if err != nil {
+					t.Errorf("tenant %q request %d: %v", tenant, i, err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != c.want {
+					t.Errorf("tenant %q request %d (%s): status %d, want %d", tenant, i, c.path, resp.StatusCode, c.want)
+				}
+			}
+		}(tenant)
+	}
+	wg.Wait()
+
+	reg := s.Registry()
+	for _, tenant := range tenants {
+		if tenant == "" {
+			tenant = DefaultTenant
+		}
+		prefix := "server.tenant." + tenant + "."
+		requests := reg.Counter(prefix + "requests").Load()
+		admitted := reg.Counter(prefix + "admitted").Load()
+		rejected := reg.Counter(prefix + "rejected").Load()
+		if requests != int64(len(stream)) {
+			t.Errorf("%s: requests = %d, want %d", tenant, requests, len(stream))
+		}
+		if admitted+rejected != requests {
+			t.Errorf("%s: admitted %d + rejected %d != requests %d", tenant, admitted, rejected, requests)
+		}
+		if admitted != int64(burst) || rejected != int64(len(stream)-burst) {
+			t.Errorf("%s: admitted/rejected = %d/%d, want %d/%d", tenant, admitted, rejected, burst, len(stream)-burst)
+		}
+	}
+}
+
 // TestRetryAfterJitterDeterministic pins the jitter satellite: two
-// servers with the same JitterSeed emit the same Retry-After sequence
+// servers with the same Seed (which seeds the jitter stream) emit the same Retry-After sequence
 // under sequential saturation rejections, values within [1, 1+max].
 func TestRetryAfterJitterDeterministic(t *testing.T) {
 	sequence := func() []string {
@@ -268,7 +357,7 @@ func TestRetryAfterJitterDeterministic(t *testing.T) {
 		cfg.Workers = 1
 		cfg.QueueDepth = 1
 		cfg.RetryAfterJitterMax = 3
-		cfg.JitterSeed = 42
+		cfg.Seed = 42
 		newSystem, transform := stubPipeline(t, nil)
 		cfg.Transform = transform
 		cfg.NewSystem = func(ctx context.Context, c kodan.TransformConfig) (*kodan.System, error) {

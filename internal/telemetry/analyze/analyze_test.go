@@ -151,17 +151,19 @@ func TestOrphanEnds(t *testing.T) {
 	}
 }
 
-// TestDroppedSpanAccounting: a cap-limited tracer must report its drops
-// through Summarize, and the surviving JSONL must still parse with the
-// truncation visible as unfinished spans.
+// TestDroppedSpanAccounting: a cap-limited tracer's digest must report
+// its drops, and the surviving JSONL must still parse with the truncation
+// visible as unfinished spans.
 func TestDroppedSpanAccounting(t *testing.T) {
 	tr := telemetry.NewTracer(3)
 	for i := 0; i < 5; i++ {
 		tr.Begin("burst").End()
 	}
-	sum := telemetry.Summarize(tr, 0)
-	if sum.Dropped != 7 { // 10 events total, 3 stored
-		t.Fatalf("Dropped = %d, want 7", sum.Dropped)
+	if got := tr.Dropped(); got != 7 { // 10 events total, 3 stored
+		t.Fatalf("Dropped = %d, want 7", got)
+	}
+	if got := RenderTracer(tr, 0); !strings.Contains(got, "events dropped at buffer cap: 7\n") {
+		t.Errorf("digest does not report the drop count:\n%s", got)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
@@ -174,6 +176,86 @@ func TestDroppedSpanAccounting(t *testing.T) {
 	// Stored events: b1, e1, b2 — one finished span, one unfinished.
 	if len(trace.Spans) != 1 || len(trace.Unfinished) != 1 {
 		t.Fatalf("spans=%d unfinished=%v, want 1 finished + 1 unfinished", len(trace.Spans), trace.Unfinished)
+	}
+}
+
+// TestRenderTracer: the exit digest of a live tracer is RenderSummary over
+// its events — phases, slowest spans capped at topK — with no drop line
+// when nothing was dropped, and a nil tracer digests to an empty trace.
+func TestRenderTracer(t *testing.T) {
+	tr := telemetry.NewTracer(0)
+	for i := 0; i < 3; i++ {
+		tr.Begin("fast").End()
+	}
+	slow := tr.Begin("slow")
+	slow.Child("nested").End()
+	slow.Child("nested").End()
+	time.Sleep(time.Millisecond)
+	slow.End()
+
+	trace, err := Build(tr.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := RenderTracer(tr, 2)
+	if want := trace.RenderSummary(2); got != want {
+		t.Fatalf("RenderTracer differs from RenderSummary:\n%s\nwant:\n%s", got, want)
+	}
+	for _, want := range []string{"trace: 12 events, 6 spans, 4 roots", "slow", "fast", "nested", "top 2 slowest spans:\n  slow "} {
+		if !strings.Contains(got, want) {
+			t.Errorf("digest missing %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "dropped") {
+		t.Errorf("digest mentions drops with none dropped:\n%s", got)
+	}
+	if got := RenderTracer(nil, 0); got != "trace: 0 events, 0 spans, 0 roots\n" {
+		t.Errorf("nil tracer digest = %q", got)
+	}
+}
+
+// TestTracerSpansPairUp: spans a live tracer records reassemble into
+// parent-linked spans; a span still open at export is omitted from Spans
+// and listed as unfinished, and ending a parent before its child (workers
+// may outlive the spawning span) still pairs both up.
+func TestTracerSpansPairUp(t *testing.T) {
+	tr := telemetry.NewTracer(0)
+	open := tr.Begin("still-open")
+	open.Child("closed").End()
+	parent := tr.Begin("parent")
+	child := parent.Child("child")
+	parent.End() // out of order: parent first
+	child.End()
+
+	trace, err := Build(tr.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]*Span{}
+	for _, sp := range trace.Spans {
+		byName[sp.Name] = sp
+	}
+	if len(trace.Spans) != 3 || byName["still-open"] != nil {
+		t.Fatalf("spans = %d (%v), want closed, parent, child", len(trace.Spans), byName)
+	}
+	if len(trace.Unfinished) != 1 || trace.Unfinished[0] != "still-open" {
+		t.Fatalf("unfinished = %v, want [still-open]", trace.Unfinished)
+	}
+	p, c := byName["parent"], byName["child"]
+	if c.Parent != p.ID || len(p.Children) != 1 || p.Children[0] != c {
+		t.Fatal("out-of-order end broke parent linkage")
+	}
+	if c.EndNs < p.EndNs {
+		t.Errorf("child end %d before parent end %d, want child to outlive parent", c.EndNs, p.EndNs)
+	}
+	// The closed child of the unfinished span has no finished parent, so
+	// it roots.
+	rooted := false
+	for _, r := range trace.Roots {
+		rooted = rooted || r == byName["closed"]
+	}
+	if !rooted {
+		t.Error("child of an unfinished span is not a root")
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"kodan/internal/telemetry"
 )
 
 // RenderSummary formats the per-phase digest of one trace: span/event
@@ -54,6 +56,21 @@ func (t *Trace) RenderSummary(topK int) string {
 		}
 	}
 	return b.String()
+}
+
+// RenderTracer digests a live tracer the way the CLIs print it at exit:
+// RenderSummary(topK) over its recorded events, then the number of events
+// the tracer's buffer cap discarded, when there were any.
+func RenderTracer(tr *telemetry.Tracer, topK int) string {
+	t, err := Build(tr.Events())
+	if err != nil {
+		return fmt.Sprintf("trace: %v\n", err)
+	}
+	out := t.RenderSummary(topK)
+	if n := tr.Dropped(); n > 0 {
+		out += fmt.Sprintf("events dropped at buffer cap: %d\n", n)
+	}
+	return out
 }
 
 // RenderShape formats only the trace's shape: one "name count" line per

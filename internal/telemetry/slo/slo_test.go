@@ -8,9 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"kodan/internal/fault"
 	"kodan/internal/telemetry"
 	"kodan/internal/telemetry/recorder"
+	"kodan/internal/xrand"
 )
 
 func errObjective() Objective {
@@ -58,8 +58,8 @@ func TestObjectiveValidate(t *testing.T) {
 }
 
 // TestChaosSweepOkPageOk is the acceptance test for the SLO state
-// machine: a seeded fault.Chaos intensity sweep (clean → moderate →
-// outage → clean) must drive the transform-errors objective ok → warn →
+// machine: a seeded fault-intensity sweep (clean → moderate → outage →
+// clean) must drive the transform-errors objective ok → warn →
 // page → ok, with state visible in the scope's metrics the whole way.
 func TestChaosSweepOkPageOk(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -75,7 +75,7 @@ func TestChaosSweepOkPageOk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The sweep: per-phase fault intensity scaling the chaos error rate.
+	// The sweep: per-phase fault intensity scaling a seeded error rate.
 	// Moderate intensity burns ~4x budget (warn band: [2, 8)); full
 	// intensity burns ~80x (page); clean phases burn nothing.
 	phases := []struct {
@@ -96,11 +96,12 @@ func TestChaosSweepOkPageOk(t *testing.T) {
 		}
 	}
 	for pi, ph := range phases {
-		chaos := fault.NewChaos(42+uint64(pi), 0.8*ph.intensity, 0, 0)
+		rng := xrand.New(42 + uint64(pi))
+		p := 0.8 * ph.intensity
 		for tick := 0; tick < ph.ticks; tick++ {
 			for i := 0; i < requestsPerTick; i++ {
 				started.Inc()
-				if chaos.Next().Fail {
+				if p > 0 && rng.Bool(p) {
 					failed.Inc()
 				}
 			}

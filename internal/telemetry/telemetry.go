@@ -22,9 +22,7 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -522,26 +520,4 @@ func (r *Registry) State() RegistryState {
 		}
 	}
 	return st
-}
-
-// Render formats the snapshot as sorted "name value" lines for logs and
-// CLI summaries.
-func (s RegistrySnapshot) Render() string {
-	var lines []string
-	for name, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("counter   %-40s %d", name, v))
-	}
-	for name, g := range s.Gauges {
-		lines = append(lines, fmt.Sprintf("gauge     %-40s %d (max %d)", name, g.Value, g.Max))
-	}
-	for name, h := range s.Histograms {
-		lines = append(lines, fmt.Sprintf("histogram %-40s n=%d mean=%.6g p50<=%.6g p99<=%.6g max=%.6g",
-			name, h.Count, h.Mean, h.P50, h.P99, h.Max))
-	}
-	sort.Strings(lines)
-	out := ""
-	for _, l := range lines {
-		out += l + "\n"
-	}
-	return out
 }

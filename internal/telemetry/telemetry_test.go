@@ -58,7 +58,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	sp.End()
 	sp.End() // double-End on nil is fine too
-	if tr.Events() != nil || tr.Spans() != nil || tr.Dropped() != 0 {
+	if tr.Events() != nil || tr.Dropped() != 0 {
 		t.Fatal("nil tracer must report nothing")
 	}
 	if err := tr.WriteJSONL(&strings.Builder{}); err != nil {
@@ -170,9 +170,6 @@ func TestScopePrefix(t *testing.T) {
 	if snap.Counters["sim.frames"] != 7 {
 		t.Fatalf("snapshot missing scoped counter: %+v", snap.Counters)
 	}
-	if !strings.Contains(snap.Render(), "sim.frames") {
-		t.Fatal("Render must include metric names")
-	}
 }
 
 func TestSnapshotJSONDeterministic(t *testing.T) {
@@ -221,16 +218,16 @@ func TestProbeContext(t *testing.T) {
 	_, child := StartSpan(ctx, "child")
 	child.End()
 	root.End()
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(spans))
+	events := tr.Events()
+	if len(events) != 4 {
+		t.Fatalf("events = %d, want 4", len(events))
 	}
-	byName := map[string]SpanRecord{}
-	for _, s := range spans {
-		byName[s.Name] = s
+	rootBegin, childBegin := events[0], events[1]
+	if rootBegin.Name != "root" || childBegin.Name != "child" {
+		t.Fatalf("begin order = %q, %q; want root, child", rootBegin.Name, childBegin.Name)
 	}
-	if byName["child"].Parent != byName["root"].ID {
-		t.Fatalf("child parent = %d, want root id %d", byName["child"].Parent, byName["root"].ID)
+	if childBegin.Parent != rootBegin.ID {
+		t.Fatalf("child parent = %d, want root id %d", childBegin.Parent, rootBegin.ID)
 	}
 }
 

@@ -190,44 +190,3 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// SpanRecord is one completed span, reassembled from its begin/end pair.
-type SpanRecord struct {
-	ID     int64
-	Parent int64
-	Name   string
-	Start  time.Time
-	Dur    time.Duration
-	Attrs  map[string]string
-}
-
-// Spans pairs begin/end events into completed spans, in begin order.
-// Spans still open (or whose end event was dropped by the cap) are
-// omitted.
-func (t *Tracer) Spans() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	events := t.Events()
-	open := make(map[int64]int, len(events)/2) // span id -> index into out
-	out := make([]SpanRecord, 0, len(events)/2)
-	for _, e := range events {
-		switch e.Ev {
-		case "b":
-			open[e.ID] = len(out)
-			out = append(out, SpanRecord{ID: e.ID, Parent: e.Parent, Name: e.Name, Start: time.Unix(0, e.WallNs), Dur: -1})
-		case "e":
-			if i, ok := open[e.ID]; ok {
-				out[i].Dur = time.Duration(e.WallNs - out[i].Start.UnixNano())
-				out[i].Attrs = e.Attrs
-			}
-		}
-	}
-	complete := out[:0]
-	for _, r := range out {
-		if r.Dur >= 0 {
-			complete = append(complete, r)
-		}
-	}
-	return complete
-}

@@ -51,14 +51,8 @@ func TestTracerBeginEnd(t *testing.T) {
 		t.Fatalf("root end must carry sim stamps: %+v", events[3])
 	}
 
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(spans))
-	}
-	for _, s := range spans {
-		if s.Dur <= 0 {
-			t.Fatalf("span %q has non-positive duration %v", s.Name, s.Dur)
-		}
+	if events[2].WallNs <= events[1].WallNs || events[3].WallNs <= events[0].WallNs {
+		t.Fatalf("ends must be stamped after their begins: %+v", events)
 	}
 }
 
@@ -154,45 +148,9 @@ func TestTracerCapDrops(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	tr := NewTracer(0)
-	tr.clock = fixedClock()
-	for i := 0; i < 3; i++ {
-		tr.Begin("fast").End()
-	}
-	slow := tr.Begin("slow")
-	// Each child advances the fixed clock, so slow outlasts the fast total.
-	slow.Child("nested").End()
-	slow.Child("nested").End()
-	slow.End()
-
-	sum := Summarize(tr, 2)
-	if sum.Spans != 6 {
-		t.Fatalf("spans = %d, want 6", sum.Spans)
-	}
-	if sum.Phases[0].Name != "slow" {
-		t.Fatalf("heaviest phase = %q, want slow", sum.Phases[0].Name)
-	}
-	if len(sum.Slowest) != 2 || sum.Slowest[0].Name != "slow" {
-		t.Fatalf("slowest = %+v, want slow first, capped at 2", sum.Slowest)
-	}
-	out := sum.Render()
-	for _, want := range []string{"trace summary: 6 spans", "slow", "fast", "top 2 slowest"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Render missing %q:\n%s", want, out)
-		}
-	}
-	// A summary over a nil tracer is empty but safe.
-	empty := Summarize(nil, 0)
-	if empty.Spans != 0 || len(empty.Phases) != 0 {
-		t.Fatalf("nil tracer summary = %+v, want empty", empty)
-	}
-	_ = empty.Render()
-}
-
 // TestWriteJSONLWithUnfinishedSpans: spans still open at export time
 // appear as begin events without a matching end — the analyzer reports
-// them as unfinished — and Spans() omits them.
+// them as unfinished.
 func TestWriteJSONLWithUnfinishedSpans(t *testing.T) {
 	tr := NewTracer(0)
 	tr.clock = fixedClock()
@@ -224,14 +182,14 @@ func TestWriteJSONLWithUnfinishedSpans(t *testing.T) {
 	if ends[open.id] {
 		t.Error("unfinished span has an end event")
 	}
-	spans := tr.Spans()
-	if len(spans) != 1 || spans[0].Name != "closed" {
-		t.Fatalf("Spans() = %+v, want only the closed child", spans)
+	if !ends[done.id] {
+		t.Error("finished child has no end event")
 	}
 }
 
 // TestOutOfOrderEnd: ending a parent before its child is legal (workers
-// may outlive the spawning span); both spans still pair up.
+// may outlive the spawning span); both spans still record a parent-linked
+// begin/end pair, the child's end after the parent's.
 func TestOutOfOrderEnd(t *testing.T) {
 	tr := NewTracer(0)
 	tr.clock = fixedClock()
@@ -240,38 +198,18 @@ func TestOutOfOrderEnd(t *testing.T) {
 	parent.End() // out of order: parent first
 	child.End()
 
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("Spans() = %d, want 2", len(spans))
+	events := tr.Events()
+	if len(events) != 4 {
+		t.Fatalf("events = %d, want 4", len(events))
 	}
-	byName := map[string]SpanRecord{}
-	for _, s := range spans {
-		byName[s.Name] = s
-	}
-	if byName["child"].Parent != byName["parent"].ID {
+	pb, cb, pe, ce := events[0], events[1], events[2], events[3]
+	if cb.Parent != pb.ID {
 		t.Error("out-of-order end broke parent linkage")
 	}
-	if byName["child"].Dur < byName["parent"].Dur {
-		t.Errorf("child (%v) should outlive parent (%v) here", byName["child"].Dur, byName["parent"].Dur)
+	if pe.Ev != "e" || pe.ID != pb.ID || ce.Ev != "e" || ce.ID != cb.ID {
+		t.Fatalf("end events = %+v, %+v; want parent's end then child's", pe, ce)
 	}
-}
-
-// TestSummarizeDroppedAccounting: Summarize must surface the cap's
-// dropped-event count and digest only the spans that survived.
-func TestSummarizeDroppedAccounting(t *testing.T) {
-	tr := NewTracer(4)
-	tr.clock = fixedClock()
-	for i := 0; i < 8; i++ {
-		tr.Begin("burst").End()
-	}
-	sum := Summarize(tr, 0)
-	if sum.Dropped != 12 { // 16 events, 4 stored
-		t.Fatalf("Dropped = %d, want 12", sum.Dropped)
-	}
-	if sum.Spans != 2 { // b1,e1,b2,e2 stored
-		t.Fatalf("Spans = %d, want 2", sum.Spans)
-	}
-	if got := sum.Render(); !strings.Contains(got, "12 events dropped") {
-		t.Errorf("Render() does not mention the drop count:\n%s", got)
+	if ce.WallNs-cb.WallNs < pe.WallNs-pb.WallNs {
+		t.Errorf("child (%dns) should outlive parent (%dns) here", ce.WallNs-cb.WallNs, pe.WallNs-pb.WallNs)
 	}
 }

@@ -83,40 +83,45 @@ go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
 echo "==> perfbench: go vet + go test"
 (cd perfbench && go vet ./... && go test ./...)
 
+# Inspection CLI: built once, run by the trace and event smokes below.
+inspect="$smokedir/kodan-inspect"
+go build -o "$inspect" ./cmd/kodan-inspect
+
 # Trace-analysis smoke: record span traces of the same short mission at
-# two worker counts, run every kodan-trace subcommand over them, and
-# assert the analyzer sees the identical span forest — summary -shape
+# two worker counts, run every kodan-inspect trace subcommand over them,
+# and assert the analyzer sees the identical span forest — summary -shape
 # (phase names and span counts, no timings) must be byte-identical across
 # -parallel 1 and -parallel 4, and analyzing the same trace twice must be
 # byte-identical. Mirrored in .github/workflows/ci.yml.
-echo "==> kodan-trace smoke"
+echo "==> kodan-inspect trace smoke"
 go run ./cmd/kodan-sim -hours 2 -sats 2 -parallel 1 \
     -trace "$smokedir/sim.p1.jsonl" > /dev/null 2> /dev/null
 go run ./cmd/kodan-sim -hours 2 -sats 2 -parallel 4 \
     -trace "$smokedir/sim.p4.jsonl" > /dev/null 2> /dev/null
-go run ./cmd/kodan-trace summary "$smokedir/sim.p1.jsonl" > /dev/null
-go run ./cmd/kodan-trace critical "$smokedir/sim.p1.jsonl" > /dev/null
-go run ./cmd/kodan-trace folded "$smokedir/sim.p1.jsonl" > /dev/null
-go run ./cmd/kodan-trace diff "$smokedir/sim.p1.jsonl" "$smokedir/sim.p4.jsonl" > /dev/null
-go run ./cmd/kodan-trace summary -shape "$smokedir/sim.p1.jsonl" > "$smokedir/shape.p1"
-go run ./cmd/kodan-trace summary -shape "$smokedir/sim.p4.jsonl" > "$smokedir/shape.p4"
+"$inspect" trace summary "$smokedir/sim.p1.jsonl" > /dev/null
+"$inspect" trace critical "$smokedir/sim.p1.jsonl" > /dev/null
+"$inspect" trace folded "$smokedir/sim.p1.jsonl" > /dev/null
+"$inspect" trace diff "$smokedir/sim.p1.jsonl" "$smokedir/sim.p4.jsonl" > /dev/null
+"$inspect" trace summary -shape "$smokedir/sim.p1.jsonl" > "$smokedir/shape.p1"
+"$inspect" trace summary -shape "$smokedir/sim.p4.jsonl" > "$smokedir/shape.p4"
 if ! cmp -s "$smokedir/shape.p1" "$smokedir/shape.p4"; then
     echo "verify: trace shape differs across -parallel 1 vs 4" >&2
     diff "$smokedir/shape.p1" "$smokedir/shape.p4" >&2 || true
     exit 1
 fi
-go run ./cmd/kodan-trace summary "$smokedir/sim.p1.jsonl" > "$smokedir/sum.a"
-go run ./cmd/kodan-trace summary "$smokedir/sim.p1.jsonl" > "$smokedir/sum.b"
+"$inspect" trace summary "$smokedir/sim.p1.jsonl" > "$smokedir/sum.a"
+"$inspect" trace summary "$smokedir/sim.p1.jsonl" > "$smokedir/sum.b"
 if ! cmp -s "$smokedir/sum.a" "$smokedir/sum.b"; then
-    echo "verify: kodan-trace summary is not deterministic for the same trace" >&2
+    echo "verify: kodan-inspect trace summary is not deterministic for the same trace" >&2
     exit 1
 fi
 
 # Mission-event smoke: journal the same mission at two worker counts and
-# require byte-identical JSONL; run every kodan-events subcommand; and
-# check the anomaly gate's exit-code contract — 0 on a clean run, 2 on a
-# seeded-fault run. Mirrored in .github/workflows/ci.yml.
-echo "==> kodan-events smoke"
+# require byte-identical JSONL; run every kodan-inspect events subcommand;
+# and check the anomaly gate's exit-code contract exactly — 0 on a clean
+# run, 2 on a seeded-fault run (1, an error, fails both checks).
+# Mirrored in .github/workflows/ci.yml.
+echo "==> kodan-inspect events smoke"
 go run ./cmd/kodan-sim -hours 6 -sats 4 -parallel 1 \
     -events "$smokedir/ev.p1.jsonl" > /dev/null 2> /dev/null
 go run ./cmd/kodan-sim -hours 6 -sats 4 -parallel 4 \
@@ -128,15 +133,19 @@ fi
 go run ./cmd/kodan-sim -hours 6 -sats 4 -parallel 4 \
     -fault-intensity 1 -fault-seed 7 \
     -events "$smokedir/ev.fault.jsonl" > /dev/null 2> /dev/null
-go run ./cmd/kodan-events summary "$smokedir/ev.p1.jsonl" > /dev/null
-go run ./cmd/kodan-events timeline "$smokedir/ev.fault.jsonl" > /dev/null
-go run ./cmd/kodan-events diff "$smokedir/ev.p1.jsonl" "$smokedir/ev.fault.jsonl" > /dev/null
-if ! go run ./cmd/kodan-events anomalies "$smokedir/ev.p1.jsonl" > /dev/null; then
-    echo "verify: anomalies flagged a clean journal" >&2
+"$inspect" events summary "$smokedir/ev.p1.jsonl" > /dev/null
+"$inspect" events timeline "$smokedir/ev.fault.jsonl" > /dev/null
+"$inspect" events diff "$smokedir/ev.p1.jsonl" "$smokedir/ev.fault.jsonl" > /dev/null
+code=0
+"$inspect" events anomalies "$smokedir/ev.p1.jsonl" > /dev/null || code=$?
+if [ "$code" -ne 0 ]; then
+    echo "verify: anomalies exited $code on a clean journal, want 0" >&2
     exit 1
 fi
-if go run ./cmd/kodan-events anomalies "$smokedir/ev.fault.jsonl" > /dev/null; then
-    echo "verify: anomalies missed the seeded-fault journal" >&2
+code=0
+"$inspect" events anomalies "$smokedir/ev.fault.jsonl" > /dev/null || code=$?
+if [ "$code" -ne 2 ]; then
+    echo "verify: anomalies exited $code on the seeded-fault journal, want 2" >&2
     exit 1
 fi
 
