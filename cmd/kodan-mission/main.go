@@ -16,9 +16,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"time"
 
 	"kodan"
+	"kodan/internal/hw"
 	"kodan/internal/mission"
 	"kodan/internal/orbit"
 	"kodan/internal/policy"
@@ -35,19 +35,12 @@ func main() {
 	frames := flag.Int("frames", 60, "transformation dataset size in frames")
 	flag.Parse()
 
-	var target kodan.Target
-	switch *targetFlag {
-	case "1070ti":
-		target = kodan.GTX1070Ti
-	case "i7":
-		target = kodan.I7_7800X
-	case "orin":
-		target = kodan.Orin15W
-	default:
-		log.Fatalf("unknown -target %q", *targetFlag)
+	target, err := hw.ParseTarget(*targetFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
+	epoch := kodan.ReferenceEpoch
 	m, err := kodan.LandsatMission(epoch)
 	if err != nil {
 		log.Fatal(err)

@@ -130,7 +130,7 @@ func main() {
 
 	// The flight recorder samples the server's shared registry for the
 	// whole process lifetime; the dashboard and JSON export read it.
-	rec := recorder.New(srv.Registry(), recorder.Options{Interval: *sample})
+	rec := recorder.New(srv.Registry(), *sample)
 	rec.Start()
 	defer rec.Stop()
 
@@ -138,7 +138,7 @@ func main() {
 	// sample, publishing state under server.slo.* (so the dashboard's SLO
 	// panel and /metrics see it) and answering /debug/slo on demand.
 	eng, err := slo.NewEngine(rec, srv.Registry().Scope("server.slo"),
-		slo.DefaultServerObjectives(*sloLatency), slo.Config{})
+		slo.DefaultServerObjectives(*sloLatency))
 	if err != nil {
 		logger.Error("slo engine failed to build", "err", err)
 		os.Exit(1)

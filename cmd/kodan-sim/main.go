@@ -68,6 +68,7 @@ import (
 	"syscall"
 	"time"
 
+	"kodan"
 	"kodan/internal/app"
 	"kodan/internal/core"
 	"kodan/internal/fault"
@@ -206,7 +207,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
+	epoch := kodan.ReferenceEpoch
 	cfg := sim.Landsat8Config(epoch, time.Duration(*hours)*time.Hour, *sats)
 	cfg.Planes = *planes
 	cfg.Workers = *parallel

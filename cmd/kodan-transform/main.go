@@ -24,9 +24,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"kodan"
+	"kodan/internal/hw"
 	"kodan/internal/telemetry"
 	"kodan/internal/telemetry/analyze"
 )
@@ -43,21 +43,13 @@ func main() {
 	traceFile := flag.String("trace", "", "write a JSONL span trace to this file and print a summary to stderr")
 	flag.Parse()
 
-	var target kodan.Target
-	switch *targetFlag {
-	case "1070ti":
-		target = kodan.GTX1070Ti
-	case "i7":
-		target = kodan.I7_7800X
-	case "orin":
-		target = kodan.Orin15W
-	default:
-		log.Fatalf("unknown -target %q", *targetFlag)
+	target, err := hw.ParseTarget(*targetFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 	fmt.Println("simulating the Landsat 8 mission (orbit, grid, ground segment)...")
-	mission, err := kodan.LandsatMission(epoch)
+	mission, err := kodan.LandsatMission(kodan.ReferenceEpoch)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
-	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
+	epoch := kodan.ReferenceEpoch
 
 	fmt.Println("constellation sweep (one day per point):")
 	fmt.Printf("%5s %10s %10s %10s %10s\n", "Sats", "Observed", "Downlink", "DownFrac", "Coverage")

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"kodan"
 )
@@ -22,8 +21,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
-	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
-	mission, err := kodan.LandsatMission(epoch)
+	mission, err := kodan.LandsatMission(kodan.ReferenceEpoch)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"kodan"
 	"kodan/internal/mission"
@@ -25,7 +24,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
-	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
+	epoch := kodan.ReferenceEpoch
 
 	cfg := kodan.DefaultTransformConfig(3)
 	cfg.Frames = 60

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"kodan"
 )
@@ -18,12 +17,11 @@ import (
 func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
-	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 
 	// 1. Simulate the reference mission: the Landsat 8 orbit, camera, and
 	//    ground segment. This yields the frame deadline and the fraction
 	//    of observations the downlink can carry.
-	mission, err := kodan.LandsatMission(epoch)
+	mission, err := kodan.LandsatMission(kodan.ReferenceEpoch)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,9 +10,9 @@
 //
 // Tenant identity is a short string (the server takes it from the
 // X-Kodan-Tenant request header, with a default tenant for anonymous
-// traffic). Distinct-tenant cardinality is bounded: beyond MaxTenants the
-// surplus share one "overflow" bucket/queue, so a tenant-id flood cannot
-// grow server state without bound.
+// traffic). Distinct-tenant cardinality is bounded: beyond
+// DefaultMaxTenants the surplus share one "overflow" bucket/queue, so a
+// tenant-id flood cannot grow server state without bound.
 //
 // The package is stdlib-only and fully deterministic under an injected
 // clock, like the rest of the reproduction.
@@ -26,12 +26,12 @@ import (
 	"kodan/internal/telemetry"
 )
 
-// OverflowTenant is the shared identity assigned once MaxTenants distinct
-// tenants have been seen.
+// OverflowTenant is the shared identity assigned once DefaultMaxTenants
+// distinct tenants have been seen.
 const OverflowTenant = "overflow"
 
-// DefaultMaxTenants bounds distinct tenant state (buckets, queues,
-// per-tenant metrics) when Options leave it zero.
+// DefaultMaxTenants bounds distinct tenant state: limiter buckets, fair-pool
+// queues and per-tenant metrics.
 const DefaultMaxTenants = 64
 
 // LimiterOptions sizes a Limiter.
@@ -42,9 +42,6 @@ type LimiterOptions struct {
 	// Burst is the bucket depth — how many requests a tenant may issue
 	// back-to-back after an idle period (default max(1, 2*Rate)).
 	Burst float64
-	// MaxTenants bounds distinct tenant buckets (default
-	// DefaultMaxTenants); later tenants share the overflow bucket.
-	MaxTenants int
 	// Now overrides the clock (tests); default time.Now.
 	Now func() time.Time
 }
@@ -53,10 +50,9 @@ type LimiterOptions struct {
 // owns an independent bucket refilled at Rate tokens/second up to Burst;
 // Allow consumes one token or reports how long until one is available.
 type Limiter struct {
-	rate       float64
-	burst      float64
-	maxTenants int
-	now        func() time.Time
+	rate  float64
+	burst float64
+	now   func() time.Time
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
@@ -76,18 +72,14 @@ func NewLimiter(opts LimiterOptions) *Limiter {
 	if opts.Burst <= 0 {
 		opts.Burst = math.Max(1, 2*opts.Rate)
 	}
-	if opts.MaxTenants <= 0 {
-		opts.MaxTenants = DefaultMaxTenants
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
 	return &Limiter{
-		rate:       opts.Rate,
-		burst:      opts.Burst,
-		maxTenants: opts.MaxTenants,
-		now:        opts.Now,
-		buckets:    make(map[string]*bucket),
+		rate:    opts.Rate,
+		burst:   opts.Burst,
+		now:     opts.Now,
+		buckets: make(map[string]*bucket),
 	}
 }
 
@@ -103,7 +95,7 @@ func (l *Limiter) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 	defer l.mu.Unlock()
 	b, exists := l.buckets[tenant]
 	if !exists {
-		if len(l.buckets) >= l.maxTenants {
+		if len(l.buckets) >= DefaultMaxTenants {
 			tenant = OverflowTenant
 			b = l.buckets[tenant]
 		}
@@ -139,8 +131,7 @@ func (l *Limiter) Tenants() int {
 // telemetry registry (scope "<scope>.<tenant>") with the same bounded
 // cardinality as the limiter.
 type TenantMetrics struct {
-	scope      *telemetry.Scope
-	maxTenants int
+	scope *telemetry.Scope
 
 	mu      sync.Mutex
 	tenants map[string]*tenantCounters
@@ -153,11 +144,8 @@ type tenantCounters struct {
 
 // NewTenantMetrics builds the per-tenant metric table in scope (nil scope
 // means every metric is a no-op).
-func NewTenantMetrics(scope *telemetry.Scope, maxTenants int) *TenantMetrics {
-	if maxTenants <= 0 {
-		maxTenants = DefaultMaxTenants
-	}
-	return &TenantMetrics{scope: scope, maxTenants: maxTenants, tenants: make(map[string]*tenantCounters)}
+func NewTenantMetrics(scope *telemetry.Scope) *TenantMetrics {
+	return &TenantMetrics{scope: scope, tenants: make(map[string]*tenantCounters)}
 }
 
 // forTenant returns (creating under the cardinality bound) the tenant's
@@ -167,7 +155,7 @@ func (m *TenantMetrics) forTenant(tenant string) *tenantCounters {
 	defer m.mu.Unlock()
 	tc, ok := m.tenants[tenant]
 	if !ok {
-		if len(m.tenants) >= m.maxTenants {
+		if len(m.tenants) >= DefaultMaxTenants {
 			tenant = OverflowTenant
 			tc = m.tenants[tenant]
 		}
@@ -202,7 +190,8 @@ func (m *TenantMetrics) Admitted(tenant string) {
 }
 
 // Rejected counts one admission rejection (token bucket or fair-queue
-// saturation) for tenant.
+// saturation) for tenant. A request counts as either Admitted or Rejected,
+// never both.
 func (m *TenantMetrics) Rejected(tenant string) {
 	if m == nil {
 		return

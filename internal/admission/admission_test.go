@@ -74,28 +74,31 @@ func TestLimiterTenantsIndependent(t *testing.T) {
 
 func TestLimiterTenantCardinalityBound(t *testing.T) {
 	clk := newFakeClock()
-	l := NewLimiter(LimiterOptions{Rate: 1, Burst: 1, MaxTenants: 4, Now: clk.now})
-	for i := 0; i < 10; i++ {
+	l := NewLimiter(LimiterOptions{Rate: 1, Burst: 1, Now: clk.now})
+	for i := 0; i < DefaultMaxTenants+6; i++ {
 		l.Allow(fmt.Sprintf("tenant-%d", i))
 	}
-	// 4 named buckets at most, plus one shared overflow bucket.
-	if n := l.Tenants(); n > 5 {
-		t.Fatalf("tracked %d buckets, want <= 5", n)
+	// DefaultMaxTenants named buckets, plus one shared overflow bucket.
+	if n := l.Tenants(); n != DefaultMaxTenants+1 {
+		t.Fatalf("tracked %d buckets, want %d", n, DefaultMaxTenants+1)
 	}
-	// Overflow tenants share one bucket: tenant-9 drained it above.
-	if ok, _ := l.Allow("tenant-99"); ok {
+	// Overflow tenants share one bucket: the first of them drained it.
+	if ok, _ := l.Allow("tenant-999"); ok {
 		t.Fatal("overflow bucket should be empty")
 	}
 }
 
 func TestTenantMetricsBoundedAndCounted(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	m := NewTenantMetrics(reg.Scope("server.tenant"), 2)
+	m := NewTenantMetrics(reg.Scope("server.tenant"))
 	m.Request("a")
 	m.Request("a")
 	m.Admitted("a")
 	m.Rejected("b")
 	m.QueueDepth("b", 3)
+	for i := 2; i < DefaultMaxTenants; i++ {
+		m.Request(fmt.Sprintf("t%d", i))
+	}
 	m.Request("c") // over the bound: lands on overflow
 	if got := reg.Counter("server.tenant.a.requests").Load(); got != 2 {
 		t.Fatalf("a.requests = %d, want 2", got)
@@ -115,5 +118,5 @@ func TestTenantMetricsBoundedAndCounted(t *testing.T) {
 	// Nil receiver and nil scope are no-ops.
 	var nilM *TenantMetrics
 	nilM.Request("x")
-	NewTenantMetrics(nil, 0).Admitted("x")
+	NewTenantMetrics(nil).Admitted("x")
 }

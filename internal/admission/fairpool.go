@@ -28,10 +28,9 @@ var ErrSaturated = errors.New("admission: worker pool saturated")
 // degenerates to exactly the old FIFO-bounded behavior: one queue of depth
 // QueueDepth, grants in arrival order.
 type FairPool struct {
-	workers    int
-	depth      int // per-tenant queue bound
-	maxTenants int
-	weights    map[string]float64
+	workers int
+	depth   int // per-tenant queue bound
+	weights map[string]float64
 
 	rejected atomic.Int64
 
@@ -62,9 +61,6 @@ type FairPoolOptions struct {
 	QueueDepth int
 	// Weights maps tenant names to fair-share weights (default 1 each).
 	Weights map[string]float64
-	// MaxTenants bounds distinct tenant queues (default
-	// DefaultMaxTenants); later tenants share the overflow queue.
-	MaxTenants int
 }
 
 // NewFairPool returns a pool with the given shape.
@@ -75,15 +71,11 @@ func NewFairPool(opts FairPoolOptions) *FairPool {
 	if opts.QueueDepth < 0 {
 		opts.QueueDepth = 0
 	}
-	if opts.MaxTenants <= 0 {
-		opts.MaxTenants = DefaultMaxTenants
-	}
 	return &FairPool{
-		workers:    opts.Workers,
-		depth:      opts.QueueDepth,
-		maxTenants: opts.MaxTenants,
-		weights:    opts.Weights,
-		tenants:    make(map[string]*tenantQueue),
+		workers: opts.Workers,
+		depth:   opts.QueueDepth,
+		weights: opts.Weights,
+		tenants: make(map[string]*tenantQueue),
 	}
 }
 
@@ -149,7 +141,7 @@ func (p *FairPool) Release() {
 func (p *FairPool) queueFor(tenant string) *tenantQueue {
 	tq, ok := p.tenants[tenant]
 	if !ok {
-		if len(p.tenants) >= p.maxTenants {
+		if len(p.tenants) >= DefaultMaxTenants {
 			tenant = OverflowTenant
 			tq = p.tenants[tenant]
 		}

@@ -3,6 +3,7 @@ package admission
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -148,22 +149,25 @@ func TestFairPoolWeightedShare(t *testing.T) {
 }
 
 func TestFairPoolTenantCardinalityBound(t *testing.T) {
-	p := NewFairPool(FairPoolOptions{Workers: 1, QueueDepth: 1, MaxTenants: 2})
-	if err := p.Acquire(context.Background(), "t0"); err != nil {
+	p := NewFairPool(FairPoolOptions{Workers: 1, QueueDepth: 1})
+	if err := p.Acquire(context.Background(), "holder"); err != nil {
 		t.Fatal(err)
 	}
-	// t1 and t2 get named queues; t3+ land on the shared overflow queue.
-	errs := make(chan error, 4)
-	for i, tenant := range []string{"t1", "t2", "t3"} {
-		tenant, want := tenant, i+1
+	// t0..t63 get named queues; t64 and later land on the shared overflow
+	// queue.
+	const queued = DefaultMaxTenants + 1
+	errs := make(chan error, queued)
+	for i := 0; i < queued; i++ {
+		tenant, want := fmt.Sprintf("t%d", i), i+1
 		go func() { errs <- p.Acquire(context.Background(), tenant) }()
 		waitFor(t, func() bool { return p.Stats().Queued == want })
 	}
-	// Overflow queue (depth 1) already holds t3's waiter: t4 is rejected.
-	if err := p.Acquire(context.Background(), "t4"); !errors.Is(err, ErrSaturated) {
+	// The overflow queue (depth 1) already holds t64's waiter: a further
+	// new tenant is rejected.
+	if err := p.Acquire(context.Background(), "t65"); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("err = %v, want ErrSaturated via overflow queue", err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < queued; i++ {
 		p.Release()
 		if err := <-errs; err != nil {
 			t.Fatalf("queued acquire %d: %v", i, err)

@@ -130,8 +130,6 @@ type TrainOptions struct {
 	EvalPixelsPerTile int
 	// Train is the per-model training configuration.
 	Train nn.TrainConfig
-	// Augment mirrors training tiles (the paper's data augmentation).
-	Augment bool
 	// Quantized derives an int8 quantized twin of every trained model
 	// (nn.Quantize) and runs all suite predictions — quality measurement
 	// included — through it, so the measured confusions price the
@@ -151,7 +149,6 @@ func DefaultTrainOptions() TrainOptions {
 		PixelsPerTile:     32,
 		EvalPixelsPerTile: 48,
 		Train:             nn.TrainConfig{Epochs: 6, BatchSize: 32, LearnRate: 0.06, Momentum: 0.9},
-		Augment:           true,
 	}
 }
 
@@ -355,12 +352,11 @@ type Suite struct {
 }
 
 // SuiteData is the tiling-level training input of a suite build, prepared
-// once and shared across applications: augmenting the training split and
-// running the context engine over every tile are application-independent,
-// so a workspace sweeping seven applications per tiling prepares each
-// tiling once instead of seven times.
+// once and shared across applications: running the context engine over
+// every tile is application-independent, so a workspace sweeping seven
+// applications per tiling labels each tiling once instead of seven times.
 type SuiteData struct {
-	// Train is the training split, already augmented when requested.
+	// Train is the training split.
 	Train *dataset.Dataset
 	// Val is the validation split.
 	Val *dataset.Dataset
@@ -370,38 +366,23 @@ type SuiteData struct {
 	ValLabels   []int
 }
 
-// PrepareSuiteData augments (when requested) and labels a split pair for
-// repeated BuildSuiteData calls.
-func PrepareSuiteData(train, val *dataset.Dataset, ctx *ctxengine.Set, augment bool) SuiteData {
-	td := train
-	if augment {
-		td = train.Augment()
-	}
+// PrepareSuiteData labels a split pair for repeated BuildSuiteData calls.
+func PrepareSuiteData(train, val *dataset.Dataset, ctx *ctxengine.Set) SuiteData {
 	return SuiteData{
-		Train:       td,
+		Train:       train,
 		Val:         val,
-		TrainLabels: ctx.LabelAll(td),
+		TrainLabels: ctx.LabelAll(train),
 		ValLabels:   ctx.LabelAll(val),
 	}
 }
 
-// BuildSuiteCtx trains the generic and per-context specialized models for
+// BuildSuiteData trains the generic and per-context specialized models for
 // one application at one tiling and measures their validation quality per
-// context. train and val must share the tiling; ctx supplies the context
-// partition (its engine labels both splits, matching the paper's use of
-// engine output as ground truth). cc is checked between model trainings
-// (and, via nn.FitCtx, between epochs); a run that completes is
-// bit-identical whatever cc carries.
-func BuildSuiteCtx(cc context.Context, a Architecture, tl tiling.Tiling, train, val *dataset.Dataset, ctx *ctxengine.Set, opts TrainOptions, rng *xrand.Rand) (*Suite, error) {
-	if opts.PixelsPerTile <= 0 {
-		opts = DefaultTrainOptions()
-	}
-	return BuildSuiteData(cc, a, tl, PrepareSuiteData(train, val, ctx, opts.Augment), ctx, opts, rng)
-}
-
-// BuildSuiteData is BuildSuiteCtx over pre-augmented, pre-labeled splits
-// (see PrepareSuiteData); data preparation is deterministic, so the result
-// is bit-identical to BuildSuiteCtx on the raw splits.
+// context. data holds the labeled train and val splits of that tiling (see
+// PrepareSuiteData); ctx supplies the context partition (its engine labels
+// both splits, matching the paper's use of engine output as ground truth).
+// cc is checked between model trainings (and, via nn.FitCtx, between
+// epochs); a run that completes is bit-identical whatever cc carries.
 func BuildSuiteData(cc context.Context, a Architecture, tl tiling.Tiling, data SuiteData, ctx *ctxengine.Set, opts TrainOptions, rng *xrand.Rand) (*Suite, error) {
 	if opts.PixelsPerTile <= 0 {
 		opts = DefaultTrainOptions()

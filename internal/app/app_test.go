@@ -79,9 +79,8 @@ func buildTestSuite(t *testing.T, appIdx int, perSide int) (*Suite, *ctxengine.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultTrainOptions()
-	opts.Augment = false // keep tests fast
-	suite, err := BuildSuiteCtx(t.Context(), App(appIdx), tiling.Tiling{PerSide: perSide}, train, val, ctx, opts, xrand.New(11))
+	data := PrepareSuiteData(train, val, ctx)
+	suite, err := BuildSuiteData(t.Context(), App(appIdx), tiling.Tiling{PerSide: perSide}, data, ctx, DefaultTrainOptions(), xrand.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,6 @@ type Config struct {
 	TileRes int
 	// Tilings are the candidate tile layouts to sweep.
 	Tilings []tiling.Tiling
-	// ValFrac is the validation split fraction.
-	ValFrac float64
 	// PixelsPerFrame is the per-frame training pixel budget, divided among
 	// the frame's tiles (keeps per-model training cost independent of
 	// tiling).
@@ -50,8 +48,6 @@ type Config struct {
 	EvalPixelsPerFrame int
 	// Context configures context generation.
 	Context ctxengine.Config
-	// Augment enables flip augmentation during model training.
-	Augment bool
 	// Quantized derives an int8 twin of every trained model and routes all
 	// suite predictions — including the quality measurement that feeds the
 	// selection logic — through it, so quantization error is priced into
@@ -66,6 +62,9 @@ type Config struct {
 	Workers int
 }
 
+// valFrac is the validation split fraction of every tiling's dataset.
+const valFrac = 0.25
+
 // DefaultConfig returns the reproduction's standard transformation sizing.
 func DefaultConfig(seed uint64) Config {
 	return Config{
@@ -73,27 +72,21 @@ func DefaultConfig(seed uint64) Config {
 		Frames:             120,
 		TileRes:            20,
 		Tilings:            tiling.PaperTilings(),
-		ValFrac:            0.25,
 		PixelsPerFrame:     360,
 		EvalPixelsPerFrame: 720,
 		Context:            ctxengine.DefaultConfig(),
-		Augment:            false,
 	}
 }
 
 // split holds one tiling's train/validation datasets plus the lazily
-// prepared (augmented + context-labeled) form shared by every application
-// transformed on this workspace.
+// context-labeled form shared by every application transformed on this
+// workspace.
 type split struct {
 	train, val *dataset.Dataset
 
 	once sync.Once
-	// prep is the augmented/labeled suite input, built on first use.
+	// prep is the labeled suite input, built on first use.
 	prep app.SuiteData
-	// trainLabels are the engine labels of the raw (un-augmented) training
-	// split — Augment appends flipped copies after the originals, so this
-	// is a prefix view of prep.TrainLabels.
-	trainLabels []int
 }
 
 // prepared returns the memoized suite input, labeling the split on first
@@ -101,8 +94,7 @@ type split struct {
 // — it only removes the per-application relabeling cost.
 func (s *split) prepared(w *Workspace) app.SuiteData {
 	s.once.Do(func() {
-		s.prep = app.PrepareSuiteData(s.train, s.val, w.Ctx, w.Cfg.Augment)
-		s.trainLabels = s.prep.TrainLabels[:s.train.Len()]
+		s.prep = app.PrepareSuiteData(s.train, s.val, w.Ctx)
 	})
 	return s.prep
 }
@@ -158,7 +150,7 @@ func NewWorkspaceCtx(ctx context.Context, cfg Config) (*Workspace, error) {
 			return nil, err
 		}
 		rng := xrand.New(cfg.Seed ^ 0x5eed5011)
-		train, val := ds.Split(cfg.ValFrac, rng)
+		train, val := ds.Split(valFrac, rng)
 		w.data[tl.PerSide] = &split{train: train, val: val}
 		sp.End()
 	}
@@ -232,7 +224,6 @@ func (w *Workspace) TransformAppCtx(ctx context.Context, arch app.Architecture) 
 		sp.Set("quantized", fmt.Sprint(w.Cfg.Quantized))
 		stageStart := time.Now()
 		opts := app.DefaultTrainOptions()
-		opts.Augment = w.Cfg.Augment
 		opts.Quantized = w.Cfg.Quantized
 		opts.PixelsPerTile = perTileBudget(w.Cfg.PixelsPerFrame, tl)
 		opts.EvalPixelsPerTile = perTileBudget(w.Cfg.EvalPixelsPerFrame, tl)
@@ -271,8 +262,7 @@ func perTileBudget(perFrame int, tl tiling.Tiling) int {
 // engine partition of its training data and the suite's measured quality.
 func (w *Workspace) profile(tl tiling.Tiling, suite *app.Suite) policy.TilingProfile {
 	s := w.data[tl.PerSide]
-	s.prepared(w)
-	labels := s.trainLabels
+	labels := s.prepared(w).TrainLabels
 	k := w.Ctx.K
 	counts := make([]int, k)
 	hv := make([]float64, k)

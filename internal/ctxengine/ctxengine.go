@@ -68,22 +68,22 @@ type Config struct {
 	Metrics []cluster.Metric
 	// Transforms are the candidate label-vector transforms for the sweep.
 	Transforms []Transform
-	// EngineHidden is the engine classifier's hidden layout.
-	EngineHidden []int
 	// EngineTrain is the engine's training configuration.
 	EngineTrain nn.TrainConfig
 }
+
+// engineHidden is the width of the engine classifier's one hidden layer.
+const engineHidden = 16
 
 // DefaultConfig returns the reproduction's standard context configuration:
 // an automatic sweep over k in {4..8} with Euclidean and cosine metrics.
 func DefaultConfig() Config {
 	return Config{
-		Source:       Auto,
-		Ks:           []int{4, 5, 6, 7, 8},
-		Metrics:      []cluster.Metric{cluster.Euclidean, cluster.Cosine},
-		Transforms:   []Transform{Standardized, Whitened},
-		EngineHidden: []int{16},
-		EngineTrain:  nn.TrainConfig{Epochs: 30, BatchSize: 16, LearnRate: 0.1, Momentum: 0.9},
+		Source:      Auto,
+		Ks:          []int{4, 5, 6, 7, 8},
+		Metrics:     []cluster.Metric{cluster.Euclidean, cluster.Cosine},
+		Transforms:  []Transform{Standardized, Whitened},
+		EngineTrain: nn.TrainConfig{Epochs: 30, BatchSize: 16, LearnRate: 0.1, Momentum: 0.9},
 	}
 }
 
@@ -175,15 +175,11 @@ func Build(ctx context.Context, train *dataset.Dataset, cfg Config, rng *xrand.R
 		xs[i] = applyScaler(xs[i], mean, std)
 	}
 
-	hidden := cfg.EngineHidden
-	if len(hidden) == 0 {
-		hidden = DefaultConfig().EngineHidden
-	}
 	trainCfg := cfg.EngineTrain
 	if trainCfg.Epochs == 0 {
 		trainCfg = DefaultConfig().EngineTrain
 	}
-	engine := nn.NewClassifier(len(xs[0]), hidden, k, rng.Split())
+	engine := nn.NewClassifier(len(xs[0]), []int{engineHidden}, k, rng.Split())
 	if _, err := engine.FitCtx(ctx, xs, ys, trainCfg, rng.Split()); err != nil {
 		return nil, err
 	}

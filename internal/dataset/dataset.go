@@ -1,7 +1,7 @@
 // Package dataset assembles the representative reference dataset the
 // one-time transformation step runs on (Section 4): frames sampled across
 // the world, split into tiles at a chosen tiling, with truth masks and
-// label vectors, plus train/validation splitting and flip augmentation.
+// label vectors, plus train/validation splitting.
 // The paper uses the Sentinel-2 cloud-mask catalogue; our frames come from
 // the synthetic world in internal/imagery (see DESIGN.md for why the
 // substitution preserves the relevant structure).
@@ -25,6 +25,10 @@ const ModelInputPx = 1000
 // FramePx is the native frame resolution the paper's example uses.
 const FramePx = 10000
 
+// frameSizeDeg is the frame footprint side in degrees (~1.45 for a 161 km
+// Landsat row pitch).
+const frameSizeDeg = 1.45
+
 // Config describes dataset generation.
 type Config struct {
 	// Seed drives the world generator and sampling. Same seed, same data.
@@ -38,9 +42,6 @@ type Config struct {
 	// tractability; decimation blur is computed against the paper's true
 	// geometry, so the quality effects are preserved.
 	TileRes int
-	// FrameSizeDeg is the frame footprint side in degrees (~1.45 for a
-	// 161 km Landsat row pitch).
-	FrameSizeDeg float64
 	// MaxLatDeg bounds the sampled frame latitudes.
 	MaxLatDeg float64
 	// Workers bounds the parallelism of frame rendering: 0 uses
@@ -53,12 +54,11 @@ type Config struct {
 // transformation step: 240 frames at the given tiling.
 func DefaultConfig(seed uint64, t tiling.Tiling) Config {
 	return Config{
-		Seed:         seed,
-		Frames:       240,
-		Tiling:       t,
-		TileRes:      24,
-		FrameSizeDeg: 1.45,
-		MaxLatDeg:    70,
+		Seed:      seed,
+		Frames:    240,
+		Tiling:    t,
+		TileRes:   24,
+		MaxLatDeg: 70,
 	}
 }
 
@@ -69,9 +69,6 @@ func (c Config) validate() error {
 	}
 	if c.TileRes <= 1 {
 		return fmt.Errorf("dataset: tile resolution %d too small", c.TileRes)
-	}
-	if c.FrameSizeDeg <= 0 {
-		return fmt.Errorf("dataset: non-positive frame size")
 	}
 	return c.Tiling.Validate()
 }
@@ -115,8 +112,8 @@ func Generate(cfg Config) (*Dataset, error) {
 		lat := -cfg.MaxLatDeg + math.Mod(float64(f)*0.6180339887498949, 1)*2*cfg.MaxLatDeg
 		frame := imagery.Region{
 			LonDeg:  lon,
-			LatDeg:  lat - cfg.FrameSizeDeg/2,
-			SizeDeg: cfg.FrameSizeDeg,
+			LatDeg:  lat - frameSizeDeg/2,
+			SizeDeg: frameSizeDeg,
 		}
 		for k, reg := range frame.Split(cfg.Tiling.PerSide) {
 			ds.Samples[f*tiles+k] = Sample{
@@ -197,55 +194,4 @@ func sortInts(a []int) {
 			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
-}
-
-// Augment returns the dataset extended with horizontally and vertically
-// flipped copies of each tile — the paper's "data augmentation to improve
-// accuracy and avoid over-fitting" (Section 4).
-func (d *Dataset) Augment() *Dataset {
-	out := &Dataset{Config: d.Config, Samples: make([]Sample, 0, 3*d.Len())}
-	out.Samples = append(out.Samples, d.Samples...)
-	for _, s := range d.Samples {
-		out.Samples = append(out.Samples,
-			Sample{Tile: flipTile(s.Tile, true, false), Frame: s.Frame},
-			Sample{Tile: flipTile(s.Tile, false, true), Frame: s.Frame},
-		)
-	}
-	return out
-}
-
-// flipTile mirrors a tile horizontally and/or vertically. Aggregate fields
-// are unchanged by flipping.
-func flipTile(t *imagery.Tile, h, v bool) *imagery.Tile {
-	res := t.Res
-	out := &imagery.Tile{
-		Res:       res,
-		GeoFracs:  t.GeoFracs,
-		Dominant:  t.Dominant,
-		CloudFrac: t.CloudFrac,
-		Region:    t.Region,
-	}
-	out.Features = make([][]float64, len(t.Features))
-	for c := range t.Features {
-		out.Features[c] = make([]float64, len(t.Features[c]))
-	}
-	out.Truth = make([]bool, len(t.Truth))
-	for i := 0; i < res; i++ {
-		for j := 0; j < res; j++ {
-			si, sj := i, j
-			if v {
-				si = res - 1 - i
-			}
-			if h {
-				sj = res - 1 - j
-			}
-			dst, src := i*res+j, si*res+sj
-			out.Truth[dst] = t.Truth[src]
-			for c := range t.Features {
-				out.Features[c][dst] = t.Features[c][src]
-			}
-		}
-	}
-	out.CacheSummary()
-	return out
 }

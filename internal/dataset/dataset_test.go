@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -175,47 +174,6 @@ func TestLabelVectors(t *testing.T) {
 	for _, lv := range lvs {
 		if len(lv) != int(imagery.NumGeoClasses)+1 {
 			t.Fatalf("label vector dim = %d", len(lv))
-		}
-	}
-}
-
-func TestAugmentTriples(t *testing.T) {
-	ds, _ := Generate(smallConfig(tiling.Tiling{PerSide: 3}))
-	aug := ds.Augment()
-	if aug.Len() != 3*ds.Len() {
-		t.Fatalf("augmented = %d, want %d", aug.Len(), 3*ds.Len())
-	}
-	// Flips preserve aggregate statistics.
-	if math.Abs(aug.CloudFrac()-ds.CloudFrac()) > 1e-12 {
-		t.Fatal("augmentation changed cloud fraction")
-	}
-}
-
-func TestFlipTileGeometry(t *testing.T) {
-	w := imagery.NewWorld(5)
-	tl := w.RenderTile(imagery.Region{LonDeg: 0, LatDeg: 10, SizeDeg: 1}, 8, 0)
-	h := flipTile(tl, true, false)
-	// Horizontal flip: row i reversed.
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			if h.Truth[i*8+j] != tl.Truth[i*8+(7-j)] {
-				t.Fatal("horizontal flip wrong")
-			}
-		}
-	}
-	v := flipTile(tl, false, true)
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			if v.Features[0][i*8+j] != tl.Features[0][(7-i)*8+j] {
-				t.Fatal("vertical flip wrong")
-			}
-		}
-	}
-	// Double flip is identity.
-	hh := flipTile(h, true, false)
-	for p := range tl.Truth {
-		if hh.Truth[p] != tl.Truth[p] {
-			t.Fatal("double flip not identity")
 		}
 	}
 }

@@ -37,9 +37,8 @@ func buildFixture(t *testing.T) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := app.DefaultTrainOptions()
-	opts.Augment = false
-	suite, err := app.BuildSuiteCtx(t.Context(), app.App(4), tl, train, val, ctx, opts, xrand.New(11))
+	data := app.PrepareSuiteData(train, val, ctx)
+	suite, err := app.BuildSuiteData(t.Context(), app.App(4), tl, data, ctx, app.DefaultTrainOptions(), xrand.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"kodan"
 	"kodan/internal/app"
 	"kodan/internal/core"
 	"kodan/internal/hw"
@@ -108,7 +109,7 @@ func (m *memo[T]) do(hit, miss *telemetry.Counter, f func() (T, error)) (T, erro
 func NewLab(size Size) *Lab {
 	return &Lab{
 		Seed:     2023,
-		Epoch:    time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC),
+		Epoch:    kodan.ReferenceEpoch,
 		Size:     size,
 		apps:     make(map[appKey]*memo[*core.Artifacts]),
 		capacity: make(map[int]*memo[*sim.Result]),

@@ -23,7 +23,7 @@ func TestRecordedFigureOutputIdentical(t *testing.T) {
 	base := renderFig2Traced(t, 1, nil)
 	for _, workers := range []int{1, 4} {
 		reg := telemetry.NewRegistry()
-		rec := recorder.New(reg, recorder.Options{Interval: time.Millisecond})
+		rec := recorder.New(reg, time.Millisecond)
 		rec.Start()
 
 		samples := 0

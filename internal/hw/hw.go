@@ -8,6 +8,7 @@ package hw
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -40,6 +41,22 @@ func (t Target) String() string {
 		return "Orin 15W"
 	default:
 		return fmt.Sprintf("target(%d)", int(t))
+	}
+}
+
+// ParseTarget resolves a target name: the CLI short names (1070ti, i7,
+// orin) or the Table 1 display names, case-insensitively. The empty name
+// is the Orin, the reference cubesat payload computer.
+func ParseTarget(s string) (Target, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "1070ti", "gtx1070ti", "1070 ti":
+		return GTX1070Ti, nil
+	case "i7", "i7-7800", "i7_7800x":
+		return I7_7800X, nil
+	case "orin", "orin15w", "orin 15w", "":
+		return Orin15W, nil
+	default:
+		return 0, fmt.Errorf("unknown target %q (want 1070ti, i7, or orin)", s)
 	}
 }
 

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -18,6 +19,28 @@ func TestTargetsOrder(t *testing.T) {
 		if tg.String() != want {
 			t.Errorf("%v", tg)
 		}
+	}
+}
+
+func TestParseTarget(t *testing.T) {
+	for name, want := range map[string]Target{
+		"1070ti": GTX1070Ti, "GTX1070Ti": GTX1070Ti, "1070 Ti": GTX1070Ti,
+		"i7": I7_7800X, "i7-7800": I7_7800X, "I7_7800X": I7_7800X,
+		"orin": Orin15W, " Orin 15W ": Orin15W, "orin15w": Orin15W, "": Orin15W,
+	} {
+		got, err := ParseTarget(name)
+		if err != nil || got != want {
+			t.Errorf("ParseTarget(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	// Every target's display name parses back to it.
+	for _, tg := range Targets() {
+		if got, err := ParseTarget(tg.String()); err != nil || got != tg {
+			t.Errorf("ParseTarget(%q) = %v, %v", tg.String(), got, err)
+		}
+	}
+	if _, err := ParseTarget("tpu"); err == nil || !strings.Contains(err.Error(), "want 1070ti, i7, or orin") {
+		t.Errorf("unknown target: err = %v", err)
 	}
 }
 

@@ -123,7 +123,7 @@ type Tile struct {
 	// Region records where the tile came from.
 	Region Region
 	// summary caches the Summary descriptor for tiles built by the
-	// package's own renderers; see CacheSummary.
+	// package's own renderers; see cacheSummary.
 	summary []float64
 }
 
@@ -158,9 +158,9 @@ func (t *Tile) LabelVector() []float64 {
 // Summary returns the runtime-observable tile descriptor: per-channel mean
 // and standard deviation of the feature channels. The context engine
 // classifies tiles from this vector; it contains nothing derived from the
-// truth mask. Tiles built by RenderTile (or flipped dataset copies) return
-// a precomputed cache — treat the result as read-only. Hand-constructed
-// tiles compute a fresh descriptor on every call.
+// truth mask. Tiles built by RenderTile return a precomputed cache — treat
+// the result as read-only. Hand-constructed tiles compute a fresh
+// descriptor on every call.
 func (t *Tile) Summary() []float64 {
 	if t.summary != nil {
 		return t.summary
@@ -168,11 +168,10 @@ func (t *Tile) Summary() []float64 {
 	return t.computeSummary()
 }
 
-// CacheSummary precomputes the Summary descriptor so later calls are
-// allocation-free. Call it once after the feature channels are final;
-// callers that mutate Features afterwards must not use it. Safe only
-// before the tile is shared across goroutines.
-func (t *Tile) CacheSummary() {
+// cacheSummary precomputes the Summary descriptor so later calls are
+// allocation-free. Call it once after the feature channels are final.
+// Safe only before the tile is shared across goroutines.
+func (t *Tile) cacheSummary() {
 	t.summary = t.computeSummary()
 }
 
@@ -402,7 +401,7 @@ func (w *World) RenderTile(reg Region, res int, blurPx float64) *Tile {
 		}
 	}
 	t.Dominant = GeoClass(best)
-	t.CacheSummary()
+	t.cacheSummary()
 	return t
 }
 

@@ -39,6 +39,10 @@ type Grant struct {
 // End returns the grant's end time.
 func (g Grant) End() time.Time { return g.Start.Add(g.Dur) }
 
+// GrantQuantum is the station-time allocation granularity every simulation
+// schedules at.
+const GrantQuantum = 10 * time.Second
+
 // Problem describes an allocation run. Windows[i][j] lists the visibility
 // windows of satellite j at station i over [Start, Start+Span).
 type Problem struct {

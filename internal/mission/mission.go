@@ -33,19 +33,14 @@ import (
 	"kodan/internal/xrand"
 )
 
-// Config describes a mission run.
+// Config describes a mission run. The mission always flies the Landsat 8
+// reference platform: its orbit from Epoch, the WRS-2 grid, the
+// multispectral camera, the three-station ground segment and its radio.
 type Config struct {
 	// Epoch is the mission start.
 	Epoch time.Time
 	// Days is the mission duration in days.
 	Days int
-	// Orbit, Grid, Camera, Stations, and Radio describe the platform;
-	// zero values default to the Landsat 8 reference mission.
-	Orbit    orbit.Elements
-	Grid     wrs.Grid
-	Camera   sense.Camera
-	Stations []station.Station
-	Radio    link.Radio
 
 	// Arch is the deployed application (for per-tile latency).
 	Arch app.Architecture
@@ -67,34 +62,16 @@ type Config struct {
 	// oldest first; then the chunks with the lowest system-estimated
 	// value density (raw filler before filtered products).
 	BufferBits float64
-	// Coherence is the probability that a frame's tiles all share one
-	// context (frames are geographically coherent); the rest draw tiles
-	// independently. Default 0.7.
-	Coherence float64
 	// Seed drives the statistical frame draws.
 	Seed uint64
 }
 
-// withDefaults fills the Landsat reference platform and tunables.
+// coherence is the probability that a frame's tiles all share one context
+// (frames are geographically coherent); the rest draw tiles independently.
+const coherence = 0.7
+
+// withDefaults fills the unset seed.
 func (c Config) withDefaults() Config {
-	if c.Orbit.SemiMajorAxisM == 0 {
-		c.Orbit = orbit.Landsat8(c.Epoch)
-	}
-	if c.Grid.TotalScenes() == 0 {
-		c.Grid = wrs.Landsat8Grid()
-	}
-	if c.Camera.FramePx == 0 {
-		c.Camera = sense.Landsat8MS()
-	}
-	if c.Stations == nil {
-		c.Stations = station.LandsatSegment()
-	}
-	if c.Radio.RateBps == 0 {
-		c.Radio = link.Landsat8Radio()
-	}
-	if c.Coherence == 0 {
-		c.Coherence = 0.7
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -153,18 +130,22 @@ func Run(cfg Config) (*Result, error) {
 	}
 	span := time.Duration(cfg.Days) * 24 * time.Hour
 
-	im, err := sense.NewImager(cfg.Camera, cfg.Orbit, cfg.Grid)
+	el := orbit.Landsat8(cfg.Epoch)
+	camera := sense.Landsat8MS()
+	radio := link.Landsat8Radio()
+	im, err := sense.NewImager(camera, el, wrs.Landsat8Grid())
 	if err != nil {
 		return nil, err
 	}
 	captures := im.Captures(cfg.Epoch, span)
 
-	windows := make([][][]station.Window, len(cfg.Stations))
-	for si, ws := range station.ContactWindows(cfg.Stations, cfg.Orbit, cfg.Epoch, span, 30*time.Second) {
+	stations := station.LandsatSegment()
+	windows := make([][][]station.Window, len(stations))
+	for si, ws := range station.ContactWindows(stations, el, cfg.Epoch, span, station.ScanStep) {
 		windows[si] = [][]station.Window{ws}
 	}
 	grants := link.Allocate(link.Problem{
-		Start: cfg.Epoch, Span: span, Quantum: 10 * time.Second, Windows: windows,
+		Start: cfg.Epoch, Span: span, Quantum: link.GrantQuantum, Windows: windows,
 	})
 
 	// Merge captures and grants into one chronological timeline.
@@ -179,7 +160,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	sort.Slice(events, func(i, j int) bool { return events[i].at.Before(events[j].at) })
 
-	frameBits := cfg.Camera.FrameBits()
+	frameBits := camera.FrameBits()
 	tileBits := frameBits / float64(cfg.Selection.Tiling.Tiles())
 	rng := xrand.New(cfg.Seed)
 	fracs := contextWeights(cfg.Profile)
@@ -225,7 +206,7 @@ func Run(cfg Config) (*Result, error) {
 			continue
 		}
 		// Grant: drain the queue FIFO at the radio rate.
-		capacity := cfg.Radio.Bits(ev.grant.Dur)
+		capacity := radio.Bits(ev.grant.Dur)
 		res.Ledger.CapacityBits += capacity
 		bits, val := q.drain(capacity)
 		res.Ledger.DownlinkedBits += bits
@@ -247,7 +228,7 @@ func contextWeights(tp policy.TilingProfile) []float64 {
 func drawFrame(cfg Config, fracs []float64, rng *xrand.Rand) []int {
 	tiles := cfg.Selection.Tiling.Tiles()
 	out := make([]int, tiles)
-	if rng.Bool(cfg.Coherence) {
+	if rng.Bool(coherence) {
 		c := rng.Choice(fracs)
 		for i := range out {
 			out[i] = c

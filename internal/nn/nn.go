@@ -34,11 +34,9 @@ type layer struct {
 	act     Activation
 	w       []float64 // out x in, row-major
 	b       []float64
-	// Gradient accumulators and optimizer state (momentum, and Adam's
-	// second-moment buffers, allocated lazily).
+	// Gradient accumulators and momentum buffers.
 	gw, gb []float64
 	mw, mb []float64
-	vw, vb []float64
 }
 
 func newLayer(in, out int, act Activation, rng *xrand.Rand) *layer {
@@ -162,38 +160,6 @@ func (l *layer) step(lr, momentum float64, batch int) {
 		l.b[i] += l.mb[i]
 		l.gb[i] = 0
 	}
-}
-
-// Adam hyperparameters (the standard defaults).
-const (
-	adamBeta1 = 0.9
-	adamBeta2 = 0.999
-	adamEps   = 1e-8
-)
-
-// stepAdam applies accumulated gradients with Adam and clears them. t is
-// the 1-based update count for bias correction.
-func (l *layer) stepAdam(lr float64, batch, t int) {
-	if l.vw == nil {
-		l.vw = make([]float64, len(l.w))
-		l.vb = make([]float64, len(l.b))
-	}
-	inv := 1 / float64(batch)
-	c1 := 1 - math.Pow(adamBeta1, float64(t))
-	c2 := 1 - math.Pow(adamBeta2, float64(t))
-	upd := func(w, g, m, v []float64) {
-		for i := range w {
-			grad := g[i] * inv
-			m[i] = adamBeta1*m[i] + (1-adamBeta1)*grad
-			v[i] = adamBeta2*v[i] + (1-adamBeta2)*grad*grad
-			mHat := m[i] / c1
-			vHat := v[i] / c2
-			w[i] -= lr * mHat / (math.Sqrt(vHat) + adamEps)
-			g[i] = 0
-		}
-	}
-	upd(l.w, l.gw, l.mw, l.vw)
-	upd(l.b, l.gb, l.mb, l.vb)
 }
 
 func activate(x float64, a Activation) float64 {
@@ -591,26 +557,12 @@ func (n *Net) accumulateBinary2(x []float64, target float64, withLoss bool) floa
 	return loss
 }
 
-// Optimizer selects the weight-update rule.
-type Optimizer int
-
-// Optimizers.
-const (
-	// SGD is stochastic gradient descent with momentum (the default).
-	SGD Optimizer = iota
-	// Adam is adaptive moment estimation; LearnRate is the Adam alpha
-	// (typical values are ~10x smaller than SGD's) and Momentum is
-	// ignored.
-	Adam
-)
-
 // TrainConfig controls FitCtx.
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
 	LearnRate float64
 	Momentum  float64
-	Optimizer Optimizer
 }
 
 // DefaultTrain returns a configuration adequate for the reproduction's
@@ -656,16 +608,9 @@ func (n *Net) FitCtx(ctx context.Context, xs [][]float64, ys []float64, cfg Trai
 		idx[i] = i
 	}
 	var lastLoss float64
-	updates := 0
 	apply := func(batch int) {
-		updates++
 		for _, l := range n.layers {
-			switch cfg.Optimizer {
-			case Adam:
-				l.stepAdam(cfg.LearnRate, batch, updates)
-			default:
-				l.step(cfg.LearnRate, cfg.Momentum, batch)
-			}
+			l.step(cfg.LearnRate, cfg.Momentum, batch)
 		}
 	}
 	for ep := 0; ep < cfg.Epochs; ep++ {

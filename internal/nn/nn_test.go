@@ -257,93 +257,3 @@ func TestConfusionEdgeCases(t *testing.T) {
 		t.Error("empty precision should be 1 (nothing polluted)")
 	}
 }
-
-func TestAdamLearnsXOR(t *testing.T) {
-	rng := xrand.New(21)
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 3000; i++ {
-		a, b := rng.Float64(), rng.Float64()
-		y := 0.0
-		if (a > 0.5) != (b > 0.5) {
-			y = 1
-		}
-		xs = append(xs, []float64{a, b})
-		ys = append(ys, y)
-	}
-	net := NewBinary(2, []int{12}, rng)
-	net.FitCtx(t.Context(), xs, ys, TrainConfig{Epochs: 60, BatchSize: 16, LearnRate: 0.01, Optimizer: Adam}, rng)
-	var c Confusion
-	for i, x := range xs {
-		c.Add(net.PredictBinary(x) > 0.5, ys[i] > 0.5)
-	}
-	if acc := c.Accuracy(); acc < 0.9 {
-		t.Fatalf("Adam XOR accuracy = %.3f", acc)
-	}
-}
-
-func TestAdamConvergesFasterThanSGDOnIllConditioned(t *testing.T) {
-	// Features with wildly different scales: Adam's per-parameter step
-	// adapts; plain SGD struggles at a single learning rate.
-	build := func() ([][]float64, []float64) {
-		rng := xrand.New(31)
-		var xs [][]float64
-		var ys []float64
-		for i := 0; i < 2000; i++ {
-			a := rng.Float64() * 100 // large-scale feature
-			b := rng.Float64() * 0.01
-			y := 0.0
-			if a/100+b/0.01 > 1 {
-				y = 1
-			}
-			xs = append(xs, []float64{a, b})
-			ys = append(ys, y)
-		}
-		return xs, ys
-	}
-	xs, ys := build()
-	fit := func(opt Optimizer, lr float64) float64 {
-		rng := xrand.New(5)
-		net := NewBinary(2, nil, rng)
-		net.FitCtx(t.Context(), xs, ys, TrainConfig{Epochs: 60, BatchSize: 16, LearnRate: lr, Momentum: 0.9, Optimizer: opt}, rng)
-		var c Confusion
-		for i, x := range xs {
-			c.Add(net.PredictBinary(x) > 0.5, ys[i] > 0.5)
-		}
-		return c.Accuracy()
-	}
-	sgd := fit(SGD, 0.001) // must be tiny or the 0-100 feature explodes
-	adam := fit(Adam, 0.2)
-	// Any workable single SGD learning rate caps well below Adam here
-	// (lr large enough to move the tiny-scale weight diverges on the
-	// large-scale one).
-	if adam <= sgd+0.05 {
-		t.Fatalf("Adam (%.3f) not clearly better than SGD (%.3f) on ill-conditioned features", adam, sgd)
-	}
-	if adam < 0.8 {
-		t.Fatalf("Adam accuracy = %.3f", adam)
-	}
-}
-
-func TestAdamDeterministic(t *testing.T) {
-	fit := func() float64 {
-		rng := xrand.New(77)
-		var xs [][]float64
-		var ys []float64
-		for i := 0; i < 300; i++ {
-			x := []float64{rng.Float64(), rng.Float64()}
-			y := 0.0
-			if x[0] > x[1] {
-				y = 1
-			}
-			xs = append(xs, x)
-			ys = append(ys, y)
-		}
-		net := NewBinary(2, []int{4}, rng)
-		net.FitCtx(t.Context(), xs, ys, TrainConfig{Epochs: 5, BatchSize: 8, LearnRate: 0.01, Optimizer: Adam}, rng)
-		return net.PredictBinary([]float64{0.3, 0.7})
-	}
-	if fit() != fit() {
-		t.Fatal("Adam training not deterministic")
-	}
-}

@@ -12,7 +12,8 @@ import (
 
 // BenchmarkBuild times one full hybrid plan: the selection-logic sweep
 // over the paper's four tilings, then the per-context placement search at
-// the chosen tiling, at the reference costs.
+// the chosen tiling, at the reference costs — the path
+// kodan.Application.PlanHybrid takes.
 func BenchmarkBuild(b *testing.B) {
 	rng := xrand.New(23)
 	var profiles []policy.TilingProfile
@@ -24,8 +25,13 @@ func BenchmarkBuild(b *testing.B) {
 	env := testEnv()
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := BuildCtx(b.Context(), profiles, env); err != nil {
-			b.Fatal(err)
+		base, _ := policy.Optimize(profiles, env.Policy)
+		for _, prof := range profiles {
+			if prof.Tiling == base.Tiling {
+				if _, err := DecideCtx(b.Context(), prof, base, env); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 }

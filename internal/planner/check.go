@@ -15,7 +15,7 @@ import (
 // does not match the base selection, an Eval field that disagrees with the
 // re-derivation, or a violated hard constraint (frame deadline and duty
 // cap when on-board models run, the shared link pool, the deferral
-// buffer). Every plan DecideCtx or BuildCtx returns passes it, including
+// buffer). Every plan DecideCtx returns passes it, including
 // the all-Drop fallback, which no constraint can reject.
 func CheckPlan(plan Plan, prof policy.TilingProfile, env Env) error {
 	k := len(prof.Contexts)

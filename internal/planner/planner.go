@@ -659,26 +659,6 @@ func hillClimb(opts [][]option, prof policy.TilingProfile, env Env) ([]Dispositi
 	return cur, ev, true
 }
 
-// BuildCtx generates the full hybrid plan for a transformed application:
-// the selection-logic optimizer fixes the tiling and on-board actions,
-// then DecideCtx places each context (journaling the chosen plan when ctx
-// carries a mission event journal).
-func BuildCtx(ctx context.Context, profiles []policy.TilingProfile, env Env) (Plan, error) {
-	if err := env.Validate(); err != nil {
-		return Plan{}, err
-	}
-	if len(profiles) == 0 {
-		return Plan{}, fmt.Errorf("planner: no tiling profiles")
-	}
-	base, _ := policy.Optimize(profiles, env.Policy)
-	for _, prof := range profiles {
-		if prof.Tiling == base.Tiling {
-			return DecideCtx(ctx, prof, base, env)
-		}
-	}
-	return Plan{}, fmt.Errorf("planner: no profile for tiling %v", base.Tiling)
-}
-
 // LinkInputs is the planner's link-side environment derived from a
 // simulated constellation day.
 type LinkInputs struct {

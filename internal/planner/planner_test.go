@@ -3,6 +3,7 @@ package planner
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,23 +195,6 @@ func TestActionsMapOntoPolicySet(t *testing.T) {
 	}
 }
 
-func TestBuildMatchesDecideOnOptimizerChoice(t *testing.T) {
-	profiles := []policy.TilingProfile{testProfile()}
-	env := testEnv()
-	plan, err := BuildCtx(t.Context(), profiles, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := policy.Optimize(profiles, env.Policy)
-	want, err := DecideCtx(t.Context(), profiles[0], base, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Eval != want.Eval {
-		t.Fatalf("BuildCtx eval %+v != DecideCtx eval %+v", plan.Eval, want.Eval)
-	}
-}
-
 func TestValidateTypedErrors(t *testing.T) {
 	env := testEnv()
 	env.Bus = power.Bus{}
@@ -224,15 +208,12 @@ func TestValidateTypedErrors(t *testing.T) {
 	}
 	env = testEnv()
 	env.Costs.RawDiscount = 1.5
-	if _, err := BuildCtx(t.Context(), []policy.TilingProfile{testProfile()}, env); err == nil {
-		t.Fatal("bad raw discount accepted")
+	if _, err := DecideCtx(t.Context(), testProfile(), policy.Selection{}, env); err == nil || !strings.Contains(err.Error(), "discount") {
+		t.Fatalf("bad raw discount: %v", err)
 	}
 	env = testEnv()
 	if _, err := DecideCtx(t.Context(), testProfile(), policy.Selection{}, env); err == nil {
 		t.Fatal("action/context mismatch accepted")
-	}
-	if _, err := BuildCtx(t.Context(), nil, testEnv()); err == nil {
-		t.Fatal("empty profiles accepted")
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 
 	"kodan"
 	"kodan/internal/admission"
-	"kodan/internal/planner"
-	"kodan/internal/sim"
+	"kodan/internal/hw"
 	"kodan/internal/telemetry"
 )
 
@@ -163,20 +162,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// parseTarget accepts the CLI short names and the Table 1 display names.
-func parseTarget(s string) (kodan.Target, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "1070ti", "gtx1070ti", "1070 ti":
-		return kodan.GTX1070Ti, nil
-	case "i7", "i7-7800", "i7_7800x":
-		return kodan.I7_7800X, nil
-	case "orin", "orin15w", "orin 15w", "":
-		return kodan.Orin15W, nil
-	default:
-		return 0, fmt.Errorf("unknown target %q (want 1070ti, i7, or orin)", s)
-	}
-}
-
 // seedOf resolves a request seed against the server default.
 func (s *Server) seedOf(req planRequest) uint64 {
 	if req.Seed != 0 {
@@ -236,9 +221,6 @@ func (s *Server) acquireAndBuild(ctx context.Context, tenant string, seed uint64
 	waitSp.End()
 	s.tenants.QueueDepth(tenant, s.pool.QueueDepthOf(tenant))
 	if err != nil {
-		if errors.Is(err, admission.ErrSaturated) {
-			s.tenants.Rejected(tenant)
-		}
 		return nil, err
 	}
 	s.metrics.PoolAcquired(time.Since(enqueued), s.pool.Stats().InFlight)
@@ -262,24 +244,7 @@ func (s *Server) mission(ctx context.Context, days, sats int) (kodan.Mission, er
 	}
 	key := fmt.Sprintf("sim|%d|%d", days, sats)
 	v, _, err := s.cache.Do(ctx, key, func(cctx context.Context) (interface{}, error) {
-		cfg := sim.Landsat8Config(simEpoch, time.Duration(days)*24*time.Hour, sats)
-		res, err := sim.RunCtx(cctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		observed := float64(res.FramesObserved())
-		if observed == 0 {
-			return nil, fmt.Errorf("simulation observed no frames")
-		}
-		return kodan.Mission{
-			Epoch:            simEpoch,
-			FrameDeadline:    cfg.Grid.FramePeriod(cfg.BaseOrbit),
-			FramesPerDay:     observed / float64(days),
-			CapacityFrac:     res.FrameCapacity() / observed,
-			FrameBits:        cfg.Camera.FrameBits(),
-			Prevalence:       0.48, // the Sentinel-like dataset's high-value split
-			ContactGapFrames: planner.DeriveLink(res).FramesBetweenContacts,
-		}, nil
+		return kodan.SimulateMission(cctx, kodan.ReferenceEpoch, days, sats)
 	})
 	if err != nil {
 		return kodan.Mission{}, err
@@ -451,7 +416,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("app must be 1..%d", len(kodan.Applications())))
 		return
 	}
-	target, err := parseTarget(req.Target)
+	target, err := hw.ParseTarget(req.Target)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
@@ -671,7 +636,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("app must be 1..%d", len(kodan.Applications())))
 		return
 	}
-	target, err := parseTarget(req.Target)
+	target, err := hw.ParseTarget(req.Target)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return

@@ -50,22 +50,15 @@ type routeStats struct {
 	n        int       // total observations ever
 }
 
-// NewMetrics returns a collector keeping the given number of latency
-// samples per route (0 means a 512-sample default), backed by reg (nil
-// means a fresh private registry).
-func NewMetrics(window int, reg *telemetry.Registry) *Metrics {
-	if window <= 0 {
-		window = 512
-	}
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+// NewMetrics returns a collector keeping metricsWindow latency samples per
+// route, backed by a fresh private registry.
+func NewMetrics() *Metrics {
+	reg := telemetry.NewRegistry()
 	scope := reg.Scope("server")
 	return &Metrics{
 		start:               time.Now(),
 		reg:                 reg,
 		routes:              make(map[string]*routeStats),
-		window:              window,
 		transformsStarted:   scope.Counter("transforms.started"),
 		transformsCompleted: scope.Counter("transforms.completed"),
 		transformsCancelled: scope.Counter("transforms.cancelled"),
@@ -98,16 +91,16 @@ func (m *Metrics) Observe(route string, status int, d time.Duration) {
 	defer m.mu.Unlock()
 	rs, ok := m.routes[route]
 	if !ok {
-		rs = &routeStats{byStatus: make(map[int]int64), lat: make([]float64, 0, m.window)}
+		rs = &routeStats{byStatus: make(map[int]int64), lat: make([]float64, 0, metricsWindow)}
 		m.routes[route] = rs
 	}
 	rs.count++
 	rs.byStatus[status]++
 	ms := float64(d) / float64(time.Millisecond)
-	if len(rs.lat) < m.window {
+	if len(rs.lat) < metricsWindow {
 		rs.lat = append(rs.lat, ms)
 	} else {
-		rs.lat[rs.n%m.window] = ms
+		rs.lat[rs.n%metricsWindow] = ms
 	}
 	rs.n++
 }
@@ -235,7 +228,7 @@ func (m *Metrics) Snapshot(cache *Cache, pool *admission.FairPool) Snapshot {
 		for code, n := range rs.byStatus {
 			out.ByStatus[strconv.Itoa(code)] = n
 		}
-		out.Latency.Window = m.window
+		out.Latency.Window = metricsWindow
 		if len(rs.lat) > 0 {
 			sorted := append([]float64(nil), rs.lat...)
 			sort.Float64s(sorted)
@@ -245,7 +238,7 @@ func (m *Metrics) Snapshot(cache *Cache, pool *admission.FairPool) Snapshot {
 				P99:     percentile(sorted, 99),
 				Max:     sorted[len(sorted)-1],
 				Samples: len(sorted),
-				Window:  m.window,
+				Window:  metricsWindow,
 			}
 		}
 		snap.Requests[route] = out

@@ -238,32 +238,36 @@ func TestHealthzLiveDuringDrain(t *testing.T) {
 }
 
 // TestLatencyReservoirPastWindow pins the per-route reservoir's behavior
-// past its window: it holds exactly the most recent window observations
-// (oldest overwritten in ring order), while the request count keeps the
-// full total.
+// past its window: it holds exactly the most recent metricsWindow
+// observations (oldest overwritten in ring order), while the request
+// count keeps the full total.
 func TestLatencyReservoirPastWindow(t *testing.T) {
-	m := NewMetrics(4, nil)
-	for i := 1; i <= 10; i++ {
+	m := NewMetrics()
+	// Six slow observations, then a full window of 1..metricsWindow ms
+	// that must push all six out.
+	const slow = 6
+	for i := 0; i < slow; i++ {
+		m.Observe("/x", 200, 10*time.Second)
+	}
+	for i := 1; i <= metricsWindow; i++ {
 		m.Observe("/x", 200, time.Duration(i)*time.Millisecond)
 	}
 	snap := m.Snapshot(nil, nil)
 	rs := snap.Requests["/x"]
-	if rs.Count != 10 {
-		t.Errorf("count = %d, want 10 (reservoir must not cap the counter)", rs.Count)
+	if rs.Count != slow+metricsWindow {
+		t.Errorf("count = %d, want %d (reservoir must not cap the counter)", rs.Count, slow+metricsWindow)
 	}
 	lat := rs.Latency
-	if lat.Samples != 4 || lat.Window != 4 {
-		t.Errorf("samples/window = %d/%d, want 4/4", lat.Samples, lat.Window)
+	if lat.Samples != metricsWindow || lat.Window != metricsWindow {
+		t.Errorf("samples/window = %d/%d, want %d/%d", lat.Samples, lat.Window, metricsWindow, metricsWindow)
 	}
-	// The retained set is {7,8,9,10} ms: the 1..6ms observations fell out.
-	if lat.Max != 10 {
-		t.Errorf("max = %v, want 10 (most recent)", lat.Max)
+	// The retained set is {1..metricsWindow} ms: the slow observations
+	// fell out.
+	if lat.Max != metricsWindow {
+		t.Errorf("max = %v, want %d (old slow samples must be evicted)", lat.Max, metricsWindow)
 	}
-	if lat.P50 < 7 {
-		t.Errorf("p50 = %v, want >= 7 (old fast samples must be evicted)", lat.P50)
-	}
-	if lat.P99 != 10 {
-		t.Errorf("p99 = %v, want 10", lat.P99)
+	if lat.P50 < metricsWindow/2-1 || lat.P50 > metricsWindow/2+1 {
+		t.Errorf("p50 = %v, want ~%d", lat.P50, metricsWindow/2)
 	}
 }
 

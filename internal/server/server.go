@@ -204,15 +204,10 @@ const (
 	breakerCooldown  = 5 * time.Second
 )
 
-// simEpoch anchors the orbital simulation at the reproduction's
-// reference epoch (2023-03-25 UTC); fixing it keeps every response
-// deterministic for a given request.
-var simEpoch = time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
-
 // New builds a server from the configuration.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	metrics := NewMetrics(metricsWindow, nil)
+	metrics := NewMetrics()
 	probe := telemetry.Probe{Metrics: metrics.Registry(), Trace: cfg.Tracer}
 	logger := cfg.Logger
 	if logger == nil {
@@ -239,7 +234,7 @@ func New(cfg Config) *Server {
 			Rate:  cfg.TenantRate,
 			Burst: cfg.TenantBurst,
 		}),
-		tenants: admission.NewTenantMetrics(metrics.Registry().Scope("server.tenant"), admission.DefaultMaxTenants),
+		tenants: admission.NewTenantMetrics(metrics.Registry().Scope("server.tenant")),
 		jitter:  &jitterSource{rng: xrand.New(cfg.Seed), max: cfg.RetryAfterJitterMax},
 		metrics: metrics,
 		probe:   probe,
@@ -357,18 +352,29 @@ func tenantOf(ctx context.Context) string {
 // With no TenantRate configured the limiter is nil and every request
 // passes. Rejections are 429s whose Retry-After covers the bucket refill
 // (plus jitter, when configured).
+//
+// Each request's admission outcome is counted once, here, from the
+// response status: a 429 — from the token bucket or from fair-pool
+// saturation, cache joiners of a saturated build included — counts as
+// rejected, anything else as admitted.
 func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tenant := tenantOf(r.Context())
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		defer func() {
+			if sw.status == http.StatusTooManyRequests {
+				s.tenants.Rejected(tenant)
+			} else {
+				s.tenants.Admitted(tenant)
+			}
+		}()
 		if ok, retryAfter := s.limiter.Allow(tenant); !ok {
-			s.tenants.Rejected(tenant)
-			w.Header().Set("Retry-After", s.retryAfter(retryAfter))
-			writeJSONError(w, http.StatusTooManyRequests,
+			sw.Header().Set("Retry-After", s.retryAfter(retryAfter))
+			writeJSONError(sw, http.StatusTooManyRequests,
 				fmt.Sprintf("tenant %q over admission rate", tenant))
 			return
 		}
-		s.tenants.Admitted(tenant)
-		h(w, r)
+		h(sw, r)
 	}
 }
 

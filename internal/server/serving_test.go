@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -257,11 +258,13 @@ func TestTenantAdmissionTokenBucket(t *testing.T) {
 	}
 }
 
-// TestAdmissionBalancesPerTenant: under concurrent streams of
-// admission-gated POSTs from several tenants — within-burst requests that
+// TestAdmissionBalancesPerTenant: every admission-gated request a tenant
+// sends is counted exactly once, as admitted or rejected. First under
+// concurrent streams from several tenants — within-burst requests that
 // succeed or fail decoding (oversized and trailing-data bodies), then
-// token-bucket rejections — every request a tenant sends is counted
-// exactly once, as admitted or rejected.
+// token-bucket rejections — and then against a saturated fair pool, whose
+// 429s count as rejected and whose queued builds and their cache joiners
+// count as admitted.
 func TestAdmissionBalancesPerTenant(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 4
@@ -325,24 +328,99 @@ func TestAdmissionBalancesPerTenant(t *testing.T) {
 	}
 	wg.Wait()
 
-	reg := s.Registry()
-	for _, tenant := range tenants {
+	// balanced checks one tenant's counters on server srv.
+	balanced := func(srv *Server, tenant string, wantAdmitted, wantRejected int64) {
+		t.Helper()
 		if tenant == "" {
 			tenant = DefaultTenant
 		}
 		prefix := "server.tenant." + tenant + "."
+		reg := srv.Registry()
 		requests := reg.Counter(prefix + "requests").Load()
 		admitted := reg.Counter(prefix + "admitted").Load()
 		rejected := reg.Counter(prefix + "rejected").Load()
-		if requests != int64(len(stream)) {
-			t.Errorf("%s: requests = %d, want %d", tenant, requests, len(stream))
+		if requests != wantAdmitted+wantRejected {
+			t.Errorf("%s: requests = %d, want %d", tenant, requests, wantAdmitted+wantRejected)
 		}
 		if admitted+rejected != requests {
 			t.Errorf("%s: admitted %d + rejected %d != requests %d", tenant, admitted, rejected, requests)
 		}
-		if admitted != int64(burst) || rejected != int64(len(stream)-burst) {
-			t.Errorf("%s: admitted/rejected = %d/%d, want %d/%d", tenant, admitted, rejected, burst, len(stream)-burst)
+		if admitted != wantAdmitted || rejected != wantRejected {
+			t.Errorf("%s: admitted/rejected = %d/%d, want %d/%d", tenant, admitted, rejected, wantAdmitted, wantRejected)
 		}
+	}
+	for _, tenant := range tenants {
+		balanced(s, tenant, int64(burst), int64(len(stream)-burst))
+	}
+
+	// Saturated pool: a held transform occupies the only worker and each
+	// tenant's depth-1 queue holds one waiting build, so every further new
+	// build is a saturation 429.
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	cfg = testConfig()
+	cfg.Workers = 1
+	cfg.QueueDepth = 1
+	newSystem, transform := stubPipeline(t, nil)
+	cfg.Transform = transform
+	cfg.NewSystem = func(ctx context.Context, c kodan.TransformConfig) (*kodan.System, error) {
+		if c.Seed == 1 {
+			started <- struct{}{}
+			<-gate
+		}
+		return newSystem(ctx, c)
+	}
+	sat := New(cfg)
+	defer sat.Close()
+	sts := httptest.NewServer(sat.Handler())
+	defer sts.Close()
+
+	send := func(tenant, body string, want int) {
+		req, err := http.NewRequest(http.MethodPost, sts.URL+"/v1/transform", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if tenant != "" {
+			req.Header.Set(TenantHeader, tenant)
+		}
+		resp, err := sts.Client().Do(req)
+		if err != nil {
+			t.Errorf("tenant %q %s: %v", tenant, body, err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("tenant %q %s: status %d, want %d", tenant, body, resp.StatusCode, want)
+		}
+	}
+	var held sync.WaitGroup
+	held.Add(1)
+	go func() { defer held.Done(); send(tenants[0], transformBody(1, 1), http.StatusOK) }()
+	<-started
+	for i, tenant := range tenants {
+		held.Add(1)
+		go func() { defer held.Done(); send(tenant, transformBody(uint64(10+i), 1), http.StatusOK) }()
+		waitForCond(t, func() bool { return sat.Metrics().Pool.Queued == i+1 })
+	}
+	const saturated = 2
+	for i, tenant := range tenants {
+		// A joiner of the tenant's queued build shares its result.
+		held.Add(1)
+		go func() { defer held.Done(); send(tenant, transformBody(uint64(10+i), 1), http.StatusOK) }()
+		for j := 0; j < saturated; j++ {
+			send(tenant, transformBody(uint64(100+10*i+j), 1), http.StatusTooManyRequests)
+		}
+	}
+	close(gate)
+	held.Wait()
+	for i, tenant := range tenants {
+		admitted := int64(2) // the queued build and its joiner
+		if i == 0 {
+			admitted++ // the held build
+		}
+		balanced(sat, tenant, admitted, saturated)
 	}
 }
 

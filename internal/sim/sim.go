@@ -54,10 +54,6 @@ type Config struct {
 	Stations []station.Station
 	// Radio is the downlink radio.
 	Radio link.Radio
-	// ScanStep is the contact-window search step (default 30 s).
-	ScanStep time.Duration
-	// Quantum is the station-time allocation granularity (default 10 s).
-	Quantum time.Duration
 	// Workers bounds the parallelism of the per-satellite capture
 	// schedules and contact-window scans: 0 uses GOMAXPROCS, 1 forces the
 	// sequential path. Results are bit-identical at every worker count —
@@ -68,12 +64,6 @@ type Config struct {
 
 // withDefaults fills unset tunables.
 func (c Config) withDefaults() Config {
-	if c.ScanStep == 0 {
-		c.ScanStep = 30 * time.Second
-	}
-	if c.Quantum == 0 {
-		c.Quantum = 10 * time.Second
-	}
 	if c.Planes == 0 {
 		c.Planes = 1
 	}
@@ -261,7 +251,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		defer sp.End()
 		sp.Sim(cfg.Epoch, cfg.Epoch.Add(cfg.Span))
 		sp.Set("sat", fmt.Sprint(j))
-		scanned := station.ContactWindows(cfg.Stations, sats[j], cfg.Epoch, cfg.Span, cfg.ScanStep)
+		scanned := station.ContactWindows(cfg.Stations, sats[j], cfg.Epoch, cfg.Span, station.ScanStep)
 		for si, ws := range scanned {
 			if cuts := inj.StationCuts(cfg.Stations[si].Name, j); len(cuts) > 0 {
 				sw := make([]station.Window, len(cuts))
@@ -285,12 +275,12 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	res.Grants = link.Allocate(link.Problem{
 		Start:   cfg.Epoch,
 		Span:    cfg.Span,
-		Quantum: cfg.Quantum,
+		Quantum: link.GrantQuantum,
 		Windows: windows,
 	})
 	res.Served = link.PerSatServed(res.Grants, len(sats))
 	if inj.HasFades() {
-		res.FadedBits = link.DeratedBits(cfg.Radio, res.Grants, cfg.Quantum, len(sats),
+		res.FadedBits = link.DeratedBits(cfg.Radio, res.Grants, link.GrantQuantum, len(sats),
 			func(st int, t time.Time) float64 { return inj.LinkDerate(cfg.Stations[st].Name, t) })
 		faded := 0.0
 		for i, b := range res.FadedBits {

@@ -88,6 +88,10 @@ func (w Window) Contains(t time.Time) bool {
 	return !t.Before(w.Start) && t.Before(w.End)
 }
 
+// ScanStep is the contact-window search step every simulation scans at:
+// shorter than any LEO pass above a 5-degree mask.
+const ScanStep = 30 * time.Second
+
 // ContactWindows returns the visibility windows of the satellite with
 // elements e at every station in ss over [start, start+span): windows[i]
 // belongs to ss[i]. One coarse scan at step propagates the orbit and

@@ -18,7 +18,7 @@ import (
 func TestStreamDeliversLiveSamples(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("traffic")
-	r := New(reg, Options{Interval: 10 * time.Millisecond})
+	r := New(reg, 10*time.Millisecond)
 	r.Start()
 	defer r.Stop()
 
@@ -93,9 +93,9 @@ func TestStreamDeliversLiveSamples(t *testing.T) {
 func TestStreamReplaysHistoryFirst(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("n").Add(2)
-	r := New(reg, Options{Interval: time.Hour}) // background sampler never fires
-	r.Record()                                  // prime
-	r.Record()                                  // one retained sample
+	r := New(reg, time.Hour) // background sampler never fires
+	r.Record()               // prime
+	r.Record()               // one retained sample
 
 	ts := httptest.NewServer(r.StreamHandler())
 	defer ts.Close()
@@ -129,7 +129,7 @@ func TestStreamReplaysHistoryFirst(t *testing.T) {
 // and points its EventSource at the configured stream path.
 func TestDashPageSelfContained(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	r := New(reg, Options{})
+	r := New(reg, 0)
 	ts := httptest.NewServer(r.PageHandler("test ops", "/debug/dash/stream"))
 	defer ts.Close()
 

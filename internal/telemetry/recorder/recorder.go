@@ -7,10 +7,11 @@
 // samples) for histograms.
 //
 // Memory is bounded by construction: a fine ring holds the most recent
-// Capacity samples at the base interval, and every sample the fine ring
-// evicts is folded into a coarse ring at CoarseFactor x the interval, so
-// a long-running server retains recent history at full resolution and
-// older history downsampled, never growing past the two fixed rings.
+// fineCapacity (600) samples at the base interval, and every coarseFactor
+// (10) samples the fine ring evicts fold into one sample of a coarse ring
+// of coarseCapacity (720), so a long-running server retains recent history
+// at full resolution and older history downsampled, never growing past the
+// two fixed rings.
 //
 // Like the rest of the telemetry layer, the recorder only observes: it
 // reads registry state and is forbidden from influencing any computation,
@@ -27,37 +28,19 @@ import (
 	"kodan/internal/telemetry"
 )
 
-// Options sizes a Recorder.
-type Options struct {
-	// Interval is the sampling period (default 1s).
-	Interval time.Duration
-	// Capacity is the fine ring length (default 600 — ten minutes of
-	// history at the default interval).
-	Capacity int
-	// CoarseFactor is how many evicted fine samples merge into one coarse
-	// sample (default 10).
-	CoarseFactor int
-	// CoarseCapacity is the coarse ring length (default 720 — two hours of
-	// downsampled history at the defaults). Samples evicted from the
-	// coarse ring are gone; that is the retention horizon.
-	CoarseCapacity int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Interval <= 0 {
-		o.Interval = time.Second
-	}
-	if o.Capacity <= 0 {
-		o.Capacity = 600
-	}
-	if o.CoarseFactor <= 0 {
-		o.CoarseFactor = 10
-	}
-	if o.CoarseCapacity <= 0 {
-		o.CoarseCapacity = 720
-	}
-	return o
-}
+// Ring sizes.
+const (
+	// fineCapacity is the fine ring length: ten minutes of history at a
+	// one-second interval.
+	fineCapacity = 600
+	// coarseFactor is how many evicted fine samples merge into one coarse
+	// sample.
+	coarseFactor = 10
+	// coarseCapacity is the coarse ring length: two hours of downsampled
+	// history at a one-second interval. Samples evicted from the coarse
+	// ring are gone; that is the retention horizon.
+	coarseCapacity = 720
+)
 
 // CounterSample is one counter's view over one sample interval.
 type CounterSample struct {
@@ -144,8 +127,8 @@ func (r *ring) all() []Sample {
 // takes one sample synchronously (the background loop uses it; tests and
 // CLIs may call it directly without ever starting the goroutine).
 type Recorder struct {
-	reg  *telemetry.Registry
-	opts Options
+	reg      *telemetry.Registry
+	interval time.Duration
 
 	mu      sync.Mutex
 	fine    *ring
@@ -161,19 +144,22 @@ type Recorder struct {
 	started bool
 }
 
-// New returns a recorder over reg (nil reg yields a nil recorder, whose
-// every method is a no-op).
-func New(reg *telemetry.Registry, opts Options) *Recorder {
+// New returns a recorder over reg that samples every interval (default
+// 1s when interval <= 0). A nil reg yields a nil recorder, whose every
+// method is a no-op.
+func New(reg *telemetry.Registry, interval time.Duration) *Recorder {
 	if reg == nil {
 		return nil
 	}
-	opts = opts.withDefaults()
+	if interval <= 0 {
+		interval = time.Second
+	}
 	return &Recorder{
-		reg:    reg,
-		opts:   opts,
-		fine:   newRing(opts.Capacity),
-		coarse: newRing(opts.CoarseCapacity),
-		subs:   make(map[chan Sample]struct{}),
+		reg:      reg,
+		interval: interval,
+		fine:     newRing(fineCapacity),
+		coarse:   newRing(coarseCapacity),
+		subs:     make(map[chan Sample]struct{}),
 	}
 }
 
@@ -182,7 +168,7 @@ func (r *Recorder) Interval() time.Duration {
 	if r == nil {
 		return 0
 	}
-	return r.opts.Interval
+	return r.interval
 }
 
 // Start launches the background sampler. Extra Starts are no-ops.
@@ -205,7 +191,7 @@ func (r *Recorder) Start() {
 	r.prime()
 	go func() {
 		defer close(r.doneCh)
-		t := time.NewTicker(r.opts.Interval)
+		t := time.NewTicker(r.interval)
 		defer t.Stop()
 		for {
 			select {
@@ -266,7 +252,7 @@ func (r *Recorder) Record() Sample {
 	r.prev, r.prevAt = st, now
 	if evicted, wasFull := r.fine.push(s); wasFull {
 		r.pending = append(r.pending, evicted)
-		if len(r.pending) >= r.opts.CoarseFactor {
+		if len(r.pending) >= coarseFactor {
 			r.coarse.push(mergeSamples(r.pending))
 			r.pending = r.pending[:0]
 		}
@@ -382,7 +368,7 @@ func (r *Recorder) WriteJSON(w io.Writer, since time.Time) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(Window{
-		IntervalMs: r.opts.Interval.Milliseconds(),
+		IntervalMs: r.interval.Milliseconds(),
 		Samples:    r.Samples(since),
 	})
 }

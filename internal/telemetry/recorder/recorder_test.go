@@ -16,7 +16,7 @@ func prime(r *Recorder) { r.Record() }
 func TestCounterDeltasAndRates(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("reqs")
-	r := New(reg, Options{})
+	r := New(reg, 0)
 	prime(r)
 
 	c.Add(10)
@@ -47,7 +47,7 @@ func TestCounterDeltasAndRates(t *testing.T) {
 func TestGaugeLastValueWins(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	g := reg.Gauge("occupancy")
-	r := New(reg, Options{})
+	r := New(reg, 0)
 	prime(r)
 
 	g.Set(3)
@@ -66,7 +66,7 @@ func TestGaugeLastValueWins(t *testing.T) {
 func TestHistogramRollingQuantiles(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := reg.Histogram("lat")
-	r := New(reg, Options{})
+	r := New(reg, 0)
 	prime(r)
 
 	// Interval 1: all fast samples.
@@ -111,25 +111,27 @@ func TestHistogramRollingQuantiles(t *testing.T) {
 }
 
 // TestRingRetentionPastCapacity is the reservoir-past-window edge case:
-// pushing more samples than the fine ring holds must keep memory bounded,
+// pushing more samples than both rings hold must keep memory bounded,
 // retain the newest samples at full resolution, and fold evictions into
-// the coarse ring rather than dropping them.
+// the coarse ring rather than dropping them until the coarse ring wraps.
 func TestRingRetentionPastCapacity(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("n")
-	r := New(reg, Options{Capacity: 4, CoarseFactor: 2, CoarseCapacity: 3})
+	r := New(reg, 0)
 	prime(r)
 
-	const total = 20
+	// Fill the fine ring, fill the coarse ring, wrap the coarse ring by
+	// two merged samples, and leave five evictions pending.
+	const pending = 5
+	const total = fineCapacity + coarseFactor*(coarseCapacity+2) + pending
 	for i := 0; i < total; i++ {
 		c.Inc()
 		r.Record()
 	}
 
 	all := r.Samples(time.Time{})
-	// Bound: fine (4) + coarse (3) + pending (< factor).
-	if len(all) > 4+3+1 {
-		t.Fatalf("retained %d samples, want bounded by rings (<= 8)", len(all))
+	if want := coarseCapacity + pending + fineCapacity; len(all) != want {
+		t.Fatalf("retained %d samples, want %d (coarse + pending + fine)", len(all), want)
 	}
 	// Newest fine sample is the last recorded one.
 	last := all[len(all)-1]
@@ -142,47 +144,44 @@ func TestRingRetentionPastCapacity(t *testing.T) {
 			t.Fatalf("samples out of order at %d", i)
 		}
 	}
-	// Coarse samples cover merged intervals: every counter increment that
-	// fell out of the fine ring and survived coarse retention is summed,
-	// not lost — deltas across all retained samples plus evicted-coarse
-	// losses account for the total.
+	// Each coarse sample merges coarseFactor one-increment intervals, so
+	// every increment is retained except the two merged samples the
+	// coarse ring evicted.
 	var deltaSum int64
-	for _, s := range all {
+	for i, s := range all {
+		want := int64(1)
+		if i < coarseCapacity {
+			want = coarseFactor
+		}
+		if got := s.Counters["n"].Delta; got != want {
+			t.Fatalf("sample %d delta = %d, want %d", i, got, want)
+		}
 		deltaSum += s.Counters["n"].Delta
 	}
-	if deltaSum > total {
-		t.Errorf("retained deltas sum to %d > %d recorded", deltaSum, total)
-	}
-	// The oldest retained coarse sample must be a merge (covers more than
-	// one base interval => delta from multiple increments possible). At
-	// minimum the merge machinery ran: some retained sample has Delta > 1
-	// or the coarse ring is populated.
-	coarsePopulated := false
-	for _, s := range all {
-		if s.Counters["n"].Delta > 1 {
-			coarsePopulated = true
-		}
-	}
-	if !coarsePopulated {
-		t.Error("no merged (coarse) sample retained after wrapping the fine ring")
+	if want := int64(total - 2*coarseFactor); deltaSum != want {
+		t.Errorf("retained deltas sum to %d, want %d", deltaSum, want)
 	}
 }
 
 func TestDownsampledHistogramMergeExact(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := reg.Histogram("lat")
-	r := New(reg, Options{Capacity: 1, CoarseFactor: 2, CoarseCapacity: 4})
+	r := New(reg, 0)
 	prime(r)
 
-	// Two samples that will both be evicted and merged into one coarse
-	// sample: one fast-only interval, one slow-only interval.
+	// The first coarseFactor intervals merge into one coarse sample: one
+	// fast-only interval, one slow-only interval, then idle ones.
 	h.Observe(0.001)
 	r.Record()
 	h.Observe(1.0)
 	r.Record()
-	// Two more to push both originals out of the 1-slot fine ring.
-	r.Record()
-	r.Record()
+	for i := 2; i < coarseFactor; i++ {
+		r.Record()
+	}
+	// A full fine ring more pushes all of them out of the fine ring.
+	for i := 0; i < fineCapacity; i++ {
+		r.Record()
+	}
 
 	all := r.Samples(time.Time{})
 	var merged *HistogramSample
@@ -210,7 +209,7 @@ func TestDownsampledHistogramMergeExact(t *testing.T) {
 func TestSubscribeReceivesSamples(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("n")
-	r := New(reg, Options{})
+	r := New(reg, 0)
 	prime(r)
 
 	ch, cancel := r.Subscribe(4)
@@ -234,7 +233,7 @@ func TestSubscribeReceivesSamples(t *testing.T) {
 func TestStartStopBackgroundSampler(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("n").Inc()
-	r := New(reg, Options{Interval: 5 * time.Millisecond})
+	r := New(reg, 5*time.Millisecond)
 	r.Start()
 	defer r.Stop()
 
@@ -257,7 +256,7 @@ func TestStartStopBackgroundSampler(t *testing.T) {
 func TestWriteJSONWindow(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("n").Add(3)
-	r := New(reg, Options{Interval: 250 * time.Millisecond})
+	r := New(reg, 250*time.Millisecond)
 	prime(r)
 	r.Record()
 
@@ -310,7 +309,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &w); err != nil {
 		t.Fatalf("nil recorder export invalid: %v", err)
 	}
-	if New(nil, Options{}) != nil {
+	if New(nil, 0) != nil {
 		t.Error("New(nil) should return nil")
 	}
 }
@@ -318,7 +317,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 func TestFineWindowing(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := reg.Scope("t").Counter("ticks")
-	r := New(reg, Options{Capacity: 8})
+	r := New(reg, 0)
 	prime(r)
 	for i := 0; i < 5; i++ {
 		c.Inc()
@@ -347,7 +346,7 @@ func TestFineWindowing(t *testing.T) {
 func TestHistogramBucketDelta(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := reg.Scope("t").Histogram("lat")
-	r := New(reg, Options{})
+	r := New(reg, 0)
 	prime(r)
 	h.Observe(0.5) // one observation in a known value range
 	s := r.Record()

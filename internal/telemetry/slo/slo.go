@@ -14,8 +14,8 @@
 // 8x too fast). The output is three-state:
 //
 //	ok    — neither window burns at warning rate
-//	warn  — both windows burn at or above WarnBurn
-//	page  — both windows burn at or above PageBurn
+//	warn  — both windows burn at or above warnBurn (2)
+//	page  — both windows burn at or above pageBurn (8)
 //
 // Requiring both windows (the multi-window, multi-burn-rate pattern)
 // keeps pages fast on real incidents — the fast window trips immediately
@@ -106,38 +106,15 @@ func (o Objective) Validate() error {
 	return nil
 }
 
-// Config sizes the evaluation windows and burn thresholds. Windows are
-// counted in recorder fine samples, so wall-clock width is the recorder
-// interval times the sample count.
-type Config struct {
-	// FastSamples is the fast window (default 6).
-	FastSamples int
-	// SlowSamples is the slow window (default 36).
-	SlowSamples int
-	// WarnBurn and PageBurn are the burn-rate thresholds (defaults 2
-	// and 8). Burn 1 means spending exactly the error budget.
-	WarnBurn float64
-	PageBurn float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.FastSamples <= 0 {
-		c.FastSamples = 6
-	}
-	if c.SlowSamples <= 0 {
-		c.SlowSamples = 36
-	}
-	if c.SlowSamples < c.FastSamples {
-		c.SlowSamples = c.FastSamples
-	}
-	if c.WarnBurn <= 0 {
-		c.WarnBurn = 2
-	}
-	if c.PageBurn <= 0 {
-		c.PageBurn = 8
-	}
-	return c
-}
+// Evaluation windows and burn thresholds. Windows are counted in recorder
+// fine samples, so wall-clock width is the recorder interval times the
+// sample count. Burn 1 means spending exactly the error budget.
+const (
+	fastSamples = 6
+	slowSamples = 36
+	warnBurn    = 2.0
+	pageBurn    = 8.0
+)
 
 // WindowStatus is one window's evidence for one objective.
 type WindowStatus struct {
@@ -178,7 +155,6 @@ type Engine struct {
 	rec        *recorder.Recorder
 	scope      *telemetry.Scope
 	objectives []Objective
-	cfg        Config
 	now        func() time.Time
 
 	mu   sync.Mutex
@@ -193,7 +169,7 @@ type Engine struct {
 // windows from rec and writing state metrics through scope (a nil scope
 // disables metrics; a nil recorder yields an engine that reports every
 // objective ok on empty evidence).
-func NewEngine(rec *recorder.Recorder, scope *telemetry.Scope, objectives []Objective, cfg Config) (*Engine, error) {
+func NewEngine(rec *recorder.Recorder, scope *telemetry.Scope, objectives []Objective) (*Engine, error) {
 	seen := make(map[string]bool, len(objectives))
 	for _, o := range objectives {
 		if err := o.Validate(); err != nil {
@@ -208,7 +184,6 @@ func NewEngine(rec *recorder.Recorder, scope *telemetry.Scope, objectives []Obje
 		rec:        rec,
 		scope:      scope,
 		objectives: objectives,
-		cfg:        cfg.withDefaults(),
 		now:        time.Now,
 		last:       make(map[string]State, len(objectives)),
 	}, nil
@@ -228,8 +203,8 @@ func (e *Engine) Evaluate() Report {
 	if e == nil {
 		return Report{Worst: OK.String()}
 	}
-	samples := e.rec.Fine(e.cfg.SlowSamples)
-	fastFrom := len(samples) - e.cfg.FastSamples
+	samples := e.rec.Fine(slowSamples)
+	fastFrom := len(samples) - fastSamples
 	if fastFrom < 0 {
 		fastFrom = 0
 	}
@@ -237,8 +212,8 @@ func (e *Engine) Evaluate() Report {
 
 	rep := Report{
 		WallMs:   e.now().UnixMilli(),
-		WarnBurn: e.cfg.WarnBurn,
-		PageBurn: e.cfg.PageBurn,
+		WarnBurn: warnBurn,
+		PageBurn: pageBurn,
 	}
 	worst := OK
 	e.mu.Lock()
@@ -253,9 +228,9 @@ func (e *Engine) Evaluate() Report {
 		}
 		state := OK
 		switch {
-		case st.Fast.Burn >= e.cfg.PageBurn && st.Slow.Burn >= e.cfg.PageBurn:
+		case st.Fast.Burn >= pageBurn && st.Slow.Burn >= pageBurn:
 			state = Page
-		case st.Fast.Burn >= e.cfg.WarnBurn && st.Slow.Burn >= e.cfg.WarnBurn:
+		case st.Fast.Burn >= warnBurn && st.Slow.Burn >= warnBurn:
 			state = Warn
 		}
 		st.State = state.String()

@@ -52,7 +52,7 @@ func TestObjectiveValidate(t *testing.T) {
 			}
 		})
 	}
-	if _, err := NewEngine(nil, nil, []Objective{errObjective(), errObjective()}, Config{}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := NewEngine(nil, nil, []Objective{errObjective(), errObjective()}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate objective names accepted: %v", err)
 	}
 }
@@ -65,27 +65,26 @@ func TestChaosSweepOkPageOk(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	started := reg.Counter("server.transforms.started")
 	failed := reg.Counter("server.transforms.failed")
-	rec := recorder.New(reg, recorder.Options{Capacity: 64})
+	rec := recorder.New(reg, 0)
 	rec.Record() // prime the differential baseline
 
-	eng, err := NewEngine(rec, reg.Scope("server.slo"),
-		[]Objective{errObjective()},
-		Config{FastSamples: 3, SlowSamples: 9, WarnBurn: 2, PageBurn: 8})
+	eng, err := NewEngine(rec, reg.Scope("server.slo"), []Objective{errObjective()})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The sweep: per-phase fault intensity scaling a seeded error rate.
 	// Moderate intensity burns ~4x budget (warn band: [2, 8)); full
-	// intensity burns ~80x (page); clean phases burn nothing.
+	// intensity burns ~80x (page); clean phases burn nothing. Phases are
+	// sized against the 6-sample fast and 36-sample slow windows.
 	phases := []struct {
 		intensity float64
 		ticks     int
 	}{
-		{0.0, 4},
-		{0.05, 8}, // ~4% errors: warn once the slow window catches up
-		{1.0, 6},  // ~80% errors: page
-		{0.0, 6},  // recovery: fast window clears first
+		{0.0, 12},
+		{0.05, 24}, // ~4% errors: warn once the slow window catches up
+		{1.0, 12},  // ~80% errors: page
+		{0.0, 12},  // recovery: fast window clears first
 	}
 	const requestsPerTick = 200
 
@@ -139,7 +138,7 @@ func TestChaosSweepOkPageOk(t *testing.T) {
 func TestLatencyObjectiveFromBuckets(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := reg.Histogram("server.transform_seconds")
-	rec := recorder.New(reg, recorder.Options{Capacity: 16})
+	rec := recorder.New(reg, 0)
 	rec.Record()
 
 	eng, err := NewEngine(rec, nil, []Objective{{
@@ -147,7 +146,7 @@ func TestLatencyObjectiveFromBuckets(t *testing.T) {
 		Histogram:        "server.transform_seconds",
 		ThresholdSeconds: 1.0,
 		Target:           0.90,
-	}}, Config{FastSamples: 2, SlowSamples: 4, WarnBurn: 2, PageBurn: 8})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +171,10 @@ func TestLatencyObjectiveFromBuckets(t *testing.T) {
 // TestZeroTrafficIsOK: an idle service must not page (no evidence ≠ bad).
 func TestZeroTrafficIsOK(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	rec := recorder.New(reg, recorder.Options{})
+	rec := recorder.New(reg, 0)
 	rec.Record()
 	rec.Record()
-	eng, err := NewEngine(rec, nil, []Objective{errObjective()}, Config{})
+	eng, err := NewEngine(rec, nil, []Objective{errObjective()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +187,9 @@ func TestZeroTrafficIsOK(t *testing.T) {
 // TestHandlerServesJSON: /debug/slo must serve a well-formed Report.
 func TestHandlerServesJSON(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	rec := recorder.New(reg, recorder.Options{})
+	rec := recorder.New(reg, 0)
 	rec.Record()
-	eng, err := NewEngine(rec, reg.Scope("server.slo"), DefaultServerObjectives(30*time.Second), Config{})
+	eng, err := NewEngine(rec, reg.Scope("server.slo"), DefaultServerObjectives(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +214,9 @@ func TestHandlerServesJSON(t *testing.T) {
 // recorder's sample feed without any explicit Evaluate calls.
 func TestStartStopEvaluatesOnSamples(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	rec := recorder.New(reg, recorder.Options{})
+	rec := recorder.New(reg, 0)
 	rec.Record()
-	eng, err := NewEngine(rec, reg.Scope("server.slo"), []Objective{errObjective()}, Config{})
+	eng, err := NewEngine(rec, reg.Scope("server.slo"), []Objective{errObjective()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +239,9 @@ func TestStartStopEvaluatesOnSamples(t *testing.T) {
 func TestConcurrentEvaluate(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("server.transforms.started")
-	rec := recorder.New(reg, recorder.Options{})
+	rec := recorder.New(reg, 0)
 	rec.Record()
-	eng, err := NewEngine(rec, reg.Scope("server.slo"), []Objective{errObjective()}, Config{})
+	eng, err := NewEngine(rec, reg.Scope("server.slo"), []Objective{errObjective()})
 	if err != nil {
 		t.Fatal(err)
 	}

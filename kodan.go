@@ -344,25 +344,37 @@ type Mission struct {
 	ContactGapFrames float64
 }
 
+// ReferenceEpoch is the start of the reference mission every binary and
+// figure simulates from.
+var ReferenceEpoch = time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
+
 // LandsatMission simulates one day of the Landsat 8 reference mission
 // (orbit, WRS-2 grid, camera, three-station ground segment, 384 Mbit/s
 // radio) and returns its derived parameters. The simulation takes on the
 // order of a second.
 func LandsatMission(epoch time.Time) (Mission, error) {
-	res, err := sim.RunCtx(context.Background(), sim.Landsat8Config(epoch, 24*time.Hour, 1))
+	return SimulateMission(context.Background(), epoch, 1, 1)
+}
+
+// SimulateMission simulates days of the Landsat 8 reference mission flown
+// by sats satellites evenly phased in one plane from epoch, and returns
+// its derived parameters; FramesPerDay is the constellation's daily mean.
+func SimulateMission(ctx context.Context, epoch time.Time, days, sats int) (Mission, error) {
+	res, err := sim.RunCtx(ctx, sim.Landsat8Config(epoch, time.Duration(days)*24*time.Hour, sats))
 	if err != nil {
 		return Mission{}, err
 	}
-	im := res.Config.Camera
-	grid := res.Config.Grid
-	deadline := grid.FramePeriod(res.Config.BaseOrbit)
 	observed := float64(res.FramesObserved())
+	if observed == 0 {
+		return Mission{}, fmt.Errorf("simulation observed no frames")
+	}
+	cfg := res.Config
 	return Mission{
 		Epoch:            epoch,
-		FrameDeadline:    deadline,
-		FramesPerDay:     observed,
+		FrameDeadline:    cfg.Grid.FramePeriod(cfg.BaseOrbit),
+		FramesPerDay:     observed / float64(days),
 		CapacityFrac:     res.FrameCapacity() / observed,
-		FrameBits:        im.FrameBits(),
+		FrameBits:        cfg.Camera.FrameBits(),
 		Prevalence:       0.48, // the Sentinel-like dataset's high-value split
 		ContactGapFrames: planner.DeriveLink(res).FramesBetweenContacts,
 	}, nil

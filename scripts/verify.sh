@@ -182,4 +182,10 @@ go run ./cmd/kodan-loadgen -requests 120 -concurrency 16 \
     -seed-pool 1,2,3,4 -apps 1,2,3,4,5,6,7 -tenants ops:3,science:1 \
     -work 16ms -compare > /dev/null
 
+# Server smoke: run the kodan-server binary with its debug listener,
+# check /readyz, /debug/slo and /debug/recorder, and require a clean exit
+# on SIGTERM. Mirrored in .github/workflows/ci.yml.
+echo "==> kodan-server smoke"
+sh scripts/server-smoke.sh > /dev/null
+
 echo "verify: OK"
