@@ -46,10 +46,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := kodan.DefaultTransformConfig(2023)
+	cfg := kodan.DemoTransformConfig(2023)
 	cfg.Frames = *frames
-	cfg.TileRes = 16
-	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
 	fmt.Println("running the one-time transformation...")
 	ctx := context.Background()
 	sys, err := kodan.NewSystemCtx(ctx, cfg)

@@ -60,6 +60,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"os"
@@ -70,12 +71,9 @@ import (
 
 	"kodan"
 	"kodan/internal/app"
-	"kodan/internal/core"
 	"kodan/internal/fault"
-	"kodan/internal/hw"
 	"kodan/internal/planner"
 	"kodan/internal/policy"
-	"kodan/internal/power"
 	"kodan/internal/sense"
 	"kodan/internal/sim"
 	"kodan/internal/telemetry"
@@ -207,8 +205,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	epoch := kodan.ReferenceEpoch
-	cfg := sim.Landsat8Config(epoch, time.Duration(*hours)*time.Hour, *sats)
+	cfg := sim.Landsat8Config(kodan.ReferenceEpoch, time.Duration(*hours)*time.Hour, *sats)
 	cfg.Planes = *planes
 	cfg.Workers = *parallel
 	if *camera == "hyper" {
@@ -223,25 +220,10 @@ func main() {
 			log.Fatal(err)
 		}
 	case *faultIntensity > 0:
-		names := make([]string, len(cfg.Stations))
-		for i, st := range cfg.Stations {
-			names[i] = st.Name
-		}
-		sched = fault.Generate(fault.GenConfig{
-			Seed:      *faultSeed,
-			Start:     epoch,
-			Span:      time.Duration(*hours) * time.Hour,
-			Intensity: *faultIntensity,
-			Stations:  names,
-			Sats:      *sats,
-		})
+		sched = generateSchedule(cfg, *faultIntensity, *faultSeed)
 	}
 
-	stationNames := make([]string, len(cfg.Stations))
-	for i, st := range cfg.Stations {
-		stationNames[i] = st.Name
-	}
-	if err := validateSchedule(*plan, sched, stationNames); err != nil {
+	if err := validateSchedule(*plan, sched, stationNames(cfg)); err != nil {
 		log.Fatal(err)
 	}
 
@@ -280,11 +262,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	m, err := kodan.MissionOf(res)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	deadline := cfg.Grid.FramePeriod(cfg.BaseOrbit)
 	fmt.Printf("constellation: %d satellites, %d plane(s), %dh, %s payload (%.1f Gbit/frame)\n",
-		*sats, cfg.Planes, *hours, cfg.Camera.Name, cfg.Camera.FrameBits()/1e9)
-	fmt.Printf("frame deadline: %.1f s\n", deadline.Seconds())
+		*sats, cfg.Planes, *hours, cfg.Camera.Name, m.FrameBits/1e9)
+	fmt.Printf("frame deadline: %.1f s\n", m.FrameDeadline.Seconds())
 	if sched != nil {
 		fmt.Printf("faults: %s\n", sched.Summary())
 	}
@@ -301,13 +286,13 @@ func main() {
 		res.FrameCapacity(), 100*res.FrameCapacity()/float64(res.FramesObserved()))
 
 	if *plan == "hybrid" {
-		if err := printHybridPlan(ctx, res, cfg, *groundCost, *bufferFrames); err != nil {
+		if err := printHybridPlan(ctx, os.Stdout, res, m, *groundCost, *bufferFrames); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	if *transformApp != 0 {
-		if err := printTransform(ctx, res, cfg, *transformApp, *quantized); err != nil {
+		if err := printTransform(ctx, os.Stdout, m, *transformApp, *quantized); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -333,91 +318,98 @@ func main() {
 	}
 }
 
-// printTransform runs a demo-scale Kodan transformation for one Table 1
-// application and prints the selection logic the simulated mission would
-// fly: the deadline and downlink capacity come from the run above, so a
-// degraded (fault-injected) link produces a different deployment than a
-// clean one. With quantized set, every model also derives its int8 twin
-// and the quality measurement prices the quantization error into the
-// selection. The dataset is sized well below the paper scale (60 frames,
-// two tilings) to keep the CLI interactive; use kodan-transform or
-// kodan-bench for the full-scale transformation.
-func printTransform(ctx context.Context, res *sim.Result, cfg sim.Config, appIdx int, quantized bool) error {
-	tcfg := core.DefaultConfig(2023)
-	tcfg.Frames = 60
-	tcfg.TileRes = 16
-	tcfg.Tilings = []tiling.Tiling{{PerSide: 3}, {PerSide: 11}}
+// stationNames lists the ground segment's station names.
+func stationNames(cfg sim.Config) []string {
+	names := make([]string, len(cfg.Stations))
+	for i, st := range cfg.Stations {
+		names[i] = st.Name
+	}
+	return names
+}
 
+// generateSchedule draws the run's fault schedule at intensity from seed;
+// the same seed and intensity always produce the same faults.
+func generateSchedule(cfg sim.Config, intensity float64, seed uint64) *fault.Schedule {
+	return fault.Generate(fault.GenConfig{
+		Seed:      seed,
+		Start:     cfg.Epoch,
+		Span:      cfg.Span,
+		Intensity: intensity,
+		Stations:  stationNames(cfg),
+		Sats:      cfg.Satellites,
+	})
+}
+
+// printTransform runs a demo-scale Kodan transformation for one Table 1
+// application and writes to w the selection logic the simulated mission
+// would fly: the deadline and downlink capacity come from the mission m
+// derived from the run above, so a degraded (fault-injected) link
+// produces a different deployment than a clean one. With quantized set,
+// every model also derives its int8 twin and the quality measurement
+// prices the quantization error into the selection. The dataset is the
+// demo sizing (kodan.DemoTransformConfig) to keep the CLI interactive;
+// use kodan-transform or kodan-bench for the full-scale transformation.
+func printTransform(ctx context.Context, w io.Writer, m kodan.Mission, appIdx int, quantized bool) error {
 	variant := "float"
 	if quantized {
 		variant = "int8 quantized"
 	}
-	fmt.Printf("\ntransforming App %d for the simulated mission (%s inference, demo scale)...\n", appIdx, variant)
-	ws, err := core.NewWorkspaceCtx(ctx, tcfg)
+	fmt.Fprintf(w, "\ntransforming App %d for the simulated mission (%s inference, demo scale)...\n", appIdx, variant)
+	sys, err := kodan.NewSystemCtx(ctx, kodan.DemoTransformConfig(2023))
 	if err != nil {
 		return err
 	}
-	art, err := ws.WithQuantized(quantized).TransformAppCtx(ctx, app.App(appIdx))
+	app, err := sys.TransformVariantCtx(ctx, appIdx, quantized)
 	if err != nil {
 		return err
 	}
-	obs := float64(res.FramesObserved())
-	d := core.Deployment{
-		Target:       hw.Orin15W,
-		Deadline:     cfg.Grid.FramePeriod(cfg.BaseOrbit),
-		CapacityFrac: res.FrameCapacity() / obs,
-		FillIdle:     true,
-	}
-	sel, est := art.SelectionLogic(d)
-	bent := policy.EvaluateBentPipe(art.Profiles[0].Prevalence(), d.Env(art.Arch))
-	fmt.Printf("  selection logic on %v: tiling %v\n", d.Target, sel.Tiling)
+	d := m.Deployment(kodan.Orin15W)
+	sel, est := app.SelectionLogic(d)
+	bent := app.BentPipe(d)
+	fmt.Fprintf(w, "  selection logic on %v: tiling %v\n", d.Target, sel.Tiling)
 	for c, a := range sel.Actions {
-		fmt.Printf("    C%d %-18s -> %v\n", c, ws.Ctx.Stats[c].Name, a)
+		fmt.Fprintf(w, "    C%d %-18s -> %v\n", c, sys.Contexts()[c].Name, a)
 	}
-	fmt.Printf("  expected frame time %.1f s (deadline %.1f s), DVD %.3f (bent pipe %.3f, %+.0f%%)\n",
+	fmt.Fprintf(w, "  expected frame time %.1f s (deadline %.1f s), DVD %.3f (bent pipe %.3f, %+.0f%%)\n",
 		est.FrameTime.Seconds(), d.Deadline.Seconds(), est.DVD, bent.DVD, 100*(est.DVD/bent.DVD-1))
 	return nil
 }
 
 // printHybridPlan places the capture stream with the hybrid planner
-// against the simulated (possibly fault-injected) link and replays the
-// planned traffic through the run's contact schedule. The stream is split
-// into eight equal slices so the planner can place fractions of a frame
+// against the simulated (possibly fault-injected) link and writes to w
+// the plan and the replay of the planned traffic through the run's
+// contact schedule. The stream is split into eight equal slices, each at
+// the reference prevalence, so the planner can place fractions of a frame
 // rather than all-or-nothing; no on-board models run here — kodan-sim has
 // no transformed application — so the Onboard placement coincides with raw
 // immediate downlink and the interesting decision is raw-now versus defer
 // versus drop, slice by slice.
-func printHybridPlan(ctx context.Context, res *sim.Result, cfg sim.Config, groundCost, bufferFrames float64) error {
+func printHybridPlan(ctx context.Context, w io.Writer, res *sim.Result, m kodan.Mission, groundCost, bufferFrames float64) error {
 	const slices = 8
 	prof := policy.TilingProfile{Tiling: tiling.Tiling{PerSide: 1}}
 	base := policy.Selection{Tiling: prof.Tiling}
 	for i := 0; i < slices; i++ {
 		prof.Contexts = append(prof.Contexts, policy.ContextProfile{
-			TileFrac: 1.0 / slices, HighValueFrac: 0.48,
+			TileFrac: 1.0 / slices, HighValueFrac: m.Prevalence,
 		})
 		base.Actions = append(base.Actions, policy.Downlink)
 	}
-	costs := planner.DefaultCosts()
-	costs.GroundPerFrame = groundCost
-	env := planner.Env{
-		Policy:       policy.Env{Target: hw.Orin15W, Deadline: cfg.Grid.FramePeriod(cfg.BaseOrbit)},
-		Bus:          power.ThreeUBus(),
-		Costs:        costs,
-		BufferFrames: bufferFrames,
-	}.WithLink(planner.DeriveLink(res))
+	env := m.HybridEnv()
+	env.Policy = policy.Env{Target: kodan.Orin15W, Deadline: m.FrameDeadline, CapacityFrac: m.CapacityFrac}
+	env.Costs.GroundPerFrame = groundCost
+	env.BufferFrames = bufferFrames
 	pl, err := planner.DecideCtx(ctx, prof, base, env)
 	if err != nil {
 		return err
 	}
 	ev := pl.Eval
-	frameBits := cfg.Camera.FrameBits()
-	st := res.DrainDeferredCtx(ctx, (ev.NowBits+ev.DeferBits)*frameBits, bufferFrames*frameBits)
-	fmt.Printf("\nhybrid plan (capture stream in %d slices, ground cost %.2f, buffer %.0f frames):\n", slices, groundCost, bufferFrames)
-	fmt.Printf("  placement: downlink-now %.0f%%, defer %.0f%%, drop %.0f%% (utility %.3f)\n",
+	st := res.DrainDeferredCtx(ctx, (ev.NowBits+ev.DeferBits)*m.FrameBits, bufferFrames*m.FrameBits)
+	fmt.Fprintf(w, "\nhybrid plan (capture stream in %d slices, ground cost %.2f, buffer %.0f frames):\n", slices, groundCost, bufferFrames)
+	fmt.Fprintf(w, "  placement: downlink-now %.0f%%, defer %.0f%%, drop %.0f%% (utility %.3f)\n",
 		100*(ev.OnboardFrac+ev.DownlinkFrac), 100*ev.DeferFrac, 100*ev.DropFrac, ev.Utility)
-	fmt.Printf("  link: %.3f now + %.3f deferred frame-fractions per observed frame (capacity %.3f, contact gap %.1f frames)\n",
+	fmt.Fprintf(w, "  link: %.3f now + %.3f deferred frame-fractions per observed frame (capacity %.3f, contact gap %.1f frames)\n",
 		ev.NowBits, ev.DeferBits, env.Policy.CapacityFrac, env.FramesBetweenContacts)
-	fmt.Printf("  store-and-forward: delivered %.1f Gbit, dropped %.1f, residual %.1f; latency mean %v max %v; peak buffer %.1f Gbit\n",
+	fmt.Fprintf(w, "  store-and-forward: delivered %.1f Gbit, dropped %.1f, residual %.1f; latency mean %v max %v; peak buffer %.1f Gbit\n",
 		st.DeliveredBits/1e9, st.DroppedBits/1e9, st.ResidualBits/1e9,
 		st.MeanLatency.Round(time.Second), st.MaxLatency.Round(time.Second), st.PeakBufferBits/1e9)
 	return nil

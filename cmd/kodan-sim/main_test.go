@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"kodan"
 	"kodan/internal/fault"
+	"kodan/internal/sim"
 )
 
 // legalFlags returns the default command line, which must validate.
@@ -120,6 +125,47 @@ func TestValidateSchedule(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %v, want substring %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestReportsMatchGolden pins the -plan hybrid and -transform-app reports
+// byte for byte to the output of "kodan-sim -hours 6 -sats 2 -plan hybrid
+// -transform-app 4", on a clean run and at -fault-intensity 1, where the
+// derated link reshapes both the plan and the deployment.
+func TestReportsMatchGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		intensity float64
+	}{{"clean", 0}, {"fault", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := t.Context()
+			cfg := sim.Landsat8Config(kodan.ReferenceEpoch, 6*time.Hour, 2)
+			if tc.intensity > 0 {
+				ctx = fault.WithInjector(ctx, fault.NewInjector(generateSchedule(cfg, tc.intensity, 2023)))
+			}
+			res, err := sim.RunCtx(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := kodan.MissionOf(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := printHybridPlan(ctx, &got, res, m, 0.5, 64); err != nil {
+				t.Fatal(err)
+			}
+			if err := printTransform(ctx, &got, m, 4, false); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "report-"+tc.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("report differs from golden:\n--- got\n%s\n--- want\n%s", got.Bytes(), want)
 			}
 		})
 	}

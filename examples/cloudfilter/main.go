@@ -32,10 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := kodan.DefaultTransformConfig(7)
-	cfg.Frames = 60
-	cfg.TileRes = 16
-	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
+	cfg := kodan.DemoTransformConfig(7)
 	sys, err := kodan.NewSystemCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -58,7 +55,7 @@ func main() {
 	// sample through the real runtime.
 	dcfg := dataset.DefaultConfig(991, tiling.Tiling{PerSide: logic.Tiling.PerSide})
 	dcfg.Frames = 40
-	dcfg.TileRes = 16
+	dcfg.TileRes = cfg.TileRes
 	ds, err := dataset.Generate(dcfg)
 	if err != nil {
 		log.Fatal(err)

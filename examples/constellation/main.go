@@ -49,11 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := kodan.DefaultTransformConfig(11)
-	cfg.Frames = 60
-	cfg.TileRes = 16
-	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
-	sys, err := kodan.NewSystemCtx(ctx, cfg)
+	sys, err := kodan.NewSystemCtx(ctx, kodan.DemoTransformConfig(11))
 	if err != nil {
 		log.Fatal(err)
 	}

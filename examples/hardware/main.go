@@ -26,11 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := kodan.DefaultTransformConfig(5)
-	cfg.Frames = 60
-	cfg.TileRes = 16
-	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
-	sys, err := kodan.NewSystemCtx(ctx, cfg)
+	sys, err := kodan.NewSystemCtx(ctx, kodan.DemoTransformConfig(5))
 	if err != nil {
 		log.Fatal(err)
 	}

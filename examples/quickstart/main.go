@@ -29,12 +29,8 @@ func main() {
 		mission.FrameDeadline.Seconds(), mission.FramesPerDay, 100*mission.CapacityFrac)
 
 	// 2. One-time transformation: representative dataset, contexts, and a
-	//    context engine. (Down-sized here so the example runs in seconds.)
-	cfg := kodan.DefaultTransformConfig(42)
-	cfg.Frames = 60
-	cfg.TileRes = 16
-	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
-	sys, err := kodan.NewSystemCtx(ctx, cfg)
+	//    context engine, at the demo sizing so the example runs in seconds.
+	sys, err := kodan.NewSystemCtx(ctx, kodan.DemoTransformConfig(42))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -347,3 +347,21 @@ func (a *Artifacts) Profile(tl tiling.Tiling) (policy.TilingProfile, error) {
 	}
 	return policy.TilingProfile{}, fmt.Errorf("core: tiling %v not profiled", tl)
 }
+
+// BentPipe prices the bent-pipe baseline in the deployment: every frame
+// downlinked raw, so the link carries the dataset's prevalence.
+func (a *Artifacts) BentPipe(d Deployment) policy.Estimate {
+	return policy.EvaluateBentPipe(a.Profiles[0].Prevalence(), d.Env(a.Arch))
+}
+
+// DirectDeploy prices prior OEC work's direct deployment at one tiling:
+// the reference model on every tile, no context engine.
+func (a *Artifacts) DirectDeploy(d Deployment, tl tiling.Tiling) (policy.Estimate, error) {
+	prof, err := a.Profile(tl)
+	if err != nil {
+		return policy.Estimate{}, err
+	}
+	env := d.Env(a.Arch)
+	env.UseEngine = false
+	return policy.Evaluate(policy.DirectSelection(prof), prof, env), nil
+}

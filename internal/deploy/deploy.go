@@ -147,53 +147,6 @@ func (r *Runtime) ProcessFrame(tiles []*imagery.Tile, rng *xrand.Rand) FrameOutc
 	return out
 }
 
-// Direct is the direct-deployment baseline: the reference model on every
-// tile, no context engine.
-type Direct struct {
-	Model    *app.Model
-	Target   hw.Target
-	TileBits float64
-}
-
-// ProcessFrame filters every tile with the reference model.
-func (d *Direct) ProcessFrame(tiles []*imagery.Tile, rng *xrand.Rand) FrameOutcome {
-	out := FrameOutcome{Tiles: make([]TileOutcome, 0, len(tiles))}
-	modelMs := d.Model.Arch.PerTileMs[d.Target]
-	var mask []bool
-	for _, t := range tiles {
-		if cap(mask) < t.Pixels() {
-			mask = make([]bool, t.Pixels())
-		}
-		mask = mask[:t.Pixels()]
-		conf := d.Model.PredictTileInto(t, rng, mask)
-		kept, keptValue := 0, 0
-		for p, keep := range mask {
-			if keep {
-				kept++
-				if t.Truth[p] {
-					keptValue++
-				}
-			}
-		}
-		n := float64(t.Pixels())
-		to := TileOutcome{
-			Context: -1,
-			Action:  policy.Generic,
-			Chunk: value.Chunk{
-				Bits:      d.TileBits * float64(kept) / n,
-				ValueBits: d.TileBits * float64(keptValue) / n,
-			},
-			Time:      time.Duration(modelMs * float64(time.Millisecond)),
-			Confusion: conf,
-		}
-		out.ObservedBits += d.TileBits
-		out.ObservedValueBits += d.TileBits * t.HighValueFrac()
-		out.Time += to.Time
-		out.Tiles = append(out.Tiles, to)
-	}
-	return out
-}
-
 // BentPipeFrame queues the whole frame raw with zero processing time.
 func BentPipeFrame(tiles []*imagery.Tile, tileBits float64) FrameOutcome {
 	out := FrameOutcome{Tiles: make([]TileOutcome, 0, len(tiles))}

@@ -15,10 +15,12 @@ import (
 	"kodan/internal/xrand"
 )
 
-// fixture builds a small runtime over a 3x3 tiling with App 4 on the Orin.
+// fixture builds a small runtime over a 3x3 tiling with App 4 on the Orin,
+// plus a runtime whose logic filters every tile with the generic model
+// (no elision, the direct-deployment workload).
 type fixture struct {
 	runtime *Runtime
-	direct  *Direct
+	direct  *Runtime
 	frames  [][]*imagery.Tile
 }
 
@@ -63,7 +65,17 @@ func buildFixture(t *testing.T) fixture {
 		Target:   hw.Orin15W,
 		TileBits: 1,
 	}
-	dir := &Direct{Model: suite.Generic, Target: hw.Orin15W, TileBits: 1}
+	generic := make([]policy.Action, ctx.K)
+	for c := range generic {
+		generic[c] = policy.Generic
+	}
+	dir := &Runtime{
+		Engine:   ctx,
+		Suite:    suite,
+		Logic:    policy.Selection{Tiling: tl, Actions: generic},
+		Target:   hw.Orin15W,
+		TileBits: 1,
+	}
 
 	// Group validation tiles back into frames.
 	byFrame := map[int][]*imagery.Tile{}
@@ -215,8 +227,9 @@ func TestDeploymentBottleneckDropsFrames(t *testing.T) {
 	for _, frame := range f.frames {
 		outs = append(outs, f.direct.ProcessFrame(frame, xrand.New(5)))
 	}
-	// Direct deploy at 3x3 on the Orin: 9 x 1594 ms = 14.3 s < 24 s, so
-	// use a tighter artificial deadline to force the bottleneck.
+	// Filtering every tile at 3x3 on the Orin: 9 x 1594 ms = 14.3 s (plus
+	// the context engine) < 24 s, so use a tighter artificial deadline to
+	// force the bottleneck.
 	d := Deployment{
 		FramesObserved: 3600,
 		CapacityBits:   0.21 * 3600 * 9,

@@ -35,10 +35,11 @@ type AblationKRow struct {
 func (l *Lab) AblationContextCountCtx(ctx context.Context, ks []int) ([]AblationKRow, error) {
 	ctx, span := l.startFigure(ctx, "ablation-k")
 	defer span.End()
-	d, err := l.DeploymentCtx(ctx, hw.Orin15W)
+	m, err := l.MissionCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
+	d := m.Deployment(hw.Orin15W)
 	rows := make([]AblationKRow, len(ks))
 	err = parallel.ForEach(ctx, l.workers(), len(ks), func(ctx context.Context, j int) error {
 		cfg := l.transformConfig()
@@ -99,10 +100,11 @@ type AblationSourceRow struct {
 func (l *Lab) AblationContextSourceCtx(ctx context.Context) ([]AblationSourceRow, error) {
 	ctx, span := l.startFigure(ctx, "ablation-source")
 	defer span.End()
-	d, err := l.DeploymentCtx(ctx, hw.Orin15W)
+	m, err := l.MissionCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
+	d := m.Deployment(hw.Orin15W)
 	sources := []struct {
 		name string
 		s    ctxengine.Source

@@ -55,14 +55,15 @@ func (r Fig8Row) Improvement() float64 {
 func (l *Lab) Figure8Ctx(ctx context.Context) ([]Fig8Row, error) {
 	ctx, span := l.startFigure(ctx, "fig8")
 	defer span.End()
+	m, err := l.MissionCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
 	pairs := targetAppPairs()
 	rows := make([]Fig8Row, len(pairs))
-	err := parallel.ForEach(ctx, l.workers(), len(pairs), func(ctx context.Context, k int) error {
+	err = parallel.ForEach(ctx, l.workers(), len(pairs), func(ctx context.Context, k int) error {
 		p := pairs[k]
-		d, err := l.DeploymentCtx(ctx, p.target)
-		if err != nil {
-			return err
-		}
+		d := m.Deployment(p.target)
 		art, err := l.AppCtx(ctx, p.app)
 		if err != nil {
 			return err
@@ -75,7 +76,7 @@ func (l *Lab) Figure8Ctx(ctx context.Context) ([]Fig8Row, error) {
 		rows[k] = Fig8Row{
 			Target:    p.target,
 			App:       p.app,
-			BentDVD:   bentEstimate(art, d).DVD,
+			BentDVD:   art.BentPipe(d).DVD,
 			DirectDVD: direct.DVD,
 			KodanDVD:  kodan.DVD,
 		}
@@ -121,14 +122,15 @@ func (r Fig8QRow) QuantErr() float64 { return r.QuantDVD - r.FloatDVD }
 func (l *Lab) Figure8QuantizedCtx(ctx context.Context) ([]Fig8QRow, error) {
 	ctx, span := l.startFigure(ctx, "fig8q")
 	defer span.End()
+	m, err := l.MissionCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
 	pairs := targetAppPairs()
 	rows := make([]Fig8QRow, len(pairs))
-	err := parallel.ForEach(ctx, l.workers(), len(pairs), func(ctx context.Context, k int) error {
+	err = parallel.ForEach(ctx, l.workers(), len(pairs), func(ctx context.Context, k int) error {
 		p := pairs[k]
-		d, err := l.DeploymentCtx(ctx, p.target)
-		if err != nil {
-			return err
-		}
+		d := m.Deployment(p.target)
 		art, err := l.AppCtx(ctx, p.app)
 		if err != nil {
 			return err
@@ -188,10 +190,7 @@ func (l *Lab) Figure9Ctx(ctx context.Context) ([]Fig9Row, error) {
 	rows := make([]Fig9Row, len(pairs))
 	err = parallel.ForEach(ctx, l.workers(), len(pairs), func(ctx context.Context, k int) error {
 		p := pairs[k]
-		d, err := l.DeploymentCtx(ctx, p.target)
-		if err != nil {
-			return err
-		}
+		d := m.Deployment(p.target)
 		art, err := l.AppCtx(ctx, p.app)
 		if err != nil {
 			return err
@@ -206,7 +205,7 @@ func (l *Lab) Figure9Ctx(ctx context.Context) ([]Fig9Row, error) {
 			App:        p.app,
 			DirectTime: direct.FrameTime,
 			KodanTime:  kodan.FrameTime,
-			Deadline:   m.Deadline,
+			Deadline:   m.FrameDeadline,
 		}
 		return nil
 	})
@@ -259,10 +258,7 @@ func (l *Lab) Figure10Ctx(ctx context.Context) ([]Fig10Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := l.DeploymentCtx(ctx, hw.Orin15W)
-	if err != nil {
-		return nil, err
-	}
+	d := m.Deployment(hw.Orin15W)
 	env := d.Env(art.Arch)
 	env.UseEngine = false
 	tl := accuracyTiling(art)
@@ -271,7 +267,7 @@ func (l *Lab) Figure10Ctx(ctx context.Context) ([]Fig10Point, error) {
 		return nil, err
 	}
 	sel := policy.DirectSelection(prof)
-	bent := bentEstimate(art, d).DVD
+	bent := art.BentPipe(d).DVD
 
 	// The normalization ceiling: DVD with unlimited compute.
 	maxDVD := policy.EvaluateAtTime(sel, prof, env, 0).DVD
@@ -319,10 +315,7 @@ func (l *Lab) Figure10Ctx(ctx context.Context) ([]Fig10Point, error) {
 		if err != nil {
 			return err
 		}
-		dep, err := l.DeploymentCtx(ctx, c.target)
-		if err != nil {
-			return err
-		}
+		dep := m.Deployment(c.target)
 		var est policy.Estimate
 		kind := "Direct Deploy"
 		if c.kodan {
@@ -381,10 +374,7 @@ func (l *Lab) Figure11Ctx(ctx context.Context) ([]Fig11Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := l.DeploymentCtx(ctx, hw.Orin15W)
-	if err != nil {
-		return nil, err
-	}
+	d := m.Deployment(hw.Orin15W)
 	rows := make([]Fig11Row, 7)
 	err = parallel.ForEach(ctx, l.workers(), len(rows), func(ctx context.Context, k int) error {
 		i := k + 1
@@ -407,9 +397,9 @@ func (l *Lab) Figure11Ctx(ctx context.Context) ([]Fig11Row, error) {
 		prec := policy.Evaluate(policy.DirectSelection(prof), prof, env)
 		_, kodan := art.SelectionLogic(d)
 
-		ds := policy.SatellitesForCoverage(direct.FrameTime, m.Deadline)
-		ps := policy.SatellitesForCoverage(prec.FrameTime, m.Deadline)
-		ks := policy.SatellitesForCoverage(kodan.FrameTime, m.Deadline)
+		ds := policy.SatellitesForCoverage(direct.FrameTime, m.FrameDeadline)
+		ps := policy.SatellitesForCoverage(prec.FrameTime, m.FrameDeadline)
+		ks := policy.SatellitesForCoverage(kodan.FrameTime, m.FrameDeadline)
 		rows[k] = Fig11Row{
 			App: i, DirectSats: ds, MaxPrecSats: ps, KodanSats: ks,
 			MaxPrecFactor: float64(ds) / float64(ps),
@@ -581,14 +571,15 @@ type Fig14Row struct {
 func (l *Lab) Figure14Ctx(ctx context.Context) ([]Fig14Row, error) {
 	ctx, span := l.startFigure(ctx, "fig14")
 	defer span.End()
+	m, err := l.MissionCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
 	pairs := targetAppPairs()
 	groups := make([][]Fig14Row, len(pairs))
-	err := parallel.ForEach(ctx, l.workers(), len(pairs), func(ctx context.Context, k int) error {
+	err = parallel.ForEach(ctx, l.workers(), len(pairs), func(ctx context.Context, k int) error {
 		p := pairs[k]
-		d, err := l.DeploymentCtx(ctx, p.target)
-		if err != nil {
-			return err
-		}
+		d := m.Deployment(p.target)
 		art, err := l.AppCtx(ctx, p.app)
 		if err != nil {
 			return err
@@ -641,14 +632,15 @@ type Fig15Row struct {
 func (l *Lab) Figure15Ctx(ctx context.Context) ([]Fig15Row, error) {
 	ctx, span := l.startFigure(ctx, "fig15")
 	defer span.End()
+	m, err := l.MissionCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
 	pairs := targetAppPairs()
 	rows := make([]Fig15Row, len(pairs))
-	err := parallel.ForEach(ctx, l.workers(), len(pairs), func(ctx context.Context, k int) error {
+	err = parallel.ForEach(ctx, l.workers(), len(pairs), func(ctx context.Context, k int) error {
 		p := pairs[k]
-		d, err := l.DeploymentCtx(ctx, p.target)
-		if err != nil {
-			return err
-		}
+		d := m.Deployment(p.target)
 		art, err := l.AppCtx(ctx, p.app)
 		if err != nil {
 			return err

@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
+	"kodan"
 	"kodan/internal/core"
-	"kodan/internal/fault"
 	"kodan/internal/hw"
 	"kodan/internal/parallel"
 	"kodan/internal/planner"
@@ -18,10 +17,6 @@ import (
 // planApp is the reference application of the hybrid-plan sweep (App 4,
 // the same reference Figure 10 uses).
 const planApp = 4
-
-// planBufferFrames sizes the on-board deferral buffer in frame-size
-// units — a few minutes of captures for the Landsat payload.
-const planBufferFrames = 64
 
 // PlanGroundCosts returns the ground-compute-cost sweep points (per
 // frame-fraction processed on the ground) at this size.
@@ -75,10 +70,6 @@ func (l *Lab) HybridPlanSweepCtx(ctx context.Context) ([]HybridPlanRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := l.MissionCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
 	sats := l.SatCounts()
 	gcosts := l.PlanGroundCosts()
 	perSat := 2 + len(gcosts)
@@ -88,7 +79,7 @@ func (l *Lab) HybridPlanSweepCtx(ctx context.Context) ([]HybridPlanRow, error) {
 		if err != nil {
 			return err
 		}
-		block, err := hybridPlanBlock(ctx, art, m, res, gcosts)
+		block, err := hybridPlanBlock(ctx, art, res, gcosts)
 		if err != nil {
 			return err
 		}
@@ -103,21 +94,20 @@ func (l *Lab) HybridPlanSweepCtx(ctx context.Context) ([]HybridPlanRow, error) {
 
 // hybridPlanBlock computes one constellation size's rows: the onboard and
 // bent-pipe baselines plus one planner row per ground cost. Everything
-// derives deterministically from the day run and the App 4 artifacts.
-func hybridPlanBlock(ctx context.Context, art *core.Artifacts, m missionProfile, res *sim.Result,
+// derives deterministically from the day run and the App 4 artifacts; a
+// fault-injected run re-plans against its derated link.
+func hybridPlanBlock(ctx context.Context, art *core.Artifacts, res *sim.Result,
 	gcosts []float64) ([]HybridPlanRow, error) {
-	n := res.Config.Satellites
-	observed := float64(res.FramesObserved())
-	d := core.Deployment{
-		Target:       hw.Orin15W,
-		Deadline:     m.Deadline,
-		CapacityFrac: res.FrameCapacity() / observed,
-		FillIdle:     true,
+	m, err := kodan.MissionOf(res)
+	if err != nil {
+		return nil, err
 	}
+	n := res.Config.Satellites
+	d := m.Deployment(hw.Orin15W)
 
 	// Onboard-only: the existing Kodan selection logic, unchanged.
 	sel, est := art.SelectionLogic(d)
-	energy, err := power.EnergyPerFrame(hw.Orin15W, est.FrameTime, m.Deadline)
+	energy, err := power.EnergyPerFrame(hw.Orin15W, est.FrameTime, m.FrameDeadline)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +121,7 @@ func hybridPlanBlock(ctx context.Context, art *core.Artifacts, m missionProfile,
 	}}
 
 	// Bent pipe: every frame raw, no on-board compute at all.
-	bent := bentEstimate(art, d)
+	bent := art.BentPipe(d)
 	rows = append(rows, HybridPlanRow{
 		Sats:        n,
 		Mode:        "bentpipe",
@@ -146,16 +136,10 @@ func hybridPlanBlock(ctx context.Context, art *core.Artifacts, m missionProfile,
 	if err != nil {
 		return nil, err
 	}
-	li := planner.DeriveLink(res)
 	for _, g := range gcosts {
-		costs := planner.DefaultCosts()
-		costs.GroundPerFrame = g
-		env := planner.Env{
-			Policy:       d.Env(art.Arch),
-			Bus:          power.ThreeUBus(),
-			Costs:        costs,
-			BufferFrames: planBufferFrames,
-		}.WithLink(li)
+		env := m.HybridEnv()
+		env.Policy = d.Env(art.Arch)
+		env.Costs.GroundPerFrame = g
 		plan, err := planner.DecideCtx(ctx, prof, sel, env)
 		if err != nil {
 			return nil, err
@@ -166,7 +150,7 @@ func hybridPlanBlock(ctx context.Context, art *core.Artifacts, m missionProfile,
 			Mode:        "planner",
 			GroundCost:  g,
 			DVD:         ev.DVD,
-			LatencyS:    drainLatency(ctx, res, (ev.NowBits+ev.DeferBits)*m.FrameBits, planBufferFrames*m.FrameBits),
+			LatencyS:    drainLatency(ctx, res, (ev.NowBits+ev.DeferBits)*m.FrameBits, env.BufferFrames*m.FrameBits),
 			OnboardPct:  100 * ev.OnboardFrac,
 			DownlinkPct: 100 * ev.DownlinkFrac,
 			DeferPct:    100 * ev.DeferFrac,
@@ -182,38 +166,6 @@ func hybridPlanBlock(ctx context.Context, art *core.Artifacts, m missionProfile,
 // contact schedule and returns the mean delivery latency in seconds.
 func drainLatency(ctx context.Context, res *sim.Result, bitsPerFrame, bufferBits float64) float64 {
 	return res.DrainDeferredCtx(ctx, bitsPerFrame, bufferBits).MeanLatency.Seconds()
-}
-
-// HybridPlanWithSchedule plans one (satellite count, ground cost) cell
-// against a fault-injected day — the planner's degraded-mode path. The
-// injected schedule reshapes the simulated run (stations out, links
-// fading), DeriveLink reads the collapsed capacity and stretched contact
-// gaps from it, and the placement search re-plans accordingly. The
-// faulted run is simulated fresh (never memoized) so the lab's shared
-// fault-free state stays untouched.
-func (l *Lab) HybridPlanWithSchedule(ctx context.Context, sats int, groundCost float64,
-	sched *fault.Schedule) (HybridPlanRow, error) {
-	ctx, span := l.startFigure(ctx, "hybridplan")
-	defer span.End()
-	art, err := l.AppCtx(ctx, planApp)
-	if err != nil {
-		return HybridPlanRow{}, err
-	}
-	m, err := l.MissionCtx(ctx)
-	if err != nil {
-		return HybridPlanRow{}, err
-	}
-	cfg := sim.Landsat8Config(l.Epoch, 24*time.Hour, sats)
-	cfg.Workers = l.Workers
-	res, err := sim.RunCtx(fault.WithInjector(l.probeCtx(ctx), fault.NewInjector(sched)), cfg)
-	if err != nil {
-		return HybridPlanRow{}, err
-	}
-	block, err := hybridPlanBlock(ctx, art, m, res, []float64{groundCost})
-	if err != nil {
-		return HybridPlanRow{}, err
-	}
-	return block[len(block)-1], nil
 }
 
 // RenderHybridPlan formats the hybrid-plan sweep.

@@ -71,11 +71,11 @@ func TestHybridPlanOnboardRowMatchesBaseline(t *testing.T) {
 	// The single-satellite onboard row must equal the reference deployment's
 	// estimate bit for bit: the lab's Deployment() derives its capacity from
 	// the same 1-sat day run the sweep block does.
-	d, err := l.DeploymentCtx(t.Context(), hw.Orin15W)
+	m, err := l.MissionCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, est := art.SelectionLogic(d)
+	_, est := art.SelectionLogic(m.Deployment(hw.Orin15W))
 	found := false
 	for _, r := range rows {
 		if r.Mode != "onboard" {
@@ -122,9 +122,9 @@ func TestHybridPlanDeferralMonotoneInGroundCost(t *testing.T) {
 }
 
 // TestHybridPlanWithScheduleReplans is the fault-awareness gate: with every
-// ground station out for the whole day the planner must re-plan — no bits
-// placed on the link, and a placement mix different from the fault-free plan
-// at the same cell.
+// ground station out for the whole day the sweep's planner block, run on
+// the fault-injected day, must re-plan — no bits placed on the link, and a
+// placement mix different from the fault-free plan at the same cell.
 func TestHybridPlanWithScheduleReplans(t *testing.T) {
 	l := testLab(t)
 	rows, err := l.HybridPlanSweepCtx(t.Context())
@@ -154,10 +154,20 @@ func TestHybridPlanWithScheduleReplans(t *testing.T) {
 			End:     l.Epoch.Add(24 * time.Hour),
 		})
 	}
-	dark, err := l.HybridPlanWithSchedule(context.Background(), 1, gc, sched)
+	art, err := l.AppCtx(t.Context(), planApp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := sim.Landsat8Config(l.Epoch, 24*time.Hour, 1)
+	res, err := sim.RunCtx(fault.WithInjector(t.Context(), fault.NewInjector(sched)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := hybridPlanBlock(t.Context(), art, res, []float64{gc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dark := block[len(block)-1]
 	if dark.DownlinkPct+dark.DeferPct > 0 {
 		t.Errorf("planner still schedules link traffic with every station out: %+v", dark)
 	}

@@ -16,7 +16,6 @@ import (
 	"kodan"
 	"kodan/internal/app"
 	"kodan/internal/core"
-	"kodan/internal/hw"
 	"kodan/internal/parallel"
 	"kodan/internal/policy"
 	"kodan/internal/sim"
@@ -64,7 +63,7 @@ type Lab struct {
 	mu       sync.Mutex
 	ws       memo[*core.Workspace]
 	apps     map[appKey]*memo[*core.Artifacts]
-	mission  memo[missionProfile]
+	mission  memo[kodan.Mission]
 	capacity map[int]*memo[*sim.Result] // per satellite count, one day
 }
 
@@ -154,13 +153,11 @@ func (l *Lab) memoCounters(kind string) (hit, miss *telemetry.Counter) {
 // transformConfig returns the lab's transformation sizing, with the
 // lab's worker knob, so Workers 1 keeps the transformation sequential too.
 func (l *Lab) transformConfig() core.Config {
-	cfg := core.DefaultConfig(l.Seed)
-	cfg.Workers = l.Workers
+	cfg := kodan.DefaultTransformConfig(l.Seed)
 	if l.Size == Quick {
-		cfg.Frames = 60
-		cfg.TileRes = 16
-		cfg.Tilings = []tiling.Tiling{{PerSide: 3}, {PerSide: 11}}
+		cfg = kodan.DemoTransformConfig(l.Seed)
 	}
+	cfg.Workers = l.Workers
 	return cfg
 }
 
@@ -219,30 +216,16 @@ func (l *Lab) AppVariantCtx(ctx context.Context, index int, quantized bool) (*co
 	})
 }
 
-// missionProfile is the single-satellite Landsat day.
-type missionProfile struct {
-	Deadline     time.Duration
-	FramesPerDay float64
-	CapacityFrac float64
-	FrameBits    float64
-}
-
-// MissionCtx returns the memoized single-satellite mission profile,
-// simulating it under ctx on first use.
-func (l *Lab) MissionCtx(ctx context.Context) (missionProfile, error) {
+// MissionCtx returns the memoized single-satellite reference mission,
+// simulating its day under ctx on first use.
+func (l *Lab) MissionCtx(ctx context.Context) (kodan.Mission, error) {
 	hit, miss := l.memoCounters("mission")
-	return l.mission.do(hit, miss, func() (missionProfile, error) {
+	return l.mission.do(hit, miss, func() (kodan.Mission, error) {
 		res, err := l.dayRun(ctx, 1)
 		if err != nil {
-			return missionProfile{}, err
+			return kodan.Mission{}, err
 		}
-		obs := float64(res.FramesObserved())
-		return missionProfile{
-			Deadline:     res.Config.Grid.FramePeriod(res.Config.BaseOrbit),
-			FramesPerDay: obs,
-			CapacityFrac: res.FrameCapacity() / obs,
-			FrameBits:    res.Config.Camera.FrameBits(),
-		}, nil
+		return kodan.MissionOf(res)
 	})
 }
 
@@ -264,21 +247,6 @@ func (l *Lab) dayRun(ctx context.Context, sats int) (*sim.Result, error) {
 		cfg.Workers = l.Workers
 		return sim.RunCtx(l.probeCtx(ctx), cfg)
 	})
-}
-
-// DeploymentCtx builds the policy environment of a hardware target on the
-// reference mission, simulating the mission under ctx on first use.
-func (l *Lab) DeploymentCtx(ctx context.Context, t hw.Target) (core.Deployment, error) {
-	m, err := l.MissionCtx(ctx)
-	if err != nil {
-		return core.Deployment{}, err
-	}
-	return core.Deployment{
-		Target:       t,
-		Deadline:     m.Deadline,
-		CapacityFrac: m.CapacityFrac,
-		FillIdle:     true,
-	}, nil
 }
 
 // accuracyTiling returns the generic model's accuracy-maximal tiling for
@@ -345,18 +313,8 @@ func sortedTilings(art *core.Artifacts) []tiling.Tiling {
 // deployment at its accuracy-maximal tiling.
 func directEstimate(art *core.Artifacts, d core.Deployment) (policy.Estimate, tiling.Tiling, error) {
 	tl := accuracyTiling(art)
-	prof, err := art.Profile(tl)
-	if err != nil {
-		return policy.Estimate{}, tl, err
-	}
-	env := d.Env(art.Arch)
-	env.UseEngine = false
-	return policy.Evaluate(policy.DirectSelection(prof), prof, env), tl, nil
-}
-
-// bentEstimate evaluates the bent-pipe baseline.
-func bentEstimate(art *core.Artifacts, d core.Deployment) policy.Estimate {
-	return policy.EvaluateBentPipe(art.Profiles[0].Prevalence(), d.Env(art.Arch))
+	est, err := art.DirectDeploy(d, tl)
+	return est, tl, err
 }
 
 // appLabel formats "App N".

@@ -243,7 +243,7 @@ func (l *Lab) Figure5Ctx(ctx context.Context, satCounts []int) ([]Fig5Row, error
 	if err != nil {
 		return nil, err
 	}
-	processedFrac := float64(m.Deadline) / float64(azaveaFrameTime)
+	processedFrac := float64(m.FrameDeadline) / float64(azaveaFrameTime)
 	hvFrac := 1 - cloudyPrevalence
 	rows := make([]Fig5Row, len(satCounts))
 	err = parallel.ForEach(ctx, l.workers(), len(satCounts), func(ctx context.Context, i int) error {

@@ -126,55 +126,14 @@ func (l *Lab) resilienceRow(ctx context.Context, intensity float64, idx uint64) 
 	}, nil
 }
 
-// ResilienceWithSchedule evaluates one explicit fault schedule (e.g.
-// loaded from JSON) against the fault-free baseline, returning the
-// faulted row with Retention filled in. Intensity is reported as -1 to
-// mark the schedule as external.
-func (l *Lab) ResilienceWithSchedule(ctx context.Context, sched *fault.Schedule) (ResilienceRow, error) {
-	ctx, span := l.startFigure(ctx, "resilience")
-	defer span.End()
-	baseRow, err := l.resilienceRow(ctx, 0, 0)
-	if err != nil {
-		return ResilienceRow{}, err
-	}
-	cfg := sim.Landsat8Config(l.Epoch, 24*time.Hour, resilienceSats)
-	cfg.Workers = l.Workers
-	res, err := sim.RunCtx(fault.WithInjector(ctx, fault.NewInjector(sched)), cfg)
-	if err != nil {
-		return ResilienceRow{}, err
-	}
-	observed := float64(res.FramesObserved())
-	capacity := res.FrameCapacity()
-	hv := observed * (1 - cloudyPrevalence)
-	dvd := capacity
-	if dvd > hv {
-		dvd = hv
-	}
-	row := ResilienceRow{
-		Intensity:  -1,
-		Faults:     len(sched.Windows),
-		Frames:     res.FramesObserved(),
-		DownFrames: capacity,
-		DVD:        dvd,
-	}
-	if baseRow.DVD > 0 {
-		row.Retention = row.DVD / baseRow.DVD
-	}
-	return row, nil
-}
-
 // RenderResilience formats the resilience sweep.
 func RenderResilience(rows []ResilienceRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Resilience sweep: downlinked value vs fault intensity (%d sats, 1 day, ideal OEC)\n", resilienceSats)
 	fmt.Fprintf(&b, "%9s %7s %8s %11s %9s %10s\n", "Intensity", "Faults", "Frames", "DownFrames", "DVD", "Retention")
 	for _, r := range rows {
-		label := fmt.Sprintf("%9.2f", r.Intensity)
-		if r.Intensity < 0 {
-			label = fmt.Sprintf("%9s", "file")
-		}
-		fmt.Fprintf(&b, "%s %7d %8d %11.1f %9.1f %9.1f%%\n",
-			label, r.Faults, r.Frames, r.DownFrames, r.DVD, 100*r.Retention)
+		fmt.Fprintf(&b, "%9.2f %7d %8d %11.1f %9.1f %9.1f%%\n",
+			r.Intensity, r.Faults, r.Frames, r.DownFrames, r.DVD, 100*r.Retention)
 	}
 	return b.String()
 }

@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"context"
-	"strings"
 	"testing"
-	"time"
 
-	"kodan/internal/fault"
 	"kodan/internal/telemetry"
 )
 
@@ -85,30 +82,5 @@ func TestResilienceDegradesWithIntensity(t *testing.T) {
 	last := rows[len(rows)-1]
 	if last.Retention >= 1 {
 		t.Errorf("max intensity retention %.3f, want < 1", last.Retention)
-	}
-}
-
-// TestResilienceWithSchedule exercises the explicit-schedule path (the
-// kodan-sim -faults flow).
-func TestResilienceWithSchedule(t *testing.T) {
-	lab := NewLab(Quick)
-	epoch := lab.Epoch
-	sched := &fault.Schedule{Windows: []fault.Window{
-		{Kind: fault.StationOutage, Station: "Svalbard", Start: epoch, End: epoch.Add(12 * time.Hour)},
-		{Kind: fault.SensorDropout, Sat: 0, Start: epoch, End: epoch.Add(6 * time.Hour)},
-	}}
-	row, err := lab.ResilienceWithSchedule(context.Background(), sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Faults != 2 {
-		t.Errorf("faults %d, want 2", row.Faults)
-	}
-	if row.Retention <= 0 || row.Retention >= 1 {
-		t.Errorf("retention %.3f, want in (0, 1) for a half-day outage plus dropout", row.Retention)
-	}
-	out := RenderResilience([]ResilienceRow{row})
-	if !strings.Contains(out, "file") {
-		t.Errorf("external schedule not labelled in render:\n%s", out)
 	}
 }

@@ -18,13 +18,13 @@ func BenchmarkLinkAllocate(b *testing.B) {
 		windows[si] = make([][]station.Window, len(sats))
 	}
 	for j, e := range sats {
-		for si, ws := range station.ContactWindows(stations, e, t0, 24*time.Hour, 30*time.Second) {
+		for si, ws := range station.ContactWindows(stations, e, t0, 24*time.Hour) {
 			windows[si][j] = ws
 		}
 	}
 	for b.Loop() {
 		Allocate(Problem{
-			Start: t0, Span: 24 * time.Hour, Quantum: 10 * time.Second, Windows: windows,
+			Start: t0, Span: 24 * time.Hour, Windows: windows,
 		})
 	}
 }

@@ -13,7 +13,7 @@ func TestDeratedBitsNominalMatchesServed(t *testing.T) {
 		{Station: 0, Sat: 0, Start: start, Dur: 40 * time.Second},
 		{Station: 1, Sat: 1, Start: start.Add(time.Minute), Dur: 95 * time.Second}, // not a whole number of quanta
 	}
-	got := DeratedBits(r, grants, 10*time.Second, 2, func(int, time.Time) float64 { return 1 })
+	got := DeratedBits(r, grants, 2, func(int, time.Time) float64 { return 1 })
 	want := PerSatServed(grants, 2)
 	for i := range got {
 		if math.Abs(got[i]-r.Bits(want[i])) > 1e-6 {
@@ -28,7 +28,7 @@ func TestDeratedBitsAppliesTimeVaryingMultiplier(t *testing.T) {
 	fadeStart := start.Add(30 * time.Second)
 	grants := []Grant{{Station: 0, Sat: 0, Start: start, Dur: 60 * time.Second}}
 	// Half rate for the second half of the grant.
-	got := DeratedBits(r, grants, 10*time.Second, 1, func(_ int, tm time.Time) float64 {
+	got := DeratedBits(r, grants, 1, func(_ int, tm time.Time) float64 {
 		if !tm.Before(fadeStart) {
 			return 0.5
 		}
@@ -48,7 +48,7 @@ func TestDeratedBitsPerStation(t *testing.T) {
 		{Station: 1, Sat: 0, Start: start.Add(time.Minute), Dur: 20 * time.Second},
 	}
 	// Station 1 is fully faded; station 0 nominal.
-	got := DeratedBits(r, grants, 10*time.Second, 1, func(st int, _ time.Time) float64 {
+	got := DeratedBits(r, grants, 1, func(st int, _ time.Time) float64 {
 		if st == 1 {
 			return 0
 		}

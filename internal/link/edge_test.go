@@ -26,7 +26,6 @@ func TestAllocateZeroSpan(t *testing.T) {
 	p := Problem{
 		Start:   t0,
 		Span:    0,
-		Quantum: 10 * time.Second,
 		Windows: [][][]station.Window{{{w(0, 3600)}}},
 	}
 	if grants := Allocate(p); grants != nil {
@@ -40,7 +39,6 @@ func TestAllocateZeroDurationWindow(t *testing.T) {
 	p := Problem{
 		Start:   t0,
 		Span:    time.Hour,
-		Quantum: 10 * time.Second,
 		Windows: [][][]station.Window{{{w(100, 100)}}},
 	}
 	if grants := Allocate(p); grants != nil {
@@ -55,7 +53,6 @@ func TestAllocateWindowEndExclusive(t *testing.T) {
 	p := Problem{
 		Start:   t0,
 		Span:    time.Hour,
-		Quantum: 10 * time.Second,
 		Windows: [][][]station.Window{{{w(0, 10)}}},
 	}
 	grants := Allocate(p)
@@ -68,6 +65,13 @@ func TestAllocateWindowEndExclusive(t *testing.T) {
 	if len(grants) != 1 || !grants[0].Start.Equal(t0.Add(10*time.Second)) || grants[0].Dur != 20*time.Second {
 		t.Fatalf("offset window grants = %+v", grants)
 	}
+
+	// Visibility is sampled at quantum starts: a window that holds no
+	// quantum start is never served.
+	p.Windows = [][][]station.Window{{{w(1, 9)}}}
+	if grants = Allocate(p); grants != nil {
+		t.Fatalf("sub-quantum window grants = %+v", grants)
+	}
 }
 
 func TestAllocateLeastServedCatchUp(t *testing.T) {
@@ -75,9 +79,8 @@ func TestAllocateLeastServedCatchUp(t *testing.T) {
 	// visible alongside it, the least-served-first rule gives satellite 1
 	// the whole contested window until the two are even.
 	p := Problem{
-		Start:   t0,
-		Span:    time.Hour,
-		Quantum: 10 * time.Second,
+		Start: t0,
+		Span:  time.Hour,
 		Windows: [][][]station.Window{{
 			{w(0, 100), w(100, 200)},
 			{w(100, 200)},

@@ -48,7 +48,6 @@ const GrantQuantum = 10 * time.Second
 type Problem struct {
 	Start   time.Time
 	Span    time.Duration
-	Quantum time.Duration // scheduling granularity; e.g. 10 s
 	Windows [][][]station.Window
 }
 
@@ -63,8 +62,8 @@ func (p Problem) sats() int {
 	return n
 }
 
-// Allocate assigns station time to satellites. Each station serves at most
-// one satellite per quantum, and each satellite talks to at most one
+// Allocate assigns station time to satellites in GrantQuantum steps. Each
+// station serves at most one satellite per quantum, and each satellite talks to at most one
 // station per quantum (it has one radio). Among visible candidates a
 // station picks the satellite that has been served least so far (ties to
 // the lowest index), which converges to a fair division under saturation
@@ -74,9 +73,6 @@ func (p Problem) sats() int {
 // merged, so the returned grants are maximal contiguous serve intervals in
 // time order.
 func Allocate(p Problem) []Grant {
-	if p.Quantum <= 0 {
-		panic("link: non-positive quantum")
-	}
 	nSats := p.sats()
 	if nSats == 0 || len(p.Windows) == 0 {
 		return nil
@@ -97,7 +93,7 @@ func Allocate(p Problem) []Grant {
 	var grants []Grant
 	end := p.Start.Add(p.Span)
 	busy := make([]bool, nSats) // satellite already granted this quantum
-	for t := p.Start; t.Before(end); t = t.Add(p.Quantum) {
+	for t := p.Start; t.Before(end); t = t.Add(GrantQuantum) {
 		for i := range busy {
 			busy[i] = false
 		}
@@ -118,16 +114,16 @@ func Allocate(p Problem) []Grant {
 				continue
 			}
 			busy[best] = true
-			served[best] += p.Quantum
+			served[best] += GrantQuantum
 			// Merge with the previous grant when contiguous.
 			if n := len(grants); n > 0 {
 				last := &grants[n-1]
 				if last.Station == st && last.Sat == best && last.End().Equal(t) {
-					last.Dur += p.Quantum
+					last.Dur += GrantQuantum
 					continue
 				}
 			}
-			grants = append(grants, Grant{Station: st, Sat: best, Start: t, Dur: p.Quantum})
+			grants = append(grants, Grant{Station: st, Sat: best, Start: t, Dur: GrantQuantum})
 		}
 	}
 	return grants
@@ -145,18 +141,15 @@ func visibleAt(ws []station.Window, idx *int, t time.Time) bool {
 
 // DeratedBits integrates per-satellite downlink capacity over the grants
 // under a time-varying capacity multiplier (1.0 = nominal rate), sampled
-// once per quantum at the quantum's start — the same granularity the
+// once per GrantQuantum at the quantum's start — the granularity the
 // allocator grants at. Fault injection uses it to model link fades; with a
 // constant 1.0 multiplier it reproduces Radio.Bits over PerSatServed
 // exactly.
-func DeratedBits(r Radio, grants []Grant, quantum time.Duration, nSats int, derate func(station int, t time.Time) float64) []float64 {
-	if quantum <= 0 {
-		panic("link: non-positive quantum")
-	}
+func DeratedBits(r Radio, grants []Grant, nSats int, derate func(station int, t time.Time) float64) []float64 {
 	out := make([]float64, nSats)
 	for _, g := range grants {
-		for t := g.Start; t.Before(g.End()); t = t.Add(quantum) {
-			step := quantum
+		for t := g.Start; t.Before(g.End()); t = t.Add(GrantQuantum) {
+			step := GrantQuantum
 			if rem := g.End().Sub(t); rem < step {
 				step = rem
 			}

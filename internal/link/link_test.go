@@ -30,7 +30,6 @@ func TestAllocateSingleSatGetsAllTime(t *testing.T) {
 	p := Problem{
 		Start:   t0,
 		Span:    time.Hour,
-		Quantum: 10 * time.Second,
 		Windows: [][][]station.Window{{{w(100, 400)}}},
 	}
 	grants := Allocate(p)
@@ -49,7 +48,6 @@ func TestAllocateContentionSplitsFairly(t *testing.T) {
 	p := Problem{
 		Start:   t0,
 		Span:    time.Hour,
-		Quantum: 10 * time.Second,
 		Windows: [][][]station.Window{{shared, shared}},
 	}
 	served := PerSatServed(Allocate(p), 2)
@@ -69,9 +67,8 @@ func TestAllocateClaimsIdleTime(t *testing.T) {
 	// Two satellites with disjoint windows both get their full window —
 	// the Figure 2 "claiming previously idle ground station time" effect.
 	p := Problem{
-		Start:   t0,
-		Span:    time.Hour,
-		Quantum: 10 * time.Second,
+		Start: t0,
+		Span:  time.Hour,
 		Windows: [][][]station.Window{{
 			{w(0, 300)},
 			{w(1000, 1300)},
@@ -89,7 +86,6 @@ func TestAllocateOneRadioPerSatellite(t *testing.T) {
 	p := Problem{
 		Start:   t0,
 		Span:    time.Hour,
-		Quantum: 10 * time.Second,
 		Windows: [][][]station.Window{{win}, {win}},
 	}
 	served := PerSatServed(Allocate(p), 1)
@@ -105,7 +101,6 @@ func TestAllocateTwoStationsTwoSats(t *testing.T) {
 	p := Problem{
 		Start:   t0,
 		Span:    time.Hour,
-		Quantum: 10 * time.Second,
 		Windows: [][][]station.Window{{win, win}, {win, win}},
 	}
 	served := PerSatServed(Allocate(p), 2)
@@ -119,7 +114,6 @@ func TestAllocateDeterministic(t *testing.T) {
 	p := Problem{
 		Start:   t0,
 		Span:    time.Hour,
-		Quantum: 10 * time.Second,
 		Windows: [][][]station.Window{{win, win, win}},
 	}
 	a := Allocate(p)
@@ -139,7 +133,6 @@ func TestAllocateGrantsWithinWindows(t *testing.T) {
 	p := Problem{
 		Start:   t0,
 		Span:    time.Hour,
-		Quantum: 10 * time.Second,
 		Windows: [][][]station.Window{{win}},
 	}
 	for _, g := range Allocate(p) {
@@ -156,7 +149,7 @@ func TestAllocateGrantsWithinWindows(t *testing.T) {
 }
 
 func TestAllocateEmptyProblem(t *testing.T) {
-	if got := Allocate(Problem{Start: t0, Span: time.Hour, Quantum: time.Second}); got != nil {
+	if got := Allocate(Problem{Start: t0, Span: time.Hour}); got != nil {
 		t.Fatalf("expected nil grants, got %v", got)
 	}
 }
@@ -172,8 +165,7 @@ func TestAllocateSaturation(t *testing.T) {
 		for i := range satsRow {
 			satsRow[i] = full
 		}
-		p := Problem{Start: t0, Span: time.Hour, Quantum: 10 * time.Second,
-			Windows: [][][]station.Window{satsRow}}
+		p := Problem{Start: t0, Span: time.Hour, Windows: [][][]station.Window{satsRow}}
 		grants := Allocate(p)
 		if total := TotalServed(grants); total != time.Hour {
 			t.Fatalf("n=%d: station idle, served %v of 1h", n, total)

@@ -141,11 +141,11 @@ func Run(cfg Config) (*Result, error) {
 
 	stations := station.LandsatSegment()
 	windows := make([][][]station.Window, len(stations))
-	for si, ws := range station.ContactWindows(stations, el, cfg.Epoch, span, station.ScanStep) {
+	for si, ws := range station.ContactWindows(stations, el, cfg.Epoch, span) {
 		windows[si] = [][]station.Window{ws}
 	}
 	grants := link.Allocate(link.Problem{
-		Start: cfg.Epoch, Span: span, Quantum: link.GrantQuantum, Windows: windows,
+		Start: cfg.Epoch, Span: span, Windows: windows,
 	})
 
 	// Merge captures and grants into one chronological timeline.

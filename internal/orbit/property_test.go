@@ -130,7 +130,7 @@ func TestContactWindowsOrderedAndDisjoint(t *testing.T) {
 	for _, seed := range propertySeeds {
 		e := randomElements(seed, epoch)
 		for _, st := range station.LandsatSegment() {
-			windows := station.ContactWindows([]station.Station{st}, e, epoch, span, 30*time.Second)[0]
+			windows := station.ContactWindows([]station.Station{st}, e, epoch, span)[0]
 			for i, w := range windows {
 				if !w.End.After(w.Start) {
 					t.Fatalf("seed %d %s: window %d empty (%v..%v)", seed, st.Name, i, w.Start, w.End)

@@ -532,20 +532,16 @@ func (s *Server) handleHybridPlan(w http.ResponseWriter, r *http.Request, req pl
 		s.writeError(w, err)
 		return
 	}
-	env := kodan.PlannerEnv{
-		Bus:                   kodan.ThreeUBus(),
-		Costs:                 kodan.DefaultPlannerCosts(),
-		BufferFrames:          64,
-		FramesBetweenContacts: req.ContactGapFrames,
-	}
+	// An explicit contact gap stands in for the reference mission's, which
+	// is simulated only when the request leaves it out.
+	m := kodan.Mission{ContactGapFrames: req.ContactGapFrames}
 	if req.ContactGapFrames == 0 {
-		m, err := s.mission(ctx, 1, 1)
-		if err != nil {
+		if m, err = s.mission(ctx, 1, 1); err != nil {
 			s.writeError(w, err)
 			return
 		}
-		env.FramesBetweenContacts = m.ContactGapFrames
 	}
+	env := m.HybridEnv()
 	if req.GroundCost != nil {
 		env.Costs.GroundPerFrame = *req.GroundCost
 	}

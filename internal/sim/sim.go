@@ -251,7 +251,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		defer sp.End()
 		sp.Sim(cfg.Epoch, cfg.Epoch.Add(cfg.Span))
 		sp.Set("sat", fmt.Sprint(j))
-		scanned := station.ContactWindows(cfg.Stations, sats[j], cfg.Epoch, cfg.Span, station.ScanStep)
+		scanned := station.ContactWindows(cfg.Stations, sats[j], cfg.Epoch, cfg.Span)
 		for si, ws := range scanned {
 			if cuts := inj.StationCuts(cfg.Stations[si].Name, j); len(cuts) > 0 {
 				sw := make([]station.Window, len(cuts))
@@ -275,12 +275,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	res.Grants = link.Allocate(link.Problem{
 		Start:   cfg.Epoch,
 		Span:    cfg.Span,
-		Quantum: link.GrantQuantum,
 		Windows: windows,
 	})
 	res.Served = link.PerSatServed(res.Grants, len(sats))
 	if inj.HasFades() {
-		res.FadedBits = link.DeratedBits(cfg.Radio, res.Grants, link.GrantQuantum, len(sats),
+		res.FadedBits = link.DeratedBits(cfg.Radio, res.Grants, len(sats),
 			func(st int, t time.Time) float64 { return inj.LinkDerate(cfg.Stations[st].Name, t) })
 		faded := 0.0
 		for i, b := range res.FadedBits {

@@ -16,8 +16,8 @@ func TestZeroElevationMaskWidensWindows(t *testing.T) {
 	horizon.MinElevationRad = 0
 	e := orbit.Landsat8(epoch)
 
-	mw := ContactWindows([]Station{masked}, e, epoch, 12*time.Hour, 30*time.Second)[0]
-	hw := ContactWindows([]Station{horizon}, e, epoch, 12*time.Hour, 30*time.Second)[0]
+	mw := ContactWindows([]Station{masked}, e, epoch, 12*time.Hour)[0]
+	hw := ContactWindows([]Station{horizon}, e, epoch, 12*time.Hour)[0]
 	if len(hw) < len(mw) {
 		t.Fatalf("horizon mask found %d passes, 5-degree mask %d", len(hw), len(mw))
 	}
@@ -48,7 +48,7 @@ func TestContactWindowsClippedToSpan(t *testing.T) {
 	e := orbit.Landsat8(epoch)
 	span := 6 * time.Hour
 	end := epoch.Add(span)
-	for i, w := range ContactWindows([]Station{s}, e, epoch, span, 30*time.Second)[0] {
+	for i, w := range ContactWindows([]Station{s}, e, epoch, span)[0] {
 		if w.Start.Before(epoch) {
 			t.Errorf("window %d starts %v before scan start", i, w.Start)
 		}
@@ -67,12 +67,12 @@ func TestContactWindowStartsMidPass(t *testing.T) {
 	// extrapolated rise time.
 	s := LandsatSegment()[2]
 	e := orbit.Landsat8(epoch)
-	windows := ContactWindows([]Station{s}, e, epoch, 12*time.Hour, 30*time.Second)[0]
+	windows := ContactWindows([]Station{s}, e, epoch, 12*time.Hour)[0]
 	if len(windows) == 0 {
 		t.Fatal("no windows")
 	}
 	mid := windows[0].Start.Add(windows[0].Duration() / 2)
-	rescanned := ContactWindows([]Station{s}, e, mid, time.Hour, 30*time.Second)[0]
+	rescanned := ContactWindows([]Station{s}, e, mid, time.Hour)[0]
 	if len(rescanned) == 0 {
 		t.Fatal("no windows when starting mid-pass")
 	}

@@ -18,8 +18,8 @@ func referenceVisible(s Station, e orbit.Elements, t time.Time) bool {
 }
 
 // referenceContactWindows is the per-station scan the shared scan
-// replaced, kept verbatim as the oracle.
-func referenceContactWindows(s Station, e orbit.Elements, start time.Time, span, step time.Duration) []Window {
+// replaced, kept as the oracle.
+func referenceContactWindows(s Station, e orbit.Elements, start time.Time, span time.Duration) []Window {
 	end := start.Add(span)
 	var windows []Window
 	up := referenceVisible(s, e, start)
@@ -28,7 +28,7 @@ func referenceContactWindows(s Station, e orbit.Elements, start time.Time, span,
 		winStart = start
 	}
 	prev := start
-	for t := start.Add(step); !t.After(end); t = t.Add(step) {
+	for t := start.Add(ScanStep); !t.After(end); t = t.Add(ScanStep) {
 		now := referenceVisible(s, e, t)
 		if now != up {
 			edge := referenceRefineEdge(s, e, prev, t, up)
@@ -62,7 +62,8 @@ func referenceRefineEdge(s Station, e orbit.Elements, lo, hi time.Time, wasUp bo
 // TestSharedScanMatchesPerStationScan pins the shared scan to the
 // per-station reference: every station's windows must be identical, over
 // the Landsat segment plus random stations and masks, three orbits and
-// three scan steps.
+// three scan starts that put the ScanStep sample grid at different
+// phases of each pass.
 func TestSharedScanMatchesPerStationScan(t *testing.T) {
 	rng := xrand.New(7)
 	stations := LandsatSegment()
@@ -86,23 +87,23 @@ func TestSharedScanMatchesPerStationScan(t *testing.T) {
 		Epoch:          epoch,
 	}
 	// Start off the epoch so scans open mid-pass for some stations.
-	start := epoch.Add(17 * time.Minute)
 	for oi, e := range []orbit.Elements{landsat, phased, inclined} {
-		for _, step := range []time.Duration{10 * time.Second, 30 * time.Second, 60 * time.Second} {
-			got := ContactWindows(stations, e, start, 36*time.Hour, step)
+		for _, off := range []time.Duration{17 * time.Minute, 17*time.Minute + 11*time.Second, 17*time.Minute + 23*time.Second} {
+			start := epoch.Add(off)
+			got := ContactWindows(stations, e, start, 36*time.Hour)
 			if len(got) != len(stations) {
-				t.Fatalf("orbit %d step %v: %d window lists for %d stations", oi, step, len(got), len(stations))
+				t.Fatalf("orbit %d start +%v: %d window lists for %d stations", oi, off, len(got), len(stations))
 			}
 			total := 0
 			for si, s := range stations {
-				want := referenceContactWindows(s, e, start, 36*time.Hour, step)
+				want := referenceContactWindows(s, e, start, 36*time.Hour)
 				if !reflect.DeepEqual(got[si], want) {
-					t.Fatalf("orbit %d step %v station %d: windows\n%v\nwant\n%v", oi, step, si, got[si], want)
+					t.Fatalf("orbit %d start +%v station %d: windows\n%v\nwant\n%v", oi, off, si, got[si], want)
 				}
 				total += len(want)
 			}
 			if total == 0 {
-				t.Fatalf("orbit %d step %v: no contacts at any station", oi, step)
+				t.Fatalf("orbit %d start +%v: no contacts at any station", oi, off)
 			}
 		}
 	}
@@ -122,7 +123,7 @@ func TestVisibleMatchesReference(t *testing.T) {
 }
 
 func TestContactWindowsNoStations(t *testing.T) {
-	if got := ContactWindows(nil, orbit.Landsat8(epoch), epoch, time.Hour, 30*time.Second); len(got) != 0 {
+	if got := ContactWindows(nil, orbit.Landsat8(epoch), epoch, time.Hour); len(got) != 0 {
 		t.Fatalf("windows for no stations: %v", got)
 	}
 }
@@ -132,6 +133,6 @@ func BenchmarkContactWindows(b *testing.B) {
 	seg := LandsatSegment()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = ContactWindows(seg, e, epoch, 24*time.Hour, 30*time.Second)
+		_ = ContactWindows(seg, e, epoch, 24*time.Hour)
 	}
 }

@@ -94,16 +94,11 @@ const ScanStep = 30 * time.Second
 
 // ContactWindows returns the visibility windows of the satellite with
 // elements e at every station in ss over [start, start+span): windows[i]
-// belongs to ss[i]. One coarse scan at step propagates the orbit and
+// belongs to ss[i]. One coarse scan at ScanStep propagates the orbit and
 // rotates it to Earth-fixed coordinates once per step, then tests every
 // station against that point; each station's edges are refined to
-// one-second precision by bisection. step must be shorter than the
-// shortest pass to avoid missed contacts; 30 s is safe for LEO with a
-// 5-degree mask.
-func ContactWindows(ss []Station, e orbit.Elements, start time.Time, span, step time.Duration) [][]Window {
-	if step <= 0 {
-		panic("station: non-positive scan step")
-	}
+// one-second precision by bisection.
+func ContactWindows(ss []Station, e orbit.Elements, start time.Time, span time.Duration) [][]Window {
 	if len(ss) == 0 {
 		return nil
 	}
@@ -122,7 +117,7 @@ func ContactWindows(ss []Station, e orbit.Elements, start time.Time, span, step 
 		}
 	}
 	prev := start
-	for t := start.Add(step); !t.After(end); t = t.Add(step) {
+	for t := start.Add(ScanStep); !t.After(end); t = t.Add(ScanStep) {
 		sat := satECEF(&p, t)
 		for i, st := range sites {
 			now := st.visible(sat)

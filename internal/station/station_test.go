@@ -46,7 +46,7 @@ func TestPolarStationSeesEveryOrbit(t *testing.T) {
 	// Svalbard station (78N) should see it on most revolutions.
 	sval := LandsatSegment()[2]
 	e := orbit.Landsat8(epoch)
-	windows := ContactWindows([]Station{sval}, e, epoch, 24*time.Hour, 30*time.Second)[0]
+	windows := ContactWindows([]Station{sval}, e, epoch, 24*time.Hour)[0]
 	// ~14.6 orbits per day; expect at least 10 passes at a polar station.
 	if len(windows) < 10 {
 		t.Fatalf("Svalbard passes/day = %d, want >= 10", len(windows))
@@ -56,8 +56,8 @@ func TestPolarStationSeesEveryOrbit(t *testing.T) {
 func TestMidLatitudeStationSeesFewerPasses(t *testing.T) {
 	seg := LandsatSegment()
 	e := orbit.Landsat8(epoch)
-	sioux := len(ContactWindows([]Station{seg[0]}, e, epoch, 24*time.Hour, 30*time.Second)[0])
-	sval := len(ContactWindows([]Station{seg[2]}, e, epoch, 24*time.Hour, 30*time.Second)[0])
+	sioux := len(ContactWindows([]Station{seg[0]}, e, epoch, 24*time.Hour)[0])
+	sval := len(ContactWindows([]Station{seg[2]}, e, epoch, 24*time.Hour)[0])
 	if sioux >= sval {
 		t.Fatalf("Sioux Falls %d passes >= Svalbard %d", sioux, sval)
 	}
@@ -69,7 +69,7 @@ func TestMidLatitudeStationSeesFewerPasses(t *testing.T) {
 func TestContactWindowShape(t *testing.T) {
 	s := LandsatSegment()[2]
 	e := orbit.Landsat8(epoch)
-	windows := ContactWindows([]Station{s}, e, epoch, 12*time.Hour, 30*time.Second)[0]
+	windows := ContactWindows([]Station{s}, e, epoch, 12*time.Hour)[0]
 	if len(windows) == 0 {
 		t.Fatal("no windows")
 	}
@@ -93,7 +93,7 @@ func TestContactWindowShape(t *testing.T) {
 func TestContactWindowEdgesPrecise(t *testing.T) {
 	s := LandsatSegment()[2]
 	e := orbit.Landsat8(epoch)
-	windows := ContactWindows([]Station{s}, e, epoch, 6*time.Hour, 30*time.Second)[0]
+	windows := ContactWindows([]Station{s}, e, epoch, 6*time.Hour)[0]
 	if len(windows) == 0 {
 		t.Fatal("no windows")
 	}
@@ -147,7 +147,7 @@ func TestDailyContactBudget(t *testing.T) {
 	e := orbit.Landsat8(epoch)
 	var total time.Duration
 	for _, s := range LandsatSegment() {
-		total += TotalContact(ContactWindows([]Station{s}, e, epoch, 24*time.Hour, 30*time.Second)[0])
+		total += TotalContact(ContactWindows([]Station{s}, e, epoch, 24*time.Hour)[0])
 	}
 	if total < 30*time.Minute || total > 6*time.Hour {
 		t.Fatalf("daily contact = %v, want tens of minutes to a few hours", total)

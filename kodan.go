@@ -26,11 +26,24 @@
 // and direct-deploy baselines. See DESIGN.md for the substitution map and
 // EXPERIMENTS.md for paper-versus-measured results.
 //
+// # The reference mission
+//
+// A Mission is the one place a deployment is derived from the orbital
+// simulation: MissionOf reads the frame deadline, capture rate, frame
+// size, downlink capacity fraction and contact cadence off a sim.Result
+// (LandsatMission and SimulateMission simulate the reference mission and
+// call it). Mission.Deployment turns it into a selection-logic
+// environment for one hardware target, and Mission.HybridEnv into the
+// hybrid planner's environment (the 3U bus, the default costs, a 64-frame
+// deferral buffer). DefaultTransformConfig sizes the transformation at
+// the reference scale; DemoTransformConfig is the demo scale the examples
+// and CLIs run in seconds.
+//
 // # Quick start
 //
 //	ctx := context.Background()
-//	sys, _ := kodan.NewSystemCtx(ctx, kodan.DefaultTransformConfig(42))
-//	mission, _ := kodan.LandsatMission(epoch)
+//	sys, _ := kodan.NewSystemCtx(ctx, kodan.DemoTransformConfig(42))
+//	mission, _ := kodan.LandsatMission(kodan.ReferenceEpoch)
 //	app, _ := sys.TransformVariantCtx(ctx, 4, false) // Table 1's App 4, float
 //	logic, est := app.SelectionLogic(mission.Deployment(kodan.Orin15W))
 //	fmt.Println(logic.Tiling, est.DVD)
@@ -129,12 +142,6 @@ const (
 	PlaceDrop        = planner.Drop
 )
 
-// DefaultPlannerCosts returns the reference hybrid-planner pricing.
-func DefaultPlannerCosts() PlannerCosts { return planner.DefaultCosts() }
-
-// ThreeUBus returns the reference 3U cubesat electrical bus.
-func ThreeUBus() Bus { return power.ThreeUBus() }
-
 // Targets returns the paper's hardware targets in Table 1 order.
 func Targets() []Target { return hw.Targets() }
 
@@ -152,6 +159,18 @@ type TransformConfig = core.Config
 // the given seed.
 func DefaultTransformConfig(seed uint64) TransformConfig {
 	return core.DefaultConfig(seed)
+}
+
+// DemoTransformConfig returns the demo-scale transformation sizing with
+// the given seed: 60 frames of 16-pixel tiles at two tilings (9 and 121
+// tiles per frame), so a transformation takes seconds rather than minutes.
+// The examples, the CLIs and the quick experiment size all use it.
+func DemoTransformConfig(seed uint64) TransformConfig {
+	cfg := core.DefaultConfig(seed)
+	cfg.Frames = 60
+	cfg.TileRes = 16
+	cfg.Tilings = []Tiling{{PerSide: 3}, {PerSide: 11}}
+	return cfg
 }
 
 // Deployment describes the target satellite for selection-logic
@@ -240,20 +259,12 @@ func (a *Application) PlanHybrid(d Deployment, env PlannerEnv) (HybridPlan, erro
 }
 
 // BentPipe evaluates the bent-pipe baseline in the same environment.
-func (a *Application) BentPipe(d Deployment) Estimate {
-	return policy.EvaluateBentPipe(a.art.Profiles[0].Prevalence(), d.Env(a.art.Arch))
-}
+func (a *Application) BentPipe(d Deployment) Estimate { return a.art.BentPipe(d) }
 
 // DirectDeploy evaluates prior OEC work's direct deployment at the given
 // tiling (the reference model on every tile, no context engine).
 func (a *Application) DirectDeploy(d Deployment, tl Tiling) (Estimate, error) {
-	prof, err := a.art.Profile(tl)
-	if err != nil {
-		return Estimate{}, err
-	}
-	env := d.Env(a.art.Arch)
-	env.UseEngine = false
-	return policy.Evaluate(policy.DirectSelection(prof), prof, env), nil
+	return a.art.DirectDeploy(d, tl)
 }
 
 // Evaluate scores an arbitrary selection in a deployment.
@@ -358,25 +369,35 @@ func LandsatMission(epoch time.Time) (Mission, error) {
 
 // SimulateMission simulates days of the Landsat 8 reference mission flown
 // by sats satellites evenly phased in one plane from epoch, and returns
-// its derived parameters; FramesPerDay is the constellation's daily mean.
+// its derived parameters (see MissionOf).
 func SimulateMission(ctx context.Context, epoch time.Time, days, sats int) (Mission, error) {
 	res, err := sim.RunCtx(ctx, sim.Landsat8Config(epoch, time.Duration(days)*24*time.Hour, sats))
 	if err != nil {
 		return Mission{}, err
 	}
+	return MissionOf(res)
+}
+
+// MissionOf derives the deployment parameters of a simulated run: the
+// frame deadline from the orbit and grid, the constellation's daily mean
+// capture rate, the frame size, the dataset's prevalence, and — from
+// planner.DeriveLink, so a fault-injected run yields its derated capacity
+// and stretched contact gaps — the capacity fraction and contact cadence.
+func MissionOf(res *sim.Result) (Mission, error) {
 	observed := float64(res.FramesObserved())
 	if observed == 0 {
 		return Mission{}, fmt.Errorf("simulation observed no frames")
 	}
 	cfg := res.Config
+	li := planner.DeriveLink(res)
 	return Mission{
-		Epoch:            epoch,
+		Epoch:            cfg.Epoch,
 		FrameDeadline:    cfg.Grid.FramePeriod(cfg.BaseOrbit),
-		FramesPerDay:     observed / float64(days),
-		CapacityFrac:     res.FrameCapacity() / observed,
+		FramesPerDay:     observed / (cfg.Span.Hours() / 24),
+		CapacityFrac:     li.CapacityFrac,
 		FrameBits:        cfg.Camera.FrameBits(),
 		Prevalence:       0.48, // the Sentinel-like dataset's high-value split
-		ContactGapFrames: planner.DeriveLink(res).FramesBetweenContacts,
+		ContactGapFrames: li.FramesBetweenContacts,
 	}, nil
 }
 
@@ -391,15 +412,16 @@ func (m Mission) Deployment(t Target) Deployment {
 	}
 }
 
-// HybridEnv builds the hybrid planner's environment on this mission: the
-// reference 3U bus, the default cost vector, a 64-frame deferral buffer,
-// and the mission's contact cadence. The selection-logic half is filled in
+// HybridEnv builds the hybrid planner's environment on this mission, and
+// is the one place its defaults are written: the reference 3U bus, the
+// default cost vector, a 64-frame deferral buffer, and the mission's
+// contact cadence. The selection-logic half is filled in
 // by Application.PlanHybrid from the deployment; tune Costs and
 // BufferFrames on the returned value before planning.
 func (m Mission) HybridEnv() PlannerEnv {
 	return PlannerEnv{
-		Bus:                   ThreeUBus(),
-		Costs:                 DefaultPlannerCosts(),
+		Bus:                   power.ThreeUBus(),
+		Costs:                 planner.DefaultCosts(),
 		BufferFrames:          64,
 		FramesBetweenContacts: m.ContactGapFrames,
 	}

@@ -216,12 +216,7 @@ func TestPlanHybridFromPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := Deployment{Target: Orin15W, Deadline: 24 * time.Second, CapacityFrac: 0.21, FillIdle: true}
-	env := PlannerEnv{
-		Bus:                   ThreeUBus(),
-		Costs:                 DefaultPlannerCosts(),
-		BufferFrames:          64,
-		FramesBetweenContacts: 10,
-	}
+	env := Mission{ContactGapFrames: 10}.HybridEnv()
 	plan, err := a.PlanHybrid(d, env)
 	if err != nil {
 		t.Fatal(err)

@@ -172,6 +172,20 @@ for parallel in 1 0; do
     done
 done
 
+# Examples smoke: run each example (deterministic, a few seconds each)
+# and require its stdout to match the committed
+# examples/<name>/testdata/stdout.golden byte for byte. Mirrored in
+# .github/workflows/ci.yml.
+echo "==> examples smoke"
+for ex in quickstart cloudfilter constellation hardware mission; do
+    go run "./examples/$ex" > "$smokedir/$ex.out"
+    if ! cmp -s "$smokedir/$ex.out" "examples/$ex/testdata/stdout.golden"; then
+        echo "verify: examples/$ex stdout differs from examples/$ex/testdata/stdout.golden" >&2
+        diff "$smokedir/$ex.out" "examples/$ex/testdata/stdout.golden" >&2 || true
+        exit 1
+    fi
+done
+
 # Serving smoke: drive the self-hosted serving plane with the
 # deterministic multi-tenant stream, twice, against two fresh servers of
 # the same configuration. kodan-loadgen exits nonzero when the error-rate
