@@ -15,6 +15,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -185,7 +187,10 @@ func (w *Workspace) Data(tl tiling.Tiling) (train, val *dataset.Dataset, err err
 	return s.train, s.val, nil
 }
 
-// Artifacts is the transformation output for one application.
+// Artifacts is the transformation output for one application. Artifacts
+// are read-only once TransformAppCtx has built them: the selection logic
+// of each deployment is generated once and memoized on the artifacts, so
+// editing Profiles afterwards would leave stale logic behind.
 type Artifacts struct {
 	Arch app.Architecture
 	Ctx  *ctxengine.Set
@@ -194,6 +199,33 @@ type Artifacts struct {
 	// Profiles holds the measured per-tiling profiles the selection-logic
 	// sweep consumes, in workspace tiling order.
 	Profiles []policy.TilingProfile
+
+	mu sync.Mutex
+	// logic memoizes SelectionLogic per deployment, at most
+	// SelectionMemoCap entries.
+	logic map[deploymentKey]*selectionEntry
+}
+
+// SelectionMemoCap bounds the deployments whose selection logic one
+// Artifacts memoizes. A deployment first seen past the bound is computed
+// and not stored, so no request stream can grow the memo further.
+const SelectionMemoCap = 256
+
+// deploymentKey is a deployment by its exact bits: a capacity is keyed by
+// its bit pattern, so -0 and +0 are two keys and a NaN finds its entry.
+type deploymentKey struct {
+	target   hw.Target
+	deadline time.Duration
+	capacity uint64
+	fillIdle bool
+}
+
+// selectionEntry is one deployment's selection logic, generated once by
+// the first caller while concurrent callers wait on once.
+type selectionEntry struct {
+	once sync.Once
+	sel  policy.Selection
+	est  policy.Estimate
 }
 
 // TransformAppCtx trains and measures one application across every
@@ -317,9 +349,43 @@ func (d Deployment) Env(arch app.Architecture) policy.Env {
 }
 
 // SelectionLogic generates the deployment's selection logic by sweeping
-// tilings and per-context actions (Section 3.4).
+// tilings and per-context actions (Section 3.4). The logic depends on the
+// deployment alone, so it is generated once per deployment: concurrent
+// first callers share one sweep and later callers reuse its result. The
+// returned Selection is the caller's own copy.
 func (a *Artifacts) SelectionLogic(d Deployment) (policy.Selection, policy.Estimate) {
-	return policy.Optimize(a.Profiles, d.Env(a.Arch))
+	e := a.selectionEntry(d)
+	e.once.Do(func() { e.sel, e.est = policy.Optimize(a.Profiles, d.Env(a.Arch)) })
+	sel := e.sel
+	sel.Actions = slices.Clone(e.sel.Actions)
+	return sel, e.est
+}
+
+// selectionEntry returns the memo entry of d, storing a new one only while
+// the memo is under SelectionMemoCap.
+func (a *Artifacts) selectionEntry(d Deployment) *selectionEntry {
+	k := deploymentKey{d.Target, d.Deadline, math.Float64bits(d.CapacityFrac), d.FillIdle}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if e, ok := a.logic[k]; ok {
+		return e
+	}
+	e := &selectionEntry{}
+	if len(a.logic) < SelectionMemoCap {
+		if a.logic == nil {
+			a.logic = make(map[deploymentKey]*selectionEntry)
+		}
+		a.logic[k] = e
+	}
+	return e
+}
+
+// MemoizedSelections returns how many deployments' selection logic the
+// artifacts hold, never more than SelectionMemoCap.
+func (a *Artifacts) MemoizedSelections() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.logic)
 }
 
 // Runtime wires the artifacts and a generated selection into the on-orbit

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -237,6 +238,88 @@ func TestTransformAppWorkersByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSelectionLogicMemoMatchesOptimize pins the memo to the sweep it
+// stands in for: on every target, several deadlines and capacities, and
+// FillIdle on and off, SelectionLogic called from 8 goroutines returns
+// exactly what a direct policy.Optimize returns. A caller editing its
+// Selection never reaches a later caller, and concurrent first callers of
+// one deployment leave one memo entry.
+func TestSelectionLogicMemoMatchesOptimize(t *testing.T) {
+	w := buildWorkspace(t)
+	art, err := w.TransformAppCtx(t.Context(), app.App(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type want struct {
+		sel policy.Selection
+		est policy.Estimate
+	}
+	var deps []Deployment
+	var wants []want
+	for _, tg := range hw.Targets() {
+		for _, dl := range []time.Duration{4 * time.Second, 24 * time.Second, 90 * time.Second} {
+			for _, c := range []float64{0.05, 0.21, 0.6} {
+				for _, fill := range []bool{false, true} {
+					d := Deployment{Target: tg, Deadline: dl, CapacityFrac: c, FillIdle: fill}
+					sel, est := policy.Optimize(art.Profiles, d.Env(art.Arch))
+					deps = append(deps, d)
+					wants = append(wants, want{sel, est})
+				}
+			}
+		}
+	}
+
+	const callers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range deps {
+				i := (j + g*len(deps)/callers) % len(deps)
+				sel, est := art.SelectionLogic(deps[i])
+				if !reflect.DeepEqual(sel, wants[i].sel) || est != wants[i].est {
+					t.Errorf("caller %d, %+v: memoized logic %v %+v, direct %v %+v",
+						g, deps[i], sel, est, wants[i].sel, wants[i].est)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := art.MemoizedSelections(); got != len(deps) {
+		t.Fatalf("memo holds %d entries for %d deployments", got, len(deps))
+	}
+
+	// A caller's edits stay its own.
+	for i, d := range deps {
+		sel, _ := art.SelectionLogic(d)
+		for c := range sel.Actions {
+			sel.Actions[c] = policy.Generic
+		}
+		if again, _ := art.SelectionLogic(d); !reflect.DeepEqual(again, wants[i].sel) {
+			t.Fatalf("%+v: an edited selection leaked into a later call: %v, want %v", d, again, wants[i].sel)
+		}
+	}
+
+	// Concurrent first callers of a new deployment share one entry.
+	fresh := Deployment{Target: hw.Orin15W, Deadline: 17 * time.Second, CapacityFrac: 0.33, FillIdle: true}
+	before := art.MemoizedSelections()
+	start := make(chan struct{})
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			art.SelectionLogic(fresh)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := art.MemoizedSelections() - before; got != 1 {
+		t.Fatalf("%d concurrent first callers left %d memo entries, want 1", callers, got)
+	}
+}
+
 // TestTransformAppCancelledMidway cancels a parallel transform while its
 // suites are training: the call must return context.Canceled promptly and
 // must not leave a fan-out worker running behind it. The cancel lands a
@@ -361,4 +444,32 @@ func BenchmarkTransformApp(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSelectionLogic times selection-logic generation for one
+// deployment at the unit-test sizing (app 4, tilings 3 and 6): miss runs
+// the sweep on artifacts that have not seen the deployment, hit reads the
+// memoized logic back.
+func BenchmarkSelectionLogic(b *testing.B) {
+	w, err := NewWorkspaceCtx(b.Context(), testConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	art, err := w.TransformAppCtx(b.Context(), app.App(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fresh := &Artifacts{Arch: art.Arch, Profiles: art.Profiles}
+			fresh.SelectionLogic(testDeployment)
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		art.SelectionLogic(testDeployment)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			art.SelectionLogic(testDeployment)
+		}
+	})
 }

@@ -237,17 +237,26 @@ type Application struct {
 // Arch returns the application's architecture.
 func (a *Application) Arch() Architecture { return a.art.Arch }
 
-// SelectionLogic generates the deployment's selection logic.
+// SelectionLogic generates the deployment's selection logic. The logic
+// is generated once per deployment and reused by every later call with
+// the same deployment; the returned Selection is the caller's own copy.
 func (a *Application) SelectionLogic(d Deployment) (Selection, Estimate) {
 	return a.art.SelectionLogic(d)
 }
 
-// PlanHybrid generates the deployment's selection logic, then re-places
-// each context among on-board execution, immediate raw downlink, deferred
+// MemoizedSelections returns how many deployments' selection logic the
+// application holds; a fixed bound caps it whatever deployments callers
+// ask for.
+func (a *Application) MemoizedSelections() int { return a.art.MemoizedSelections() }
+
+// PlanHybrid takes the deployment's selection logic, then re-places each
+// context among on-board execution, immediate raw downlink, deferred
 // ground processing, and drop under env's cost model (see
-// internal/planner). The selection-logic half of env is always derived
-// from d; only the bus, costs, buffer, and contact cadence are read from
-// env (Mission.HybridEnv supplies reference values).
+// internal/planner). The selection logic is generated once per
+// deployment, as SelectionLogic's is, and the plan starts from its own
+// copy of it. The selection-logic half of env is always derived from d;
+// only the bus, costs, buffer, and contact cadence are read from env
+// (Mission.HybridEnv supplies reference values).
 func (a *Application) PlanHybrid(d Deployment, env PlannerEnv) (HybridPlan, error) {
 	sel, _ := a.art.SelectionLogic(d)
 	prof, err := a.art.Profile(sel.Tiling)
