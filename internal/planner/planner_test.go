@@ -52,7 +52,6 @@ func testEnv() Env {
 			CapacityFrac: 0.21,
 			UseEngine:    true,
 		},
-		Bus:                   power.ThreeUBus(),
 		Costs:                 DefaultCosts(),
 		BufferFrames:          64,
 		FramesBetweenContacts: 10,
@@ -197,11 +196,6 @@ func TestActionsMapOntoPolicySet(t *testing.T) {
 
 func TestValidateTypedErrors(t *testing.T) {
 	env := testEnv()
-	env.Bus = power.Bus{}
-	if _, err := DecideCtx(t.Context(), testProfile(), policy.Selection{}, env); !errors.Is(err, power.ErrInvalidBus) {
-		t.Fatalf("bad bus: %v", err)
-	}
-	env = testEnv()
 	env.Policy.Deadline = 0
 	if _, err := DecideCtx(t.Context(), testProfile(), policy.Selection{}, env); !errors.Is(err, power.ErrBadDeadline) {
 		t.Fatalf("zero deadline: %v", err)

@@ -283,48 +283,6 @@ func TestEvaluateInvariants(t *testing.T) {
 	}
 }
 
-func TestMaxDutyCycleCapsSelection(t *testing.T) {
-	// A power-limited bus caps the compute duty cycle; the optimizer must
-	// respect it, trading DVD for energy.
-	profiles := []TilingProfile{testProfile(3), testProfile(11)}
-	env := testEnv()
-	env.Target = hw.GTX1070Ti // fast target: uncapped would run models widely
-	env.App = app.App(1)
-	_, uncapped := Optimize(profiles, env)
-
-	env.MaxDutyCycle = 0.25
-	selCapped, capped := Optimize(profiles, env)
-	duty := float64(capped.FrameTime) / float64(env.Deadline)
-	if duty > 0.25+1e-9 {
-		t.Fatalf("capped selection duty = %.3f", duty)
-	}
-	if capped.DVD > uncapped.DVD+1e-9 {
-		t.Fatalf("capped DVD %v above uncapped %v", capped.DVD, uncapped.DVD)
-	}
-	// The capped logic still beats the bent pipe.
-	bent := EvaluateBentPipe(profiles[0].Prevalence(), env)
-	if capped.DVD <= bent.DVD {
-		t.Fatalf("capped DVD %v not above bent pipe %v (selection %v)", capped.DVD, bent.DVD, selCapped.Actions)
-	}
-}
-
-func TestMaxDutyCycleImpossibleFallsBack(t *testing.T) {
-	// A cap below even the context engine's own cost falls back to full
-	// elision rather than returning garbage.
-	profiles := []TilingProfile{testProfile(11)}
-	env := testEnv()
-	env.MaxDutyCycle = 1e-6
-	sel, est := Optimize(profiles, env)
-	for _, a := range sel.Actions {
-		if a == Specialized || a == Merged || a == Generic {
-			t.Fatalf("model action under impossible cap: %v", sel.Actions)
-		}
-	}
-	if est.DVD < 0 || est.DVD > 1 {
-		t.Fatalf("DVD %v", est.DVD)
-	}
-}
-
 func TestDeferredActionAccounting(t *testing.T) {
 	tp := testProfile(3)
 	env := testEnv()

@@ -10,27 +10,35 @@ import (
 	"testing"
 )
 
+// decodeRoutes are FuzzDecode's modes, one per request type; the fuzzed
+// route byte picks one modulo their count.
+var decodeRoutes = []func() interface{}{
+	func() interface{} { return new(transformRequest) },
+	func() interface{} { return new(planRequest) },
+	func() interface{} { return new(simulateRequest) },
+}
+
 // FuzzDecode drives the request decoder through an HTTP round trip with
-// both route request types: planRequest (/v1/plan, /v1/transform) when
-// simulate is false, simulateRequest (/v1/simulate) when it is true. It
-// must never panic; the only outcomes are success, 400 and 413 (the last
-// only for a body over maxBodyBytes); every error is the uniform
+// each route's request type: transformRequest (/v1/transform) for route
+// 0, planRequest (/v1/plan) for 1 and simulateRequest (/v1/simulate) for
+// 2. It must never panic; the only outcomes are success, 400 and 413 (the
+// last only for a body over maxBodyBytes); every error is the uniform
 // {"error": ...} JSON document; an accepted body is one JSON value
 // followed by nothing but JSON whitespace; and an accepted request
 // re-encodes and decodes to an equal value. The committed corpus under
-// testdata/fuzz/FuzzDecode holds valid requests for each route, unknown
-// fields, wrong types and trailing data; the oversized seed is built here
-// so it tracks maxBodyBytes.
+// testdata/fuzz/FuzzDecode holds valid requests for each route, fields of
+// another route, unknown fields, wrong types and trailing data; the
+// oversized seed is built here so it tracks maxBodyBytes.
 func FuzzDecode(f *testing.F) {
-	f.Add(false, []byte(`{"app":4,"target":"orin","deadlineMs":24000,"capacityFrac":0.21}`))
-	f.Add(true, []byte(`{"app":4,"target":"orin","days":1,"mode":"kodan"}`))
-	f.Add(false, []byte(`{"app":1,"target":"`+strings.Repeat("x", maxBodyBytes)+`"}`))
+	f.Add(uint8(0), []byte(`{"app":4,"quantized":true}`))
+	f.Add(uint8(0), []byte(`{"app":4,"deadlineMs":24000}`))
+	f.Add(uint8(1), []byte(`{"app":4,"target":"orin","deadlineMs":24000,"capacityFrac":0.21}`))
+	f.Add(uint8(1), []byte(`{"app":1,"target":"`+strings.Repeat("x", maxBodyBytes)+`"}`))
+	f.Add(uint8(2), []byte(`{"app":4,"target":"orin","days":1,"mode":"kodan"}`))
+	f.Add(uint8(2), []byte(`{"app":4,"target":"orin","capacityFrac":0.21}`))
 
-	f.Fuzz(func(t *testing.T, simulate bool, body []byte) {
-		newReq := func() interface{} { return new(planRequest) }
-		if simulate {
-			newReq = func() interface{} { return new(simulateRequest) }
-		}
+	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
+		newReq := decodeRoutes[int(route)%len(decodeRoutes)]
 		req := newReq()
 		handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if decode(w, r, req) {

@@ -18,8 +18,21 @@ import (
 	"kodan/internal/telemetry"
 )
 
-// planRequest is the /v1/plan and /v1/transform request body (transform
-// ignores the deployment fields) and the deployment half of /v1/simulate.
+// transformRequest is the /v1/transform request body.
+type transformRequest struct {
+	// Seed selects the transformation seed (0 means the server default).
+	Seed uint64 `json:"seed"`
+	// App is the 1-based Table 1 application index.
+	App int `json:"app"`
+	// Quantized selects the int8 per-layer-quantized inference variant
+	// (float and quantized artifacts are cached independently).
+	Quantized bool `json:"quantized"`
+	// TimeoutMs caps this request's processing time below the server's
+	// ceiling.
+	TimeoutMs int `json:"timeoutMs"`
+}
+
+// planRequest is the /v1/plan request body.
 type planRequest struct {
 	// Seed selects the transformation seed (0 means the server default).
 	Seed uint64 `json:"seed"`
@@ -59,23 +72,60 @@ type planRequest struct {
 	ContactGapFrames float64 `json:"contactGapFrames"`
 }
 
-// simulateRequest is the /v1/simulate request body.
+// simulateRequest is the /v1/simulate request body. The deployment comes
+// from the simulated mission, so the deadline, capacity and hybrid fields
+// of planRequest are not part of it.
 type simulateRequest struct {
-	planRequest
-	// Days is the simulated span (default 1).
+	// Seed, App, Target, NoFill, Quantized and TimeoutMs are as in
+	// planRequest.
+	Seed      uint64 `json:"seed"`
+	App       int    `json:"app"`
+	Target    string `json:"target"`
+	NoFill    bool   `json:"noFill"`
+	Quantized bool   `json:"quantized"`
+	TimeoutMs int    `json:"timeoutMs"`
+	// Days is the simulated span (default 1, at most maxSimulateDays).
 	Days int `json:"days"`
-	// Sats is the constellation population (default 1).
+	// Sats is the constellation population (default 1, at most
+	// maxSimulateSats).
 	Sats int `json:"sats"`
 	// Mode picks the deployment under test: "kodan" (default),
 	// "bentpipe", or "direct".
 	Mode string `json:"mode"`
 }
 
-// requestContext applies the server and per-request timeouts.
-func (s *Server) requestContext(r *http.Request, req planRequest) (context.Context, context.CancelFunc) {
+// The /v1/simulate mission bounds. The simulator builds every capture of
+// the run up front (about 3 600 per satellite-day, 48 B each) before it
+// checks the request's context, so the bounds cap that transient memory
+// at 14 x 16 satellite-days, about 39 MB.
+const (
+	maxSimulateDays = 14
+	maxSimulateSats = 16
+)
+
+// simulateSpan resolves a request's mission span: non-positive values
+// default to 1, and values past the bounds are an error.
+func simulateSpan(days, sats int) (int, int, error) {
+	if days <= 0 {
+		days = 1
+	}
+	if sats <= 0 {
+		sats = 1
+	}
+	if days > maxSimulateDays {
+		return 0, 0, fmt.Errorf("days must be at most %d, got %d", maxSimulateDays, days)
+	}
+	if sats > maxSimulateSats {
+		return 0, 0, fmt.Errorf("sats must be at most %d, got %d", maxSimulateSats, sats)
+	}
+	return days, sats, nil
+}
+
+// requestContext applies the server timeout and a request's timeoutMs.
+func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
 	timeout := s.cfg.Timeout
-	if req.TimeoutMs > 0 && time.Duration(req.TimeoutMs)*time.Millisecond < timeout {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
+	if timeoutMs > 0 && time.Duration(timeoutMs)*time.Millisecond < timeout {
+		timeout = time.Duration(timeoutMs) * time.Millisecond
 	}
 	return context.WithTimeout(r.Context(), timeout)
 }
@@ -163,9 +213,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 }
 
 // seedOf resolves a request seed against the server default.
-func (s *Server) seedOf(req planRequest) uint64 {
-	if req.Seed != 0 {
-		return req.Seed
+func (s *Server) seedOf(seed uint64) uint64 {
+	if seed != 0 {
+		return seed
 	}
 	return s.cfg.Seed
 }
@@ -236,12 +286,6 @@ func (s *Server) acquireAndBuild(ctx context.Context, tenant string, seed uint64
 // constellation size, derived from the orbital simulator (cached: the
 // simulation is deterministic but takes on the order of a second).
 func (s *Server) mission(ctx context.Context, days, sats int) (kodan.Mission, error) {
-	if days <= 0 {
-		days = 1
-	}
-	if sats <= 0 {
-		sats = 1
-	}
 	key := fmt.Sprintf("sim|%d|%d", days, sats)
 	v, _, err := s.cache.Do(ctx, key, func(cctx context.Context) (interface{}, error) {
 		return kodan.SimulateMission(cctx, kodan.ReferenceEpoch, days, sats)
@@ -374,7 +418,7 @@ type transformResponse struct {
 // handleTransform runs (or reuses) the one-time transformation for an
 // application.
 func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
-	var req planRequest
+	var req transformRequest
 	if !decode(w, r, &req) {
 		return
 	}
@@ -382,10 +426,10 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("app must be 1..%d", len(kodan.Applications())))
 		return
 	}
-	ctx, cancel := s.requestContext(r, req)
+	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	seed := s.seedOf(req)
+	seed := s.seedOf(req.Seed)
 	app, src, err := s.application(ctx, tenantOf(r.Context()), seed, req.App, req.Quantized)
 	if err != nil {
 		s.writeError(w, err)
@@ -435,10 +479,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want bundle or hybrid)", req.Mode))
 		return
 	}
-	ctx, cancel := s.requestContext(r, req)
+	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	seed := s.seedOf(req)
+	seed := s.seedOf(req.Seed)
 	d, err := s.deployment(ctx, req, target)
 	if err != nil {
 		s.writeError(w, err)
@@ -523,10 +567,10 @@ func (s *Server) handleHybridPlan(w http.ResponseWriter, r *http.Request, req pl
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("contactGapFrames must be >= 0, got %v", req.ContactGapFrames))
 		return
 	}
-	ctx, cancel := s.requestContext(r, req)
+	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	seed := s.seedOf(req)
+	seed := s.seedOf(req.Seed)
 	d, err := s.deployment(ctx, req, target)
 	if err != nil {
 		s.writeError(w, err)
@@ -647,15 +691,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want kodan, bentpipe, or direct)", req.Mode))
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.planRequest)
+	req.Days, req.Sats, err = simulateSpan(req.Days, req.Sats)
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	if req.Days <= 0 {
-		req.Days = 1
-	}
-	if req.Sats <= 0 {
-		req.Sats = 1
-	}
 	m, err := s.mission(ctx, req.Days, req.Sats)
 	if err != nil {
 		s.writeError(w, err)
@@ -664,7 +707,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	d := m.Deployment(target)
 	d.FillIdle = !req.NoFill
 
-	seed := s.seedOf(req.planRequest)
+	seed := s.seedOf(req.Seed)
 	app, _, err := s.application(ctx, tenantOf(r.Context()), seed, req.App, req.Quantized)
 	if err != nil {
 		s.writeError(w, err)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -161,5 +162,68 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 				t.Fatalf("oversized headers: status %d, want 431", bigResp.StatusCode)
 			}
 		})
+	}
+}
+
+// TestSimulateSpanBounds resolves /v1/simulate's mission span at and one
+// past each bound, then posts the over-bound requests: each is a 400 that
+// names the bound and never reaches the cache or the simulator.
+func TestSimulateSpanBounds(t *testing.T) {
+	for _, c := range []struct {
+		days, sats, wantDays, wantSats int
+		ok                             bool
+	}{
+		{0, -3, 1, 1, true},
+		{maxSimulateDays, maxSimulateSats, maxSimulateDays, maxSimulateSats, true},
+		{maxSimulateDays + 1, 1, 0, 0, false},
+		{1, maxSimulateSats + 1, 0, 0, false},
+	} {
+		days, sats, err := simulateSpan(c.days, c.sats)
+		if (err == nil) != c.ok || days != c.wantDays || sats != c.wantSats {
+			t.Errorf("simulateSpan(%d, %d) = %d, %d, %v", c.days, c.sats, days, sats, err)
+		}
+	}
+
+	s := New(testConfig())
+	base := "http://" + serveLoopback(t, s)
+	for field, n := range map[string]int{"days": maxSimulateDays + 1, "sats": maxSimulateSats + 1} {
+		body := fmt.Sprintf(`{"app":4,"target":"orin",%q:%d}`, field, n)
+		resp, data := post(t, http.DefaultClient, base+"/v1/simulate", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%s), want 400", body, resp.StatusCode, data)
+		}
+		if msg := decodeError(t, resp, data); !strings.Contains(msg, field+" must be at most") {
+			t.Errorf("%s: error %q does not name the bound", body, msg)
+		}
+	}
+	if got := s.Metrics().Cache.Misses; got != 0 {
+		t.Errorf("over-bound simulations reached the cache (%d misses)", got)
+	}
+}
+
+// TestFieldsOfOtherRoutesRejected posts each field an endpoint does not
+// read: the strict decoder answers 400 before any work starts.
+func TestFieldsOfOtherRoutesRejected(t *testing.T) {
+	s := New(testConfig())
+	base := "http://" + serveLoopback(t, s)
+	hybrid := []string{`"groundCost":0`, `"bufferFrames":16`, `"contactGapFrames":10`}
+	foreign := map[string][]string{
+		"/v1/simulate":  append([]string{`"deadlineMs":24000`, `"capacityFrac":0.21`}, hybrid...),
+		"/v1/transform": append([]string{`"target":"orin"`, `"deadlineMs":24000`, `"capacityFrac":0.21`, `"noFill":true`, `"mode":"hybrid"`, `"days":1`}, hybrid...),
+	}
+	for route, fields := range foreign {
+		for _, field := range fields {
+			body := `{"app":4,` + field + `}`
+			resp, data := post(t, http.DefaultClient, base+route, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s: status %d (%s), want 400", route, body, resp.StatusCode, data)
+			}
+			if msg := decodeError(t, resp, data); !strings.Contains(msg, "unknown field") {
+				t.Errorf("%s %s: error %q", route, body, msg)
+			}
+		}
+	}
+	if got := s.Metrics().Cache.Misses; got != 0 {
+		t.Errorf("rejected requests reached the cache (%d misses)", got)
 	}
 }

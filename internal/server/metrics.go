@@ -26,7 +26,6 @@ type Metrics struct {
 
 	mu     sync.Mutex
 	routes map[string]*routeStats
-	window int
 
 	transformsStarted   *telemetry.Counter
 	transformsCompleted *telemetry.Counter
@@ -42,7 +41,7 @@ type Metrics struct {
 }
 
 // routeStats accumulates one route's counters and a bounded latency
-// reservoir (the most recent window observations).
+// reservoir (the most recent metricsWindow observations).
 type routeStats struct {
 	count    int64
 	byStatus map[int]int64

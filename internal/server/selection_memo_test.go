@@ -19,7 +19,8 @@ import (
 // an early (memoized) and of a late (computed past the bound) request
 // returns the same bytes as the first answer. The plan cache is kept
 // small, so repeats miss it and reach the memo; the application itself is
-// transformed once and stays cached throughout.
+// transformed once and stays cached throughout. /v1/simulate, which reads
+// no deadline, rejects one and leaves the memo as it was.
 func TestSelectionMemoBoundedUnderHostileDeployments(t *testing.T) {
 	var (
 		mu   sync.Mutex
@@ -80,22 +81,25 @@ func TestSelectionMemoBoundedUnderHostileDeployments(t *testing.T) {
 		return first, last
 	}
 
-	// /v1/simulate derives its deployment from the simulated mission, so
-	// the hostile deadlines never reach the memo key: one entry serves
-	// them all.
-	t.Run("simulate", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("orbital simulation is slow")
-		}
-		first, last := sweep(t, "/v1/simulate", `{"app":4,"target":"orin","mode":"kodan","deadlineMs":%d}`)
-		if !bytes.Equal(first, last) {
-			t.Fatal("simulate answers differ across deadlines it does not read")
-		}
-	})
 	t.Run("plan", func(t *testing.T) {
 		sweep(t, "/v1/plan", `{"app":4,"target":"orin","deadlineMs":%d,"capacityFrac":0.21}`)
 		if got := memoized(t); got != core.SelectionMemoCap {
 			t.Fatalf("memo holds %d entries after the sweep, want its bound %d", got, core.SelectionMemoCap)
+		}
+	})
+	// /v1/simulate derives its deployment from the simulated mission and
+	// has no deadline field: a hostile deadline is a 400 that reaches
+	// neither the simulator nor the memo.
+	t.Run("simulate", func(t *testing.T) {
+		before := memoized(t)
+		for i := 0; i < 4; i++ {
+			body := fmt.Sprintf(`{"app":4,"target":"orin","mode":"kodan","deadlineMs":%d}`, 1000+i)
+			if resp, data := post(t, ts.Client(), ts.URL+"/v1/simulate", body); resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("deadline %d: status %d (%s), want 400", 1000+i, resp.StatusCode, data)
+			}
+		}
+		if got := memoized(t); got != before {
+			t.Fatalf("memo holds %d entries after rejected simulations, want %d", got, before)
 		}
 	})
 }

@@ -30,8 +30,8 @@ go test -race ./...
 # packages under this code generation too keeps the equivalence from
 # depending on how float expressions compile. Mirrored in
 # .github/workflows/ci.yml.
-echo "==> GOAMD64=v3 go test (policy, planner, sim)"
-GOAMD64=v3 go test -count=1 ./internal/policy ./internal/planner ./internal/sim
+echo "==> GOAMD64=v3 go test (search, policy, planner, sim)"
+GOAMD64=v3 go test -count=1 ./internal/search ./internal/policy ./internal/planner ./internal/sim
 
 # Shuffled run: catches inter-test ordering dependencies that a fixed
 # order hides. A fixed seed keeps failures reproducible.
