@@ -37,8 +37,8 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // benchCase builds a mission-like placement problem: k measured-looking
-// contexts at a 3x3 tiling, App 4 on the Orin at the reference costs and
-// 3U bus, FillIdle, a shared link pool of half a frame, a contact every
+// contexts at a 3x3 tiling, App 4 on the Orin at the reference costs,
+// FillIdle, a shared link pool of half a frame, a contact every
 // four frames, the given deferral buffer, and the optimizer's base.
 func benchCase(k int, buffer float64) (policy.TilingProfile, policy.Selection, Env) {
 	prof := randProfileK(xrand.New(29), k)
