@@ -1,22 +1,25 @@
 // Command kodan-bench regenerates every table and figure of the paper's
-// evaluation and prints the rows the paper reports. By default it runs the
-// full-size experiments; -size=quick runs the down-sized variant used by
-// unit tests. It generates and exports figures; it makes no speed claims
-// (the repository benchmark, perfbench, does), and the layer
-// micro-benchmarks sit next to the code they time (go test -bench).
+// evaluation and prints the rows the paper reports. The figures, their
+// keys and their report order come from the experiments registry
+// ((*experiments.Lab).Figures). By default it runs the full-size
+// experiments; -size=quick runs the down-sized variant used by unit
+// tests. It generates and exports figures; it makes no speed claims (the
+// repository benchmark, perfbench, does), and the layer micro-benchmarks
+// sit next to the code they time (go test -bench).
 //
 // Usage:
 //
 //	kodan-bench [-size full|quick] [-parallel N] [-only table1,fig2,...] [-csv DIR] [-json DIR]
 //	            [-trace FILE] [-cpuprofile FILE] [-memprofile FILE] [-v]
 //
-// -parallel bounds the evaluation worker pool (0 = GOMAXPROCS, 1 =
-// sequential); every setting produces byte-identical output, and a
-// negative value is a usage error. -csv writes one <figure>.csv per
-// selected table/figure; -json writes one BENCH_<figure>.json (an array of
-// row objects) for machine consumption. bench/ holds the committed
-// BENCH_<figure>.json files of a -size quick run, which the verify gate
-// regenerates and compares byte for byte.
+// -only selects registry keys (an unknown key is an error that lists the
+// valid ones). -parallel bounds the evaluation worker pool (0 =
+// GOMAXPROCS, 1 = sequential); every setting produces byte-identical
+// output, and a negative value is a usage error. -csv writes one
+// <key>.csv per selected table/figure; -json writes one BENCH_<key>.json
+// (an array of row objects) for machine consumption. bench/ holds the
+// committed BENCH_<key>.json files of a -size quick run, which the verify
+// gate regenerates and compares byte for byte.
 //
 // -trace records a span trace of the run (one span per figure, with the
 // transformation, simulation, and policy-sweep phases nested inside) as
@@ -26,7 +29,7 @@
 // without it, at every -parallel setting. -v emits structured slog debug
 // lines from the instrumented layers to stderr.
 //
-// The "resilience" figure sweeps injected fault intensity (station
+// The resilience figure sweeps injected fault intensity (station
 // outages, link fades, sensor dropouts, satellite resets; see
 // internal/fault) and reports downlinked value retained versus the
 // fault-free baseline.
@@ -41,6 +44,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -49,101 +53,6 @@ import (
 	"kodan/internal/telemetry"
 	"kodan/internal/telemetry/analyze"
 )
-
-// generator produces one table or figure: the rendered text plus the typed
-// rows for CSV/JSON export.
-type generator struct {
-	key string
-	gen func(ctx context.Context) (string, interface{}, error)
-}
-
-// generators lists every table and figure in report order.
-func generators(lab *experiments.Lab) []generator {
-	return []generator{
-		{"table1", func(context.Context) (string, interface{}, error) {
-			rows := experiments.Table1()
-			return experiments.RenderTable1(rows), rows, nil
-		}},
-		{"fig2", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.Figure2Ctx(ctx, lab.SatCounts())
-			return experiments.RenderFigure2(rows), rows, err
-		}},
-		{"fig3", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.Figure3Ctx(ctx, lab.SatCounts())
-			return experiments.RenderFigure3(rows), rows, err
-		}},
-		{"fig4", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.Figure4Ctx(ctx)
-			return experiments.RenderFigure4(rows), rows, err
-		}},
-		{"fig5", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.Figure5Ctx(ctx, lab.SatCounts())
-			return experiments.RenderFigure5(rows), rows, err
-		}},
-		{"fig8", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.Figure8Ctx(ctx)
-			if err != nil {
-				return "", nil, err
-			}
-			lo, hi := experiments.Headline(rows)
-			return experiments.RenderFigure8(rows) +
-				fmt.Sprintf("headline: Kodan improves DVD %.0f%%..%.0f%% over the bent pipe (paper: 89-97%%)\n",
-					lo*100, hi*100), rows, nil
-		}},
-		{"fig8q", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.Figure8QuantizedCtx(ctx)
-			return experiments.RenderFigure8Quantized(rows), rows, err
-		}},
-		{"fig9", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.Figure9Ctx(ctx)
-			return experiments.RenderFigure9(rows), rows, err
-		}},
-		{"fig10", func(ctx context.Context) (string, interface{}, error) {
-			pts, err := lab.Figure10Ctx(ctx)
-			return experiments.RenderFigure10(pts), pts, err
-		}},
-		{"fig11", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.Figure11Ctx(ctx)
-			return experiments.RenderFigure11(rows), rows, err
-		}},
-		{"fig12", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.Figure12Ctx(ctx)
-			return experiments.RenderFigure12(rows), rows, err
-		}},
-		{"fig13", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.Figure13Ctx(ctx)
-			return experiments.RenderFigure13(rows), rows, err
-		}},
-		{"fig14", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.Figure14Ctx(ctx)
-			return experiments.RenderFigure14(rows), rows, err
-		}},
-		{"fig15", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.Figure15Ctx(ctx)
-			return experiments.RenderFigure15(rows), rows, err
-		}},
-		{"ablation-k", func(ctx context.Context) (string, interface{}, error) {
-			ks := []int{2, 4, 6, 8, 10}
-			if lab.Size == experiments.Quick {
-				ks = []int{2, 6}
-			}
-			rows, err := lab.AblationContextCountCtx(ctx, ks)
-			return experiments.RenderAblationContextCount(rows), rows, err
-		}},
-		{"ablation-source", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.AblationContextSourceCtx(ctx)
-			return experiments.RenderAblationContextSource(rows), rows, err
-		}},
-		{"resilience", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.ResilienceSweepCtx(ctx)
-			return experiments.RenderResilience(rows), rows, err
-		}},
-		{"hybridplan", func(ctx context.Context) (string, interface{}, error) {
-			rows, err := lab.HybridPlanSweepCtx(ctx)
-			return experiments.RenderHybridPlan(rows), rows, err
-		}},
-	}
-}
 
 // validateFlags rejects out-of-range flag values up front, before any
 // expensive work starts.
@@ -154,39 +63,38 @@ func validateFlags(parallel int) error {
 	return nil
 }
 
-// selectGenerators filters the table by a comma-separated -only value,
+// figureKeys lists the keys of figs in order.
+func figureKeys(figs []experiments.Figure) []string {
+	keys := make([]string, len(figs))
+	for i, f := range figs {
+		keys[i] = f.Key
+	}
+	return keys
+}
+
+// selectFigures filters the registry by a comma-separated -only value,
 // preserving report order. An unknown name is an error listing the valid
 // keys — silently producing no output would mask typos like "fig7".
-func selectGenerators(gens []generator, only string) ([]generator, error) {
+func selectFigures(figs []experiments.Figure, only string) ([]experiments.Figure, error) {
 	if strings.TrimSpace(only) == "" {
-		return gens, nil
+		return figs, nil
 	}
+	keys := figureKeys(figs)
 	want := map[string]bool{}
 	for _, k := range strings.Split(only, ",") {
 		k = strings.TrimSpace(k)
 		if k == "" {
 			continue
 		}
-		found := false
-		for _, g := range gens {
-			if g.key == k {
-				found = true
-				break
-			}
-		}
-		if !found {
-			keys := make([]string, len(gens))
-			for i, g := range gens {
-				keys[i] = g.key
-			}
+		if !slices.Contains(keys, k) {
 			return nil, fmt.Errorf("unknown figure %q in -only; valid names: %s", k, strings.Join(keys, ", "))
 		}
 		want[k] = true
 	}
-	var out []generator
-	for _, g := range gens {
-		if want[g.key] {
-			out = append(out, g)
+	var out []experiments.Figure
+	for _, f := range figs {
+		if want[f.Key] {
+			out = append(out, f)
 		}
 	}
 	return out, nil
@@ -196,7 +104,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kodan-bench: ")
 	sizeFlag := flag.String("size", "full", "experiment scale: full or quick")
-	onlyFlag := flag.String("only", "", "comma-separated subset (table1,fig2,...,fig15,ablation-k,ablation-source,resilience,hybridplan)")
+	onlyFlag := flag.String("only", "", "comma-separated subset of: "+
+		strings.Join(figureKeys(experiments.NewLab(experiments.Quick).Figures()), ","))
 	parallelFlag := flag.Int("parallel", 0, "evaluation worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	csvDir := flag.String("csv", "", "also write per-figure CSV files to this directory")
 	jsonDir := flag.String("json", "", "also write one BENCH_<figure>.json per table/figure to this directory")
@@ -249,7 +158,7 @@ func main() {
 	lab := experiments.NewLab(size)
 	lab.Workers = *parallelFlag
 
-	gens, err := selectGenerators(generators(lab), *onlyFlag)
+	figs, err := selectFigures(lab.Figures(), *onlyFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -284,17 +193,17 @@ func main() {
 		}
 	}
 
-	for _, g := range gens {
+	for _, f := range figs {
 		t0 := time.Now()
-		out, rows, err := g.gen(ctx)
+		out, rows, err := f.Run(ctx)
 		if err != nil {
-			log.Fatalf("%s: %v", g.key, err)
+			log.Fatalf("%s: %v", f.Key, err)
 		}
 		took := time.Since(t0)
 		fmt.Println(out)
-		writeCSV(g.key, rows)
-		writeJSON(g.key, rows)
-		fmt.Fprintf(os.Stderr, "[%s took %v]\n\n", g.key, took.Round(time.Millisecond))
+		writeCSV(f.Key, rows)
+		writeJSON(f.Key, rows)
+		fmt.Fprintf(os.Stderr, "[%s took %v]\n\n", f.Key, took.Round(time.Millisecond))
 	}
 
 	fmt.Fprintf(os.Stderr, "total: %v\n", time.Since(start).Round(time.Millisecond))

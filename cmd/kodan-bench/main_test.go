@@ -9,8 +9,7 @@ import (
 )
 
 func TestSelectGeneratorsUnknownNameErrors(t *testing.T) {
-	gens := generators(experiments.NewLab(experiments.Quick))
-	_, err := selectGenerators(gens, "fig7")
+	_, err := selectFigures(experiments.NewLab(experiments.Quick).Figures(), "fig7")
 	if err == nil {
 		t.Fatal("unknown figure name accepted")
 	}
@@ -23,47 +22,47 @@ func TestSelectGeneratorsUnknownNameErrors(t *testing.T) {
 }
 
 func TestSelectGeneratorsFilters(t *testing.T) {
-	gens := generators(experiments.NewLab(experiments.Quick))
+	figs := experiments.NewLab(experiments.Quick).Figures()
 
-	sel, err := selectGenerators(gens, " fig9 , table1 ")
+	sel, err := selectFigures(figs, " fig9 , table1 ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sel) != 2 {
-		t.Fatalf("selected %d generators, want 2", len(sel))
+		t.Fatalf("selected %d figures, want 2", len(sel))
 	}
 	// Report order is preserved regardless of the -only order.
-	if sel[0].key != "table1" || sel[1].key != "fig9" {
-		t.Errorf("selected keys %q, %q; want table1, fig9", sel[0].key, sel[1].key)
+	if sel[0].Key != "table1" || sel[1].Key != "fig9" {
+		t.Errorf("selected keys %q, %q; want table1, fig9", sel[0].Key, sel[1].Key)
 	}
 
-	all, err := selectGenerators(gens, "")
+	all, err := selectFigures(figs, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != len(gens) {
-		t.Errorf("empty -only selected %d of %d generators", len(all), len(gens))
+	if len(all) != len(figs) {
+		t.Errorf("empty -only selected %d of %d figures", len(all), len(figs))
 	}
 }
 
 func TestGeneratorKeysAreUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, g := range generators(experiments.NewLab(experiments.Quick)) {
-		if seen[g.key] {
-			t.Errorf("duplicate generator key %q", g.key)
+	for _, f := range experiments.NewLab(experiments.Quick).Figures() {
+		if seen[f.Key] {
+			t.Errorf("duplicate figure key %q", f.Key)
 		}
-		seen[g.key] = true
+		seen[f.Key] = true
 	}
 }
 
-// TestTable1Generator runs the one generator that needs no lab work
+// TestTable1Generator runs the one registry entry that needs no lab work
 // end to end: rendered output plus exportable rows.
 func TestTable1Generator(t *testing.T) {
-	gens, err := selectGenerators(generators(experiments.NewLab(experiments.Quick)), "table1")
+	figs, err := selectFigures(experiments.NewLab(experiments.Quick).Figures(), "table1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, rows, err := gens[0].gen(context.Background())
+	out, rows, err := figs[0].Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func TestTable1Generator(t *testing.T) {
 		t.Errorf("render missing title:\n%s", out)
 	}
 	if rows == nil {
-		t.Error("generator returned no rows for export")
+		t.Error("figure returned no rows for export")
 	}
 }
 
@@ -106,14 +105,14 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// TestResilienceGenerator runs the resilience sweep through the command's
-// generator table at quick scale.
+// TestResilienceGenerator runs the resilience sweep through the figure
+// registry at quick scale.
 func TestResilienceGenerator(t *testing.T) {
-	gens, err := selectGenerators(generators(experiments.NewLab(experiments.Quick)), "resilience")
+	figs, err := selectFigures(experiments.NewLab(experiments.Quick).Figures(), "resilience")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, rows, err := gens[0].gen(context.Background())
+	out, rows, err := figs[0].Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,18 +120,18 @@ func TestResilienceGenerator(t *testing.T) {
 		t.Errorf("render missing title:\n%s", out)
 	}
 	if rows == nil {
-		t.Error("generator returned no rows for export")
+		t.Error("figure returned no rows for export")
 	}
 }
 
 // TestHybridPlanGenerator runs the hybrid planning sweep through the
-// command's generator table at quick scale.
+// figure registry at quick scale.
 func TestHybridPlanGenerator(t *testing.T) {
-	gens, err := selectGenerators(generators(experiments.NewLab(experiments.Quick)), "hybridplan")
+	figs, err := selectFigures(experiments.NewLab(experiments.Quick).Figures(), "hybridplan")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, rows, err := gens[0].gen(context.Background())
+	out, rows, err := figs[0].Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +139,6 @@ func TestHybridPlanGenerator(t *testing.T) {
 		t.Errorf("render missing title:\n%s", out)
 	}
 	if rows == nil {
-		t.Error("generator returned no rows for export")
+		t.Error("figure returned no rows for export")
 	}
 }

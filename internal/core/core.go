@@ -230,8 +230,8 @@ type selectionEntry struct {
 
 // TransformAppCtx trains and measures one application across every
 // candidate tiling in the workspace. The per-tiling suites are independent
-// (Section 3.3), so they build on Cfg.Workers goroutines, each into its own
-// slot, and are assembled in workspace tiling order afterwards. ctx is
+// (Section 3.3), so they build on Cfg.Workers goroutines and are
+// assembled in workspace tiling order afterwards. ctx is
 // checked before each tiling and, inside suite construction, between
 // model trainings and epochs, so a cancelled transform returns ctx.Err()
 // promptly once its running suites stop. A completed transform depends on
@@ -246,8 +246,7 @@ func (w *Workspace) TransformAppCtx(ctx context.Context, arch app.Architecture) 
 	span.Set("quantized", fmt.Sprint(w.Cfg.Quantized))
 	scope := telemetry.ProbeFrom(ctx).Metrics.Scope("transform")
 	tilings := w.Cfg.Tilings
-	suites := make([]*app.Suite, len(tilings))
-	err := parallel.ForEach(ctx, parallel.Workers(w.Cfg.Workers), len(tilings), func(ctx context.Context, i int) error {
+	suites, err := parallel.Map(ctx, parallel.Workers(w.Cfg.Workers), len(tilings), func(ctx context.Context, i int) (*app.Suite, error) {
 		tl := tilings[i]
 		tctx, sp := telemetry.StartSpan(ctx, "transform.tiling")
 		defer sp.End()
@@ -262,12 +261,11 @@ func (w *Workspace) TransformAppCtx(ctx context.Context, arch app.Architecture) 
 		rng := xrand.New(w.Cfg.Seed ^ uint64(arch.Index)<<32 ^ uint64(tl.PerSide))
 		suite, err := app.BuildSuiteData(tctx, arch, tl, w.data[tl.PerSide].prepared(w), w.Ctx, opts, rng)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		suites[i] = suite
 		scope.Histogram("tiling_seconds").Observe(time.Since(stageStart).Seconds())
 		scope.Counter("suites_trained").Inc()
-		return nil
+		return suite, nil
 	})
 	if err != nil {
 		return nil, err

@@ -354,14 +354,14 @@ func TestTransformAppCancelledMidway(t *testing.T) {
 		t.Fatalf("cancelled transform returned %v after cancel, want a prompt return", d)
 	}
 	// No suite work may run once the call has returned. A worker that has
-	// signalled ForEach's WaitGroup may still be unwinding its goroutine,
-	// so its exit is awaited with a deadline.
+	// signalled the fan-out engine's WaitGroup may still be unwinding its
+	// goroutine, so its exit is awaited with a deadline.
 	if stacks := goroutineStacks(); strings.Contains(stacks, "kodan/internal/app.") {
 		t.Fatalf("suite work still running after the cancelled transform returned:\n%s", stacks)
 	}
 	for deadline := time.Now().Add(2 * time.Second); ; {
 		stacks := goroutineStacks()
-		if !strings.Contains(stacks, "kodan/internal/parallel.ForEach") {
+		if !strings.Contains(stacks, "kodan/internal/parallel.forEach") {
 			break
 		}
 		if time.Now().After(deadline) {

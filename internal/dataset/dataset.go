@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"kodan/internal/imagery"
 	"kodan/internal/parallel"
@@ -91,9 +92,10 @@ type Dataset struct {
 // golden-angle sequence (deterministic, near-uniform) over the latitude
 // band; each frame is split by the configured tiling and every tile is
 // rendered with the tiling's decimation blur. Frames render on
-// cfg.Workers goroutines into preallocated slots (frame f's tile k lands
-// at f*Tiles()+k); the world is immutable and every tile seeds its noise
-// from its own region, so the samples do not depend on the worker count.
+// cfg.Workers goroutines and are concatenated in frame order (frame f's
+// tile k lands at f*Tiles()+k); the world is immutable and every tile
+// seeds its noise from its own region, so the samples do not depend on
+// the worker count.
 func Generate(cfg Config) (*Dataset, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -101,12 +103,10 @@ func Generate(cfg Config) (*Dataset, error) {
 	w := imagery.NewWorld(cfg.Seed)
 	blur := cfg.Tiling.RenderBlurPx(FramePx, ModelInputPx)
 
-	tiles := cfg.Tiling.Tiles()
-	ds := &Dataset{Config: cfg, Samples: make([]Sample, cfg.Frames*tiles)}
 	const golden = 137.50776405003785
-	// The loop body never fails and the context never cancels, so
-	// ForEach always returns nil.
-	_ = parallel.ForEach(context.TODO(), parallel.Workers(cfg.Workers), cfg.Frames, func(_ context.Context, f int) error {
+	// The loop body never fails and the context never cancels, so Map
+	// always returns every frame.
+	frames, _ := parallel.Map(context.TODO(), parallel.Workers(cfg.Workers), cfg.Frames, func(_ context.Context, f int) ([]Sample, error) {
 		lon := math.Mod(float64(f)*golden, 360) - 180
 		// Low-discrepancy latitude scatter over the band.
 		lat := -cfg.MaxLatDeg + math.Mod(float64(f)*0.6180339887498949, 1)*2*cfg.MaxLatDeg
@@ -115,15 +115,17 @@ func Generate(cfg Config) (*Dataset, error) {
 			LatDeg:  lat - frameSizeDeg/2,
 			SizeDeg: frameSizeDeg,
 		}
-		for k, reg := range frame.Split(cfg.Tiling.PerSide) {
-			ds.Samples[f*tiles+k] = Sample{
+		tiles := frame.Split(cfg.Tiling.PerSide)
+		samples := make([]Sample, len(tiles))
+		for k, reg := range tiles {
+			samples[k] = Sample{
 				Tile:  w.RenderTile(reg, cfg.TileRes, blur),
 				Frame: f,
 			}
 		}
-		return nil
+		return samples, nil
 	})
-	return ds, nil
+	return &Dataset{Config: cfg, Samples: slices.Concat(frames...)}, nil
 }
 
 // Len returns the sample count.

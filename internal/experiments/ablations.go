@@ -9,7 +9,6 @@ import (
 	"kodan/internal/core"
 	"kodan/internal/ctxengine"
 	"kodan/internal/hw"
-	"kodan/internal/parallel"
 )
 
 // AblationKRow is one cluster-count setting of the context-count ablation.
@@ -33,41 +32,33 @@ type AblationKRow struct {
 // most expensive ablation; it runs at the lab's Quick/Full dataset sizing.
 // The per-K workspace builds run on the lab's worker pool.
 func (l *Lab) AblationContextCountCtx(ctx context.Context, ks []int) ([]AblationKRow, error) {
-	ctx, span := l.startFigure(ctx, "ablation-k")
-	defer span.End()
 	m, err := l.MissionCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	d := m.Deployment(hw.Orin15W)
-	rows := make([]AblationKRow, len(ks))
-	err = parallel.ForEach(ctx, l.workers(), len(ks), func(ctx context.Context, j int) error {
+	return sweep(ctx, l, len(ks), func(ctx context.Context, j int) (AblationKRow, error) {
 		cfg := l.transformConfig()
 		cfg.Context = ctxengine.DefaultConfig()
 		cfg.Context.Ks = []int{ks[j]}
 		ws, err := core.NewWorkspaceCtx(ctx, cfg)
 		if err != nil {
-			return err
+			return AblationKRow{}, err
 		}
 		art, err := ws.TransformAppCtx(ctx, app.App(4))
 		if err != nil {
-			return err
+			return AblationKRow{}, err
 		}
 		_, est := art.SelectionLogic(d)
 		coarse := art.Profiles[len(art.Profiles)-1]
 		suite := art.Suites[coarse.Tiling.PerSide]
-		rows[j] = AblationKRow{
+		return AblationKRow{
 			K:             ws.Ctx.K,
 			EngineAcc:     ws.Ctx.TrainAccuracy,
 			SpecPrecision: suite.Quality.SpecialAll.Precision(),
 			KodanDVD:      est.DVD,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderAblationContextCount formats the context-count ablation.
@@ -98,8 +89,6 @@ type AblationSourceRow struct {
 // two as alternatives. The two workspace builds run on the lab's worker
 // pool.
 func (l *Lab) AblationContextSourceCtx(ctx context.Context) ([]AblationSourceRow, error) {
-	ctx, span := l.startFigure(ctx, "ablation-source")
-	defer span.End()
 	m, err := l.MissionCtx(ctx)
 	if err != nil {
 		return nil, err
@@ -109,33 +98,27 @@ func (l *Lab) AblationContextSourceCtx(ctx context.Context) ([]AblationSourceRow
 		name string
 		s    ctxengine.Source
 	}{{"automatic", ctxengine.Auto}, {"expert", ctxengine.Expert}}
-	rows := make([]AblationSourceRow, len(sources))
-	err = parallel.ForEach(ctx, l.workers(), len(sources), func(ctx context.Context, j int) error {
+	return sweep(ctx, l, len(sources), func(ctx context.Context, j int) (AblationSourceRow, error) {
 		src := sources[j]
 		cfg := l.transformConfig()
 		cfg.Context = ctxengine.DefaultConfig()
 		cfg.Context.Source = src.s
 		ws, err := core.NewWorkspaceCtx(ctx, cfg)
 		if err != nil {
-			return err
+			return AblationSourceRow{}, err
 		}
 		art, err := ws.TransformAppCtx(ctx, app.App(4))
 		if err != nil {
-			return err
+			return AblationSourceRow{}, err
 		}
 		_, est := art.SelectionLogic(d)
-		rows[j] = AblationSourceRow{
+		return AblationSourceRow{
 			Source:    src.name,
 			K:         ws.Ctx.K,
 			EngineAcc: ws.Ctx.TrainAccuracy,
 			KodanDVD:  est.DVD,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderAblationContextSource formats the source ablation.

@@ -10,48 +10,25 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
-// figureOutputs runs every figure of a lab and returns, per figure key,
-// the rendered table plus its typed rows for CSV/JSON export.
+// figureOutput is one figure's rendered table plus its typed rows for
+// CSV/JSON export.
 type figureOutput struct {
 	render string
 	rows   interface{}
 }
 
+// figureOutputs runs every figure of the lab's registry and returns its
+// output per figure key.
 func figureOutputs(t *testing.T, l *Lab) map[string]figureOutput {
 	t.Helper()
 	out := map[string]figureOutput{}
-	add := func(key, render string, rows interface{}, err error) {
+	for _, f := range l.Figures() {
+		render, rows, err := f.Run(t.Context())
 		if err != nil {
-			t.Fatalf("%s: %v", key, err)
+			t.Fatalf("%s: %v", f.Key, err)
 		}
-		out[key] = figureOutput{render, rows}
+		out[f.Key] = figureOutput{render, rows}
 	}
-	f2, err := l.Figure2Ctx(t.Context(), l.SatCounts())
-	add("fig2", RenderFigure2(f2), f2, err)
-	f3, err := l.Figure3Ctx(t.Context(), l.SatCounts())
-	add("fig3", RenderFigure3(f3), f3, err)
-	f4, err := l.Figure4Ctx(t.Context())
-	add("fig4", RenderFigure4(f4), f4, err)
-	f5, err := l.Figure5Ctx(t.Context(), l.SatCounts())
-	add("fig5", RenderFigure5(f5), f5, err)
-	f8, err := l.Figure8Ctx(t.Context())
-	add("fig8", RenderFigure8(f8), f8, err)
-	f9, err := l.Figure9Ctx(t.Context())
-	add("fig9", RenderFigure9(f9), f9, err)
-	f10, err := l.Figure10Ctx(t.Context())
-	add("fig10", RenderFigure10(f10), f10, err)
-	f11, err := l.Figure11Ctx(t.Context())
-	add("fig11", RenderFigure11(f11), f11, err)
-	f12, err := l.Figure12Ctx(t.Context())
-	add("fig12", RenderFigure12(f12), f12, err)
-	f13, err := l.Figure13Ctx(t.Context())
-	add("fig13", RenderFigure13(f13), f13, err)
-	f14, err := l.Figure14Ctx(t.Context())
-	add("fig14", RenderFigure14(f14), f14, err)
-	f15, err := l.Figure15Ctx(t.Context())
-	add("fig15", RenderFigure15(f15), f15, err)
-	hp, err := l.HybridPlanSweepCtx(t.Context())
-	add("hybridplan", RenderHybridPlan(hp), hp, err)
 	return out
 }
 
@@ -69,9 +46,9 @@ func encode(t *testing.T, key string, rows interface{}) (csv, json []byte) {
 }
 
 // TestFiguresDeterministicAcrossWorkers is the engine's end-to-end
-// contract: every figure — rendered table, CSV bytes, and JSON bytes — is
-// identical between the sequential path (Workers=1) and the parallel path
-// (Workers=4).
+// contract: every registry figure — rendered table, CSV bytes, and JSON
+// bytes — is identical between the sequential path (Workers=1) and the
+// parallel path (Workers=4).
 func TestFiguresDeterministicAcrossWorkers(t *testing.T) {
 	seq := NewLab(Quick)
 	seq.Workers = 1
@@ -81,6 +58,11 @@ func TestFiguresDeterministicAcrossWorkers(t *testing.T) {
 	seqOut := figureOutputs(t, seq)
 	parOut := figureOutputs(t, par)
 
+	// Table 1, Figures 2-5 and 8-15 with the quantized Figure 8, the two
+	// ablations, the resilience sweep and the hybrid-plan sweep.
+	if len(seqOut) != 18 {
+		t.Errorf("registry holds %d figures, want 18", len(seqOut))
+	}
 	if len(seqOut) != len(parOut) {
 		t.Fatalf("figure sets differ: %d vs %d", len(seqOut), len(parOut))
 	}

@@ -3,12 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"kodan"
 	"kodan/internal/core"
 	"kodan/internal/hw"
-	"kodan/internal/parallel"
 	"kodan/internal/planner"
 	"kodan/internal/power"
 	"kodan/internal/sim"
@@ -64,32 +64,20 @@ type HybridPlanRow struct {
 // other figure shares, so the onboard-only rows are byte-identical to the
 // existing fault-free baseline at any worker count.
 func (l *Lab) HybridPlanSweepCtx(ctx context.Context) ([]HybridPlanRow, error) {
-	ctx, span := l.startFigure(ctx, "hybridplan")
-	defer span.End()
 	art, err := l.AppCtx(ctx, planApp)
 	if err != nil {
 		return nil, err
 	}
 	sats := l.SatCounts()
 	gcosts := l.PlanGroundCosts()
-	perSat := 2 + len(gcosts)
-	rows := make([]HybridPlanRow, len(sats)*perSat)
-	err = parallel.ForEach(ctx, l.workers(), len(sats), func(ctx context.Context, i int) error {
+	blocks, err := sweep(ctx, l, len(sats), func(ctx context.Context, i int) ([]HybridPlanRow, error) {
 		res, err := l.dayRun(ctx, sats[i])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		block, err := hybridPlanBlock(ctx, art, res, gcosts)
-		if err != nil {
-			return err
-		}
-		copy(rows[i*perSat:], block)
-		return nil
+		return hybridPlanBlock(ctx, art, res, gcosts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return slices.Concat(blocks...), err
 }
 
 // hybridPlanBlock computes one constellation size's rows: the onboard and

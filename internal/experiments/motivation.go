@@ -8,7 +8,6 @@ import (
 
 	"kodan/internal/app"
 	"kodan/internal/hw"
-	"kodan/internal/parallel"
 	"kodan/internal/sense"
 	"kodan/internal/sim"
 	"kodan/internal/value"
@@ -65,32 +64,24 @@ type Fig2Row struct {
 // idle ground-station time, then saturate the segment. The satellite-count
 // sweep runs on the lab's worker pool.
 func (l *Lab) Figure2Ctx(ctx context.Context, satCounts []int) ([]Fig2Row, error) {
-	ctx, span := l.startFigure(ctx, "fig2")
-	defer span.End()
-	rows := make([]Fig2Row, len(satCounts))
-	err := parallel.ForEach(ctx, l.workers(), len(satCounts), func(ctx context.Context, i int) error {
+	return sweep(ctx, l, len(satCounts), func(ctx context.Context, i int) (Fig2Row, error) {
 		n := satCounts[i]
 		cfg := sim.Landsat8Config(l.Epoch, 99*time.Minute, n)
 		cfg.Camera = sense.Landsat8Hyper()
 		cfg.Workers = l.Workers
 		res, err := sim.RunCtx(ctx, cfg)
 		if err != nil {
-			return err
+			return Fig2Row{}, err
 		}
 		seen := res.FramesObserved()
 		down := res.FrameCapacity()
-		rows[i] = Fig2Row{
+		return Fig2Row{
 			Sats:       n,
 			FramesSeen: seen,
 			FramesDown: down,
 			DownFrac:   down / float64(seen),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderFigure2 formats Figure 2's series.
@@ -116,11 +107,8 @@ type Fig3Row struct {
 // WRS-2 grid) requires tens of satellites. The satellite-count sweep runs
 // on the lab's worker pool.
 func (l *Lab) Figure3Ctx(ctx context.Context, satCounts []int) ([]Fig3Row, error) {
-	ctx, span := l.startFigure(ctx, "fig3")
-	defer span.End()
 	total := wrs.Landsat8Grid().TotalScenes()
-	rows := make([]Fig3Row, len(satCounts))
-	err := parallel.ForEach(ctx, l.workers(), len(satCounts), func(ctx context.Context, i int) error {
+	return sweep(ctx, l, len(satCounts), func(ctx context.Context, i int) (Fig3Row, error) {
 		n := satCounts[i]
 		// Uncoordinated phasing: independently-operated satellites do not
 		// phase-lock to the reference grid, so coverage accumulates with
@@ -134,16 +122,11 @@ func (l *Lab) Figure3Ctx(ctx context.Context, satCounts []int) ([]Fig3Row, error
 		cfg.Workers = l.Workers
 		res, err := sim.RunCtx(ctx, cfg)
 		if err != nil {
-			return err
+			return Fig3Row{}, err
 		}
 		u := res.UniqueScenes()
-		rows[i] = Fig3Row{Sats: n, UniqueScenes: u, CoverageFrac: float64(u) / float64(total)}
-		return nil
+		return Fig3Row{Sats: n, UniqueScenes: u, CoverageFrac: float64(u) / float64(total)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderFigure3 formats Figure 3's series.
@@ -174,8 +157,6 @@ type Fig4Row struct {
 // accuracy, zero execution time). Ideal filtering downlinks ~3x the
 // high-value frames of the bent pipe.
 func (l *Lab) Figure4Ctx(ctx context.Context) ([]Fig4Row, error) {
-	ctx, span := l.startFigure(ctx, "fig4")
-	defer span.End()
 	m, err := l.MissionCtx(ctx)
 	if err != nil {
 		return nil, err
@@ -237,20 +218,17 @@ type Fig5Row struct {
 // (concurrent day-long simulations are single-flight per count and shared
 // with every other figure).
 func (l *Lab) Figure5Ctx(ctx context.Context, satCounts []int) ([]Fig5Row, error) {
-	ctx, span := l.startFigure(ctx, "fig5")
-	defer span.End()
 	m, err := l.MissionCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	processedFrac := float64(m.FrameDeadline) / float64(azaveaFrameTime)
 	hvFrac := 1 - cloudyPrevalence
-	rows := make([]Fig5Row, len(satCounts))
-	err = parallel.ForEach(ctx, l.workers(), len(satCounts), func(ctx context.Context, i int) error {
+	return sweep(ctx, l, len(satCounts), func(ctx context.Context, i int) (Fig5Row, error) {
 		n := satCounts[i]
 		res, err := l.dayRun(ctx, n)
 		if err != nil {
-			return err
+			return Fig5Row{}, err
 		}
 		observed := float64(res.FramesObserved())
 		capacity := res.FrameCapacity()
@@ -275,17 +253,12 @@ func (l *Lab) Figure5Ctx(ctx context.Context, satCounts []int) ([]Fig5Row, error
 			{Bits: raw, ValueBits: raw * hvFrac},
 		}, capacity)
 
-		rows[i] = Fig5Row{
+		return Fig5Row{
 			Sats:      n,
 			BentPct:   100 * bentHigh / hvObserved,
 			DirectPct: 100 * directHigh / hvObserved,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderFigure5 formats Figure 5's series.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"kodan/internal/fault"
-	"kodan/internal/parallel"
 	"kodan/internal/sim"
 	"kodan/internal/telemetry"
 )
@@ -51,17 +50,9 @@ type ResilienceRow struct {
 // intensity-0 row runs the plain fault-free path (no injector attached).
 // The intensity sweep runs on the lab's worker pool.
 func (l *Lab) ResilienceSweepCtx(ctx context.Context) ([]ResilienceRow, error) {
-	ctx, span := l.startFigure(ctx, "resilience")
-	defer span.End()
 	intensities := l.ResilienceIntensities()
-	rows := make([]ResilienceRow, len(intensities))
-	err := parallel.ForEach(ctx, l.workers(), len(intensities), func(ctx context.Context, i int) error {
-		row, err := l.resilienceRow(ctx, intensities[i], uint64(i))
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
+	rows, err := sweep(ctx, l, len(intensities), func(ctx context.Context, i int) (ResilienceRow, error) {
+		return l.resilienceRow(ctx, intensities[i], uint64(i))
 	})
 	if err != nil {
 		return nil, err

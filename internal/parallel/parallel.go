@@ -1,14 +1,14 @@
 // Package parallel is the evaluation engine's deterministic fan-out
 // primitive. Every hot sweep in the reproduction — per-satellite
-// propagation and contact search in sim, the per-figure sweeps in
-// experiments, the per-application fleet schedules — is a loop over
-// independent items whose results are written back by index. ForEach runs
-// such a loop on a bounded worker pool while guaranteeing that the
-// observable output is identical to the sequential loop: item i's result
-// depends only on item i (callers derive any randomness from a pure
-// per-item seed, see xrand), and results land in caller-owned slots
-// indexed by i, so scheduling order can never reorder, duplicate, or drop
-// a row. That invariant is what lets the golden-determinism tests assert
+// propagation and contact search in sim, per-tiling suites in core,
+// per-frame rendering in dataset, the per-figure sweeps in experiments —
+// is a loop over independent items. Map runs such a loop on a bounded
+// worker pool and returns item i's result at index i, so the observable
+// output is identical to the sequential loop: item i's result depends
+// only on item i (callers derive any randomness from a pure per-item
+// seed, see xrand), and fn's return value is its only per-item output, so
+// scheduling order can never reorder, duplicate, or drop a row. That
+// invariant is what lets the golden-determinism tests assert
 // byte-identical tables, CSV, and JSON at any worker count.
 package parallel
 
@@ -33,24 +33,37 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach runs fn(ctx, i) for every i in [0, n) on at most workers
-// goroutines and returns the first error by item index (not by completion
-// time), so the reported error is the same one the sequential loop would
-// have surfaced. A fn error or ctx cancellation stops the launch of new
-// items; items already running complete. workers <= 1 runs the loop
-// inline on the calling goroutine.
+// Map runs fn(ctx, i) for every i in [0, n) on at most workers
+// goroutines and returns the results in index order. It returns the
+// first error by item index (not by completion time), so the reported
+// error is the same one the sequential loop would have surfaced. A fn
+// error or ctx cancellation stops the launch of new items; items already
+// running complete, and Map returns only after every worker has exited.
+// workers <= 1 runs the loop inline on the calling goroutine.
 //
-// fn must confine its writes to caller-owned, per-index state (out[i] = ...)
-// and must not depend on any cross-item mutable state; under that
-// contract the results are bit-identical at every worker count.
-//
-// When the context carries a telemetry probe, ForEach reports worker
+// When the context carries a telemetry probe, Map reports worker
 // occupancy (parallel.active gauge, whose max is the realized
 // parallelism), item counts, per-item run time, and queue wait — the
 // delay between the sweep starting and a worker picking an item up. With
 // no probe attached the only cost over the uninstrumented loop is a
-// context value lookup per ForEach call and a nil check per item.
-func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
+// context value lookup per call and a nil check per item.
+func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	out := make([]T, max(n, 0))
+	err := forEach(ctx, workers, n, func(ctx context.Context, i int) error {
+		v, err := fn(ctx, i)
+		out[i] = v
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// forEach is Map's engine: it runs fn(ctx, i) for every i in [0, n) with
+// Map's scheduling, error and cancellation rules. fn writes only its own
+// index's slot.
+func forEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}

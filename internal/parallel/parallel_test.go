@@ -33,7 +33,7 @@ func TestForEachMatchesSequential(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 3, 4, 8, 33, n + 5} {
 		got := make([]int, n)
-		err := ForEach(context.Background(), workers, n, func(_ context.Context, i int) error {
+		err := forEach(context.Background(), workers, n, func(_ context.Context, i int) error {
 			got[i] = i * i
 			return nil
 		})
@@ -53,7 +53,7 @@ func TestForEachMatchesSequential(t *testing.T) {
 func TestForEachRunsEveryItemExactlyOnce(t *testing.T) {
 	const n = 1000
 	counts := make([]atomic.Int32, n)
-	if err := ForEach(context.Background(), 16, n, func(_ context.Context, i int) error {
+	if err := forEach(context.Background(), 16, n, func(_ context.Context, i int) error {
 		counts[i].Add(1)
 		return nil
 	}); err != nil {
@@ -69,7 +69,7 @@ func TestForEachRunsEveryItemExactlyOnce(t *testing.T) {
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int32
-	if err := ForEach(context.Background(), workers, 64, func(_ context.Context, _ int) error {
+	if err := forEach(context.Background(), workers, 64, func(_ context.Context, _ int) error {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -95,7 +95,7 @@ func TestForEachFirstErrorByIndex(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
 	for _, workers := range []int{1, 4} {
-		err := ForEach(context.Background(), workers, 32, func(_ context.Context, i int) error {
+		err := forEach(context.Background(), workers, 32, func(_ context.Context, i int) error {
 			switch i {
 			case 3:
 				// Fail late so a higher index can fail first in real time.
@@ -125,7 +125,7 @@ func TestForEachFirstErrorByIndex(t *testing.T) {
 
 func TestForEachErrorStopsLaunchingItems(t *testing.T) {
 	var ran atomic.Int32
-	err := ForEach(context.Background(), 2, 10_000, func(_ context.Context, i int) error {
+	err := forEach(context.Background(), 2, 10_000, func(_ context.Context, i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return fmt.Errorf("boom")
@@ -145,7 +145,7 @@ func TestForEachHonorsCancelledContext(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
-		err := ForEach(ctx, workers, 100, func(_ context.Context, _ int) error {
+		err := forEach(ctx, workers, 100, func(_ context.Context, _ int) error {
 			ran.Add(1)
 			return nil
 		})
@@ -159,7 +159,7 @@ func TestForEachMidFlightCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var once sync.Once
-	err := ForEach(ctx, 2, 10_000, func(_ context.Context, _ int) error {
+	err := forEach(ctx, 2, 10_000, func(_ context.Context, _ int) error {
 		once.Do(func() { close(started); cancel() })
 		return nil
 	})
@@ -171,7 +171,7 @@ func TestForEachMidFlightCancellation(t *testing.T) {
 
 func TestForEachZeroItems(t *testing.T) {
 	called := false
-	if err := ForEach(context.Background(), 4, 0, func(_ context.Context, _ int) error {
+	if err := forEach(context.Background(), 4, 0, func(_ context.Context, _ int) error {
 		called = true
 		return nil
 	}); err != nil {
@@ -179,5 +179,42 @@ func TestForEachZeroItems(t *testing.T) {
 	}
 	if called {
 		t.Fatal("fn called for empty range")
+	}
+}
+
+// TestMapReturnsResultsInIndexOrder is Map's contract: the result slice
+// equals the sequential loop's at every worker count, and an error
+// returns no partial results.
+func TestMapReturnsResultsInIndexOrder(t *testing.T) {
+	const n = 257
+	for _, workers := range []int{1, 2, 3, 8, n + 5} {
+		got, err := Map(context.Background(), workers, n, func(_ context.Context, i int) (string, error) {
+			return fmt.Sprint(i * i), nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != n {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), n)
+		}
+		for i, v := range got {
+			if v != fmt.Sprint(i*i) {
+				t.Fatalf("workers=%d: out[%d] = %s, want %d", workers, i, v, i*i)
+			}
+		}
+
+		boom := errors.New("boom")
+		got, err = Map(context.Background(), workers, n, func(_ context.Context, i int) (string, error) {
+			if i == n/2 {
+				return "", boom
+			}
+			return "ok", nil
+		})
+		if !errors.Is(err, boom) || got != nil {
+			t.Fatalf("workers=%d: Map = %d results, %v; want nil, boom", workers, len(got), err)
+		}
+	}
+	if got, err := Map(context.Background(), 4, 0, func(context.Context, int) (int, error) { return 1, nil }); err != nil || got == nil || len(got) != 0 {
+		t.Fatalf("Map over no items = %v, %v; want an empty slice", got, err)
 	}
 }

@@ -95,9 +95,10 @@ type simulateRequest struct {
 }
 
 // The /v1/simulate mission bounds. The simulator builds every capture of
-// the run up front (about 3 600 per satellite-day, 48 B each) before it
-// checks the request's context, so the bounds cap that transient memory
-// at 14 x 16 satellite-days, about 39 MB.
+// the run up front (about 3 600 per satellite-day, 48 B each), so the
+// bounds cap that transient memory at 14 x 16 satellite-days, about
+// 39 MB. It checks the request's context between satellites, so a
+// cancelled request stops once the satellites already running finish.
 const (
 	maxSimulateDays = 14
 	maxSimulateSats = 16
@@ -261,19 +262,28 @@ func (s *Server) application(ctx context.Context, tenant string, seed uint64, ap
 	return v.(*kodan.Application), src, nil
 }
 
-// acquireAndBuild claims a worker slot on tenant's behalf and resolves the
-// seed's workspace. On success the caller owns the slot (pair with
-// s.pool.Release); on error the slot is already returned.
-func (s *Server) acquireAndBuild(ctx context.Context, tenant string, seed uint64) (*kodan.System, error) {
+// acquire claims a worker slot on tenant's behalf, recording the wait. On
+// success the caller owns the slot (pair with s.pool.Release).
+func (s *Server) acquire(ctx context.Context, tenant string) error {
 	enqueued := time.Now()
 	_, waitSp := telemetry.StartSpan(ctx, "server.pool_wait")
 	err := s.pool.Acquire(ctx, tenant)
 	waitSp.End()
 	s.tenants.QueueDepth(tenant, s.pool.QueueDepthOf(tenant))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.metrics.PoolAcquired(time.Since(enqueued), s.pool.Stats().InFlight)
+	return nil
+}
+
+// acquireAndBuild claims a worker slot on tenant's behalf and resolves the
+// seed's workspace. On success the caller owns the slot (pair with
+// s.pool.Release); on error the slot is already returned.
+func (s *Server) acquireAndBuild(ctx context.Context, tenant string, seed uint64) (*kodan.System, error) {
+	if err := s.acquire(ctx, tenant); err != nil {
+		return nil, err
+	}
 	sys, _, err := s.system(ctx, seed)
 	if err != nil {
 		s.pool.Release()
@@ -284,10 +294,16 @@ func (s *Server) acquireAndBuild(ctx context.Context, tenant string, seed uint64
 
 // mission returns the reference mission parameters for a span and
 // constellation size, derived from the orbital simulator (cached: the
-// simulation is deterministic but takes on the order of a second).
-func (s *Server) mission(ctx context.Context, days, sats int) (kodan.Mission, error) {
+// simulation is deterministic but takes on the order of a second). A
+// miss simulates on a worker slot claimed on tenant's behalf, so it
+// passes admission and the tenant's fair queue like a transform.
+func (s *Server) mission(ctx context.Context, tenant string, days, sats int) (kodan.Mission, error) {
 	key := fmt.Sprintf("sim|%d|%d", days, sats)
 	v, _, err := s.cache.Do(ctx, key, func(cctx context.Context) (interface{}, error) {
+		if err := s.acquire(cctx, tenant); err != nil {
+			return nil, err
+		}
+		defer s.pool.Release()
 		return kodan.SimulateMission(cctx, kodan.ReferenceEpoch, days, sats)
 	})
 	if err != nil {
@@ -297,8 +313,9 @@ func (s *Server) mission(ctx context.Context, days, sats int) (kodan.Mission, er
 }
 
 // deployment resolves the request's deployment environment, filling
-// unspecified deadline/capacity from the reference mission.
-func (s *Server) deployment(ctx context.Context, req planRequest, target kodan.Target) (kodan.Deployment, error) {
+// unspecified deadline/capacity from the reference mission (simulated on
+// tenant's behalf).
+func (s *Server) deployment(ctx context.Context, tenant string, req planRequest, target kodan.Target) (kodan.Deployment, error) {
 	d := kodan.Deployment{
 		Target:       target,
 		Deadline:     time.Duration(req.DeadlineMs * float64(time.Millisecond)),
@@ -306,7 +323,7 @@ func (s *Server) deployment(ctx context.Context, req planRequest, target kodan.T
 		FillIdle:     !req.NoFill,
 	}
 	if d.Deadline <= 0 || d.CapacityFrac <= 0 {
-		m, err := s.mission(ctx, 1, 1)
+		m, err := s.mission(ctx, tenant, 1, 1)
 		if err != nil {
 			return kodan.Deployment{}, err
 		}
@@ -483,13 +500,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	seed := s.seedOf(req.Seed)
-	d, err := s.deployment(ctx, req, target)
+	tenant := tenantOf(r.Context())
+	d, err := s.deployment(ctx, tenant, req, target)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 
-	tenant := tenantOf(r.Context())
 	v, src, err := s.cache.Do(ctx, planKey(seed, req.App, req.Quantized, d), func(cctx context.Context) (interface{}, error) {
 		app, _, err := s.application(cctx, tenant, seed, req.App, req.Quantized)
 		if err != nil {
@@ -571,7 +588,8 @@ func (s *Server) handleHybridPlan(w http.ResponseWriter, r *http.Request, req pl
 	defer cancel()
 
 	seed := s.seedOf(req.Seed)
-	d, err := s.deployment(ctx, req, target)
+	tenant := tenantOf(r.Context())
+	d, err := s.deployment(ctx, tenant, req, target)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -580,7 +598,7 @@ func (s *Server) handleHybridPlan(w http.ResponseWriter, r *http.Request, req pl
 	// is simulated only when the request leaves it out.
 	m := kodan.Mission{ContactGapFrames: req.ContactGapFrames}
 	if req.ContactGapFrames == 0 {
-		if m, err = s.mission(ctx, 1, 1); err != nil {
+		if m, err = s.mission(ctx, tenant, 1, 1); err != nil {
 			s.writeError(w, err)
 			return
 		}
@@ -593,7 +611,6 @@ func (s *Server) handleHybridPlan(w http.ResponseWriter, r *http.Request, req pl
 		env.BufferFrames = *req.BufferFrames
 	}
 
-	tenant := tenantOf(r.Context())
 	v, src, err := s.cache.Do(ctx, hybridKey(seed, req.App, req.Quantized, d, env), func(cctx context.Context) (interface{}, error) {
 		app, _, err := s.application(cctx, tenant, seed, req.App, req.Quantized)
 		if err != nil {
@@ -699,7 +716,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	m, err := s.mission(ctx, req.Days, req.Sats)
+	tenant := tenantOf(r.Context())
+	m, err := s.mission(ctx, tenant, req.Days, req.Sats)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -708,7 +726,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	d.FillIdle = !req.NoFill
 
 	seed := s.seedOf(req.Seed)
-	app, _, err := s.application(ctx, tenantOf(r.Context()), seed, req.App, req.Quantized)
+	app, _, err := s.application(ctx, tenant, seed, req.App, req.Quantized)
 	if err != nil {
 		s.writeError(w, err)
 		return

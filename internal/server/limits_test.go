@@ -2,6 +2,8 @@ package server
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -9,6 +11,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"kodan"
+	"kodan/internal/sim"
+	"kodan/internal/telemetry"
 )
 
 // serveLoopback serves s (a *Server, or an *http.Server from
@@ -198,6 +204,45 @@ func TestSimulateSpanBounds(t *testing.T) {
 	}
 	if got := s.Metrics().Cache.Misses; got != 0 {
 		t.Errorf("over-bound simulations reached the cache (%d misses)", got)
+	}
+}
+
+// TestSimulateCapCancelsMidCapture pins how a simulation at the
+// /v1/simulate cap stops when its request is cancelled. The simulator
+// checks the context between satellites, so a cancel that lands while the
+// captures are built returns context.Canceled once the satellites already
+// running finish, without building the rest. The cancel time and the
+// bound are fractions of an uncancelled run timed on the same host, so
+// they scale with the host and the race detector.
+func TestSimulateCapCancelsMidCapture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two simulations at the cap")
+	}
+	cfg := sim.Landsat8Config(kodan.ReferenceEpoch, maxSimulateDays*24*time.Hour, maxSimulateSats)
+	start := time.Now()
+	full, err := sim.RunCtx(t.Context(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncancelled := time.Since(start)
+
+	reg := telemetry.NewRegistry()
+	ctx, cancel := context.WithCancel(telemetry.WithProbe(t.Context(), telemetry.Probe{Metrics: reg}))
+	defer cancel()
+	timer := time.AfterFunc(uncancelled/10, cancel)
+	defer timer.Stop()
+	start = time.Now()
+	_, err = sim.RunCtx(ctx, cfg)
+	took := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	if frames := reg.Counter("sim.frames_captured").Load(); frames >= int64(full.FramesObserved()) {
+		t.Errorf("cancelled run captured all %d frames: the cancel did not land mid-capture", frames)
+	}
+	t.Logf("uncancelled %v cancelled %v frames %d/%d", uncancelled, took, reg.Counter("sim.frames_captured").Load(), full.FramesObserved())
+	if took > uncancelled/2 {
+		t.Errorf("cancelled run returned after %v, want within half the uncancelled %v", took, uncancelled)
 	}
 }
 

@@ -424,6 +424,80 @@ func TestAdmissionBalancesPerTenant(t *testing.T) {
 	}
 }
 
+// TestSimulateMissWaitsForPool: a /v1/simulate span not yet cached
+// simulates on a worker slot claimed for the caller's tenant, so against a
+// saturated pool it is rejected with 429 like a new transform, while a
+// cached span is still served. Every request balances as admitted or
+// rejected on the tenant's counters.
+func TestSimulateMissWaitsForPool(t *testing.T) {
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	cfg := testConfig()
+	cfg.Workers = 1
+	cfg.QueueDepth = 1
+	newSystem, transform := stubPipeline(t, nil)
+	cfg.Transform = transform
+	cfg.NewSystem = func(ctx context.Context, c kodan.TransformConfig) (*kodan.System, error) {
+		if c.Seed == 1 {
+			started <- struct{}{}
+			<-gate
+		}
+		return newSystem(ctx, c)
+	}
+	s := New(cfg)
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const tenant = "ops"
+	send := func(path, body string, want int) {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		req.Header.Set(TenantHeader, tenant)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Errorf("%s %s: %v", path, body, err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s %s: status %d, want %d", path, body, resp.StatusCode, want)
+		}
+	}
+	cachedSpan := `{"app":1,"days":1,"sats":1}`
+	send("/v1/simulate", cachedSpan, http.StatusOK)
+
+	// A held build occupies the only worker and a second one fills the
+	// tenant's depth-1 queue.
+	var held sync.WaitGroup
+	held.Add(2)
+	go func() { defer held.Done(); send("/v1/transform", transformBody(1, 1), http.StatusOK) }()
+	<-started
+	go func() { defer held.Done(); send("/v1/transform", transformBody(2, 1), http.StatusOK) }()
+	waitForCond(t, func() bool { return s.Metrics().Pool.Queued == 1 })
+
+	send("/v1/simulate", `{"app":1,"days":1,"sats":2}`, http.StatusTooManyRequests)
+	send("/v1/simulate", cachedSpan, http.StatusOK)
+	close(gate)
+	held.Wait()
+
+	if got := s.Metrics().Pool.Rejected; got != 1 {
+		t.Errorf("pool rejected = %d, want 1", got)
+	}
+	prefix := "server.tenant." + tenant + "."
+	reg := s.Registry()
+	requests := reg.Counter(prefix + "requests").Load()
+	admitted := reg.Counter(prefix + "admitted").Load()
+	rejected := reg.Counter(prefix + "rejected").Load()
+	if requests != 5 || admitted != 4 || rejected != 1 {
+		t.Errorf("requests/admitted/rejected = %d/%d/%d, want 5/4/1", requests, admitted, rejected)
+	}
+}
+
 // TestRetryAfterJitterDeterministic pins the jitter satellite: two
 // servers with the same Seed (which seeds the jitter stream) emit the same Retry-After sequence
 // under sequential saturation rejections, values within [1, 1+max].

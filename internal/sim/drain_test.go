@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"kodan/internal/fault"
 	"kodan/internal/link"
 	"kodan/internal/sense"
 )
@@ -129,10 +131,7 @@ func TestDrainDeferredConservesBits(t *testing.T) {
 	}
 	const perFrame = 1e9
 	s := res.DrainDeferredCtx(t.Context(), perFrame, 64*perFrame)
-	total := float64(res.FramesObserved()) * perFrame
-	if got := s.DeliveredBits + s.DroppedBits + s.ResidualBits; math.Abs(got-total) > 1e-3*total {
-		t.Fatalf("conservation: %v + %v + %v != %v", s.DeliveredBits, s.DroppedBits, s.ResidualBits, total)
-	}
+	checkBitsConserved(t, "clean day", res, perFrame, s)
 	if s.DeliveredBits <= 0 {
 		t.Fatal("nothing delivered on a day with contacts")
 	}
@@ -141,6 +140,71 @@ func TestDrainDeferredConservesBits(t *testing.T) {
 	}
 	if s2 := res.DrainDeferredCtx(t.Context(), perFrame, 64*perFrame); s2 != s {
 		t.Fatalf("drain not deterministic: %+v vs %+v", s, s2)
+	}
+}
+
+// checkBitsConserved fails the test unless the drain accounts for every
+// captured bit: delivered + dropped + residual = captures × bitsPerFrame,
+// with no term negative.
+func checkBitsConserved(t *testing.T, label string, res *Result, bitsPerFrame float64, s DrainStats) {
+	t.Helper()
+	total := float64(res.FramesObserved()) * bitsPerFrame
+	if s.DeliveredBits < 0 || s.DroppedBits < 0 || s.ResidualBits < 0 {
+		t.Errorf("%s: negative term in %+v", label, s)
+	}
+	if got := s.DeliveredBits + s.DroppedBits + s.ResidualBits; math.Abs(got-total) > 1e-9*total {
+		t.Errorf("%s: delivered %v + dropped %v + residual %v = %v, want captures x bits/frame = %v",
+			label, s.DeliveredBits, s.DroppedBits, s.ResidualBits, got, total)
+	}
+}
+
+// TestBitsConservedAcrossFaultsAndWorkers runs the conservation check over
+// fault intensity x fault seed x worker count x buffer size on real
+// simulated runs, and requires each drain to be identical at every worker
+// count.
+func TestBitsConservedAcrossFaultsAndWorkers(t *testing.T) {
+	const (
+		span     = 6 * time.Hour
+		sats     = 2
+		perFrame = 1e9
+	)
+	cfg := Landsat8Config(epoch, span, sats)
+	stations := make([]string, len(cfg.Stations))
+	for i, st := range cfg.Stations {
+		stations[i] = st.Name
+	}
+	for _, intensity := range []float64{0, 0.5, 1} {
+		for _, seed := range []uint64{1, 2} {
+			inj := fault.NewInjector(fault.Generate(fault.GenConfig{
+				Seed: seed, Start: epoch, Span: span, Intensity: intensity,
+				Stations: stations, Sats: sats,
+			}))
+			var base []DrainStats
+			for _, workers := range []int{1, 4} {
+				cfg.Workers = workers
+				res, err := RunCtx(fault.WithInjector(t.Context(), inj), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var drains []DrainStats
+				for _, buffer := range []float64{0, 8, 64} {
+					s := res.DrainDeferredCtx(t.Context(), perFrame, buffer*perFrame)
+					label := fmt.Sprintf("intensity %g seed %d workers %d buffer %g", intensity, seed, workers, buffer)
+					checkBitsConserved(t, label, res, perFrame, s)
+					drains = append(drains, s)
+				}
+				if base == nil {
+					base = drains
+					continue
+				}
+				for i := range drains {
+					if drains[i] != base[i] {
+						t.Errorf("intensity %g seed %d buffer #%d: drain at workers %d %+v != workers 1 %+v",
+							intensity, seed, i, workers, drains[i], base[i])
+					}
+				}
+			}
+		}
 	}
 }
 

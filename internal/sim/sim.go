@@ -202,15 +202,14 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// Capture schedules: one independent propagation per satellite.
 	framesCtr := scope.Counter("frames_captured")
 	droppedCtr := faultScope.Counter("fault.captures_dropped")
-	res.Captures = make([][]sense.Capture, len(sats))
-	err := parallel.ForEach(ctx, workers, len(sats), func(ictx context.Context, i int) error {
+	captures, err := parallel.Map(ctx, workers, len(sats), func(ictx context.Context, i int) ([]sense.Capture, error) {
 		_, sp := telemetry.StartSpan(ictx, "sim.captures")
 		defer sp.End()
 		sp.Sim(cfg.Epoch, cfg.Epoch.Add(cfg.Span))
 		sp.Set("sat", fmt.Sprint(i))
 		im, err := sense.NewImager(cfg.Camera, sats[i], cfg.Grid)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		caps := im.Captures(cfg.Epoch, cfg.Span)
 		for j := range caps {
@@ -227,26 +226,22 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			droppedCtr.Add(int64(len(caps) - len(kept)))
 			caps = kept
 		}
-		res.Captures[i] = caps
 		framesCtr.Add(int64(len(caps)))
-		return nil
+		return caps, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	res.Captures = captures
 
 	// Contact windows: one scan per satellite propagates its orbit once per
 	// step and tests every station against that point. Station cuts then
 	// apply per station, in station order. The contention-resolving
 	// allocation below stays sequential — grants depend on the whole
 	// window set.
-	windows := make([][][]station.Window, len(cfg.Stations))
-	for si := range cfg.Stations {
-		windows[si] = make([][]station.Window, len(sats))
-	}
 	windowsCtr := scope.Counter("contact_windows")
 	cutCtr := faultScope.Counter("fault.contact_cut_seconds")
-	err = parallel.ForEach(ctx, workers, len(sats), func(ictx context.Context, j int) error {
+	perSat, err := parallel.Map(ctx, workers, len(sats), func(ictx context.Context, j int) ([][]station.Window, error) {
 		_, sp := telemetry.StartSpan(ictx, "sim.contacts")
 		defer sp.End()
 		sp.Sim(cfg.Epoch, cfg.Epoch.Add(cfg.Span))
@@ -259,16 +254,23 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 					sw[c] = station.Window{Start: cut.Start, End: cut.End}
 				}
 				before := station.TotalContact(ws)
-				ws = station.SubtractWindows(ws, sw)
-				cutCtr.Add(int64((before - station.TotalContact(ws)).Seconds()))
+				scanned[si] = station.SubtractWindows(ws, sw)
+				cutCtr.Add(int64((before - station.TotalContact(scanned[si])).Seconds()))
 			}
-			windows[si][j] = ws
-			windowsCtr.Add(int64(len(ws)))
+			windowsCtr.Add(int64(len(scanned[si])))
 		}
-		return nil
+		return scanned, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	// The allocation indexes windows by station, then satellite.
+	windows := make([][][]station.Window, len(cfg.Stations))
+	for si := range windows {
+		windows[si] = make([][]station.Window, len(sats))
+		for j, scanned := range perSat {
+			windows[si][j] = scanned[si]
+		}
 	}
 	_, sp := telemetry.StartSpan(ctx, "sim.downlink")
 	sp.Sim(cfg.Epoch, cfg.Epoch.Add(cfg.Span))

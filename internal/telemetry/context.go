@@ -22,7 +22,7 @@ const (
 )
 
 // WithProbe attaches a probe to the context. Instrumented layers below —
-// the simulator, the transformation engine, parallel.ForEach, nn training
+// the simulator, the transformation engine, parallel.Map, nn training
 // — pick it up with ProbeFrom and record into its sinks.
 func WithProbe(ctx context.Context, p Probe) context.Context {
 	return context.WithValue(ctx, probeKey, p)

@@ -149,13 +149,12 @@ if [ "$code" -ne 2 ]; then
     exit 1
 fi
 
-# Figure-export smoke: regenerate a figure subset that spans the fault
-# injection resilience sweep, the quantized figure-8 variant and the
-# hybrid planner, sequentially and at the default worker count (0 =
-# GOMAXPROCS), and require every exported BENCH_<key>.json to match the
-# committed bench/ copy byte for byte. Mirrored in .github/workflows/ci.yml.
+# Figure-export smoke: regenerate every figure with a committed
+# bench/BENCH_<key>.json, sequentially and at the default worker count
+# (0 = GOMAXPROCS), and require each export to match the committed copy
+# byte for byte. Mirrored in .github/workflows/ci.yml.
 echo "==> kodan-bench figure-export smoke"
-figures="table1 fig2 resilience fig8q hybridplan"
+figures=$(for f in bench/BENCH_*.json; do key=${f#bench/BENCH_}; echo "${key%.json}"; done)
 only=$(echo $figures | tr ' ' ',')
 for parallel in 1 0; do
     out="$smokedir/bench.p$parallel"
