@@ -12,7 +12,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 20m ./...
 
 # fmtcheck and vet are the static halves of the verify gate, runnable
 # standalone (CI can fail fast on them before spending time on -race).

@@ -1,4 +1,4 @@
-package loadgen
+package main
 
 import (
 	"context"
@@ -10,10 +10,14 @@ import (
 	"kodan/internal/server"
 )
 
-// startStub boots a stub-pipeline server with the given serving knobs.
+// anon is the tenant mix an empty -tenants parses to.
+var anon = []tenantSpec{{name: "", weight: 1, share: 1}}
+
+// startStub boots a stub-pipeline server over apps 1..3 with the given
+// serving knobs.
 func startStub(t *testing.T, mutate func(*server.Config)) *httptest.Server {
 	t.Helper()
-	cfg, err := StubConfig(3*time.Millisecond, []int{1, 2, 3})
+	cfg, err := stubConfig(3*time.Millisecond, []int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,29 +36,30 @@ func startStub(t *testing.T, mutate func(*server.Config)) *httptest.Server {
 // of the options: same seed, same stream; different seed, different
 // stream; tenants drawn and named from the spec.
 func TestStreamDeterministic(t *testing.T) {
-	opts := Options{
-		Seed:     42,
-		Requests: 40,
-		Tenants:  []TenantSpec{{Name: "heavy", Share: 3}, {Name: "light", Share: 1}},
-		SeedPool: []uint64{1, 2},
+	opts := options{
+		seed:     42,
+		requests: 40,
+		tenants:  []tenantSpec{{name: "heavy", weight: 1, share: 3}, {name: "light", weight: 1, share: 1}},
+		apps:     []int{1, 2, 3},
+		seedPool: []uint64{1, 2},
 	}
-	a, b := Stream(opts), Stream(opts)
+	a, b := stream(opts), stream(opts)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same options produced different streams")
 	}
 	opts2 := opts
-	opts2.Seed = 43
-	if reflect.DeepEqual(a, Stream(opts2)) {
+	opts2.seed = 43
+	if reflect.DeepEqual(a, stream(opts2)) {
 		t.Fatal("different seeds produced identical streams")
 	}
 	counts := map[string]int{}
 	for _, r := range a {
-		counts[r.Tenant]++
-		if r.Seed != 1 && r.Seed != 2 {
-			t.Fatalf("seed %d outside pool", r.Seed)
+		counts[r.tenant]++
+		if r.seed != 1 && r.seed != 2 {
+			t.Fatalf("seed %d outside pool", r.seed)
 		}
-		if r.App < 1 || r.App > 3 {
-			t.Fatalf("app %d outside default pool", r.App)
+		if r.app < 1 || r.app > 3 {
+			t.Fatalf("app %d outside pool", r.app)
 		}
 	}
 	if counts["heavy"] == 0 || counts["light"] == 0 {
@@ -67,17 +72,18 @@ func TestStreamDeterministic(t *testing.T) {
 
 // TestRunClosedLoop drives a stub server closed-loop and checks the
 // report's accounting: everything completes, latency and throughput are
-// populated, and a single tenant is perfectly fair.
+// populated, a single tenant is perfectly fair, and a fresh server
+// answers the same stream byte-identically.
 func TestRunClosedLoop(t *testing.T) {
-	ts := startStub(t, nil)
-	rep, err := Run(context.Background(), Options{
-		Seed:        1,
-		Requests:    24,
-		Concurrency: 4,
-		BaseURL:     ts.URL,
-		Client:      ts.Client(),
-		SeedPool:    []uint64{1, 2},
-	})
+	opts := options{
+		seed:        1,
+		requests:    24,
+		concurrency: 4,
+		tenants:     anon,
+		apps:        []int{1, 2, 3},
+		seedPool:    []uint64{1, 2},
+	}
+	rep, err := run(context.Background(), startStub(t, nil).URL, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,19 +99,11 @@ func TestRunClosedLoop(t *testing.T) {
 	if len(rep.Digests) == 0 || len(rep.Digests) > 6 {
 		t.Fatalf("want 1..6 distinct request bodies digested (2 seeds x 3 apps), got %d", len(rep.Digests))
 	}
-	ts2 := startStub(t, nil)
-	rep2, err := Run(context.Background(), Options{
-		Seed:        1,
-		Requests:    24,
-		Concurrency: 4,
-		BaseURL:     ts2.URL,
-		Client:      ts2.Client(),
-		SeedPool:    []uint64{1, 2},
-	})
+	rep2, err := run(context.Background(), startStub(t, nil).URL, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CompareDigests(rep, rep2); err != nil {
+	if err := compareDigests(rep, rep2); err != nil {
 		t.Fatalf("a fresh server's responses diverged from the first's: %v", err)
 	}
 }
@@ -117,13 +115,13 @@ func TestRunCountsRejections(t *testing.T) {
 		c.TenantRate = 0.0001 // effectively refill-free: burst only
 		c.TenantBurst = 2
 	})
-	rep, err := Run(context.Background(), Options{
-		Seed:        1,
-		Requests:    10,
-		Concurrency: 1, // sequential so the burst accounting is exact
-		Tenants:     []TenantSpec{{Name: "alpha", Weight: 1, Share: 1}},
-		BaseURL:     ts.URL,
-		Client:      ts.Client(),
+	rep, err := run(context.Background(), ts.URL, options{
+		seed:        1,
+		requests:    10,
+		concurrency: 1, // sequential so the burst accounting is exact
+		tenants:     []tenantSpec{{name: "alpha", weight: 1, share: 1}},
+		apps:        []int{1, 2, 3},
+		seedPool:    []uint64{1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,44 +138,63 @@ func TestRunCountsRejections(t *testing.T) {
 	}
 }
 
-// TestRunOpenLoop exercises the open loop: the arrival schedule comes
-// from the stream, and the run still completes and accounts everything.
-func TestRunOpenLoop(t *testing.T) {
-	ts := startStub(t, nil)
-	rep, err := Run(context.Background(), Options{
-		Seed:       1,
-		Requests:   12,
-		RatePerSec: 400,
-		BaseURL:    ts.URL,
-		Client:     ts.Client(),
+// TestStubServesOnlyPrebuilt: the stub answers only the float
+// applications it prebuilt; a request for any other is a server error.
+func TestStubServesOnlyPrebuilt(t *testing.T) {
+	rep, err := run(context.Background(), startStub(t, nil).URL, options{
+		seed:        1,
+		requests:    3,
+		concurrency: 1,
+		tenants:     anon,
+		apps:        []int{4},
+		seedPool:    []uint64{1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Completed + rep.Rejected + rep.Errors; got != 12 {
-		t.Fatalf("accounted %d of 12 requests", got)
+	if rep.Completed != 0 || rep.Errors != 3 {
+		t.Fatalf("completed=%d errors=%d, want 0/3 for an app the stub never built", rep.Completed, rep.Errors)
 	}
-	if rep.Completed == 0 {
-		t.Fatal("open loop completed nothing")
+}
+
+// TestRunCountsUnsendableRequests: a request that cannot be built (a
+// malformed base URL) counts as an error and its worker goes on, so a run
+// with more requests than workers still finishes.
+func TestRunCountsUnsendableRequests(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rep, err := run(ctx, "http://bad host", options{
+		seed:        1,
+		requests:    6,
+		concurrency: 2,
+		tenants:     anon,
+		apps:        []int{1},
+		seedPool:    []uint64{1},
+	})
+	if err != nil {
+		t.Fatalf("run did not finish: %v", err)
+	}
+	if rep.Errors != 6 || rep.ErrorRate != 1 {
+		t.Fatalf("errors=%d rate=%v, want 6 and 1", rep.Errors, rep.ErrorRate)
 	}
 }
 
 func TestJainFairness(t *testing.T) {
-	perfect := map[string]*TenantStats{
+	perfect := map[string]*tenantStats{
 		"a": {Weight: 2, Requests: 10, Completed: 10},
 		"b": {Weight: 1, Requests: 5, Completed: 5},
 	}
 	if f := jain(perfect); f < 0.999 {
 		t.Fatalf("weighted-proportional split should be fair, got %v", f)
 	}
-	starved := map[string]*TenantStats{
+	starved := map[string]*tenantStats{
 		"a": {Weight: 1, Requests: 10, Completed: 10},
 		"b": {Weight: 1, Requests: 10, Completed: 0},
 	}
 	if f := jain(starved); f > 0.51 {
 		t.Fatalf("total starvation should score ~0.5, got %v", f)
 	}
-	idle := map[string]*TenantStats{
+	idle := map[string]*tenantStats{
 		"a": {Weight: 1, Requests: 10, Completed: 10},
 		"b": {Weight: 1}, // never offered load: excluded
 	}

@@ -1,25 +1,31 @@
 // Command kodan-loadgen drives the serving plane with a deterministic
-// seeded multi-tenant request stream and reports throughput, latency
-// percentiles, admission rejections, and weighted fairness. By default it
-// self-hosts a stub-pipeline server (real serving plane — single-flight
-// LRU cache, admission, worker pool — over a synthetic per-transform
-// cost), so the serving stack can be load-tested hermetically; -url
-// points it at an already-running kodan-server instead.
+// seeded multi-tenant request stream, closed loop (a fixed number of
+// in-flight requests, the next sent when one completes), and reports
+// throughput, latency percentiles, admission rejections, and weighted
+// fairness. By default it self-hosts a stub-pipeline server (real serving
+// plane — single-flight LRU cache, admission, worker pool — over a
+// synthetic per-transform cost), so the serving stack can be load-tested
+// hermetically; -url points it at an already-running kodan-server
+// instead. The open-loop serving measurement is perfbench's serve
+// workload, which times each request from its due time.
 //
 // Usage:
 //
-//	kodan-loadgen [-requests 200] [-concurrency 8] [-rate 0] [-seed 1]
+//	kodan-loadgen [-requests 200] [-concurrency 8] [-seed 1]
 //	              [-tenants name:weight[:share],...] [-apps 1,2,3] [-seed-pool 1,2]
 //	              [-cache-entries 1024] [-workers 4] [-queue 32] [-work 25ms]
 //	              [-tenant-rate 0] [-tenant-burst 0]
 //	              [-max-error-rate 0.01] [-min-fairness 0.5]
 //	              [-compare] [-json] [-url http://host:8080]
 //
-// -compare runs the same stream a second time against a fresh self-hosted
-// stub of the same configuration and verifies the responses are
-// byte-identical: cold caches, different interleavings of hits, joins and
-// misses, same bytes. The stream is a pure function of -seed, so runs are
-// reproducible.
+// The request stream is a pure function of -seed, -requests, -tenants,
+// -apps and -seed-pool: two runs issue the same requests in the same
+// order, so response digests are comparable across servers. -compare
+// runs the stream a second time against a fresh self-hosted stub of the
+// same configuration and verifies the responses are byte-identical: cold
+// caches, different interleavings of hits, joins and misses, same bytes.
+// Timing-derived statistics (throughput, percentiles) are measured and
+// vary run to run.
 //
 // Exit status: 0 on success; 1 when a gate fails (error rate above
 // -max-error-rate or fairness below -min-fairness on any run, or -compare
@@ -43,22 +49,22 @@ import (
 	"syscall"
 	"time"
 
-	"kodan/internal/loadgen"
 	"kodan/internal/server"
 )
 
-// parseTenants reads "name:weight[:share]" comma-separated specs.
-func parseTenants(s string) ([]loadgen.TenantSpec, error) {
+// parseTenants reads "name:weight[:share]" comma-separated specs; an
+// empty list is one anonymous tenant.
+func parseTenants(s string) ([]tenantSpec, error) {
 	if strings.TrimSpace(s) == "" {
-		return nil, nil
+		return []tenantSpec{{name: "", weight: 1, share: 1}}, nil
 	}
-	var out []loadgen.TenantSpec
+	var out []tenantSpec
 	for _, item := range strings.Split(s, ",") {
 		parts := strings.Split(strings.TrimSpace(item), ":")
 		if parts[0] == "" {
 			return nil, fmt.Errorf("tenant spec %q: empty name", item)
 		}
-		spec := loadgen.TenantSpec{Name: parts[0], Weight: 1, Share: 1}
+		spec := tenantSpec{name: parts[0], weight: 1, share: 1}
 		if len(parts) > 3 {
 			return nil, fmt.Errorf("tenant spec %q: want name:weight[:share]", item)
 		}
@@ -67,15 +73,15 @@ func parseTenants(s string) ([]loadgen.TenantSpec, error) {
 			if err != nil || w <= 0 {
 				return nil, fmt.Errorf("tenant spec %q: bad weight", item)
 			}
-			spec.Weight = w
-			spec.Share = w // offered load tracks weight unless overridden
+			spec.weight = w
+			spec.share = w // offered load tracks weight unless overridden
 		}
 		if len(parts) == 3 {
 			sh, err := strconv.ParseFloat(parts[2], 64)
 			if err != nil || sh <= 0 {
 				return nil, fmt.Errorf("tenant spec %q: bad share", item)
 			}
-			spec.Share = sh
+			spec.share = sh
 		}
 		out = append(out, spec)
 	}
@@ -114,6 +120,28 @@ func parseUints(s string) ([]uint64, error) {
 	return out, nil
 }
 
+// validateFlags rejects a run that cannot start or could never finish —
+// no requests, no workers to send them, an empty key pool — and -compare
+// against an external server, before any server is built.
+func validateFlags(o options, url string, compare bool) error {
+	if o.requests < 1 {
+		return fmt.Errorf("-requests must be >= 1, got %d", o.requests)
+	}
+	if o.concurrency < 1 {
+		return fmt.Errorf("-concurrency must be >= 1, got %d", o.concurrency)
+	}
+	if len(o.apps) == 0 {
+		return fmt.Errorf("-apps is empty")
+	}
+	if len(o.seedPool) == 0 {
+		return fmt.Errorf("-seed-pool is empty")
+	}
+	if url != "" && compare {
+		return fmt.Errorf("-compare needs the self-hosted stub (it reruns the stream on a fresh server); drop -url")
+	}
+	return nil
+}
+
 // stubServer boots a self-hosted stub-pipeline server on a loopback port
 // and returns its base URL plus a shutdown func.
 func stubServer(cfg server.Config) (string, func(), error) {
@@ -133,7 +161,7 @@ func stubServer(cfg server.Config) (string, func(), error) {
 }
 
 // render prints one run's report as a human-readable block.
-func render(label string, rep *loadgen.Report) string {
+func render(label string, rep *report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s:\n", label)
 	fmt.Fprintf(&b, "  requests   %d (completed %d, rejected %d, errors %d)\n",
@@ -162,7 +190,7 @@ func render(label string, rep *loadgen.Report) string {
 }
 
 // gates returns the failed acceptance gates for a report.
-func gates(rep *loadgen.Report, maxErrorRate, minFairness float64) []string {
+func gates(rep *report, maxErrorRate, minFairness float64) []string {
 	var failed []string
 	if rep.ErrorRate > maxErrorRate {
 		failed = append(failed, fmt.Sprintf("error rate %.4f above gate %.4f", rep.ErrorRate, maxErrorRate))
@@ -180,10 +208,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kodan-loadgen: ")
 
-	requests := flag.Int("requests", 200, "total requests in the stream")
-	concurrency := flag.Int("concurrency", 8, "closed-loop in-flight bound")
-	rate := flag.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
-	seed := flag.Uint64("seed", 1, "stream seed (fixes tenants/keys/arrivals)")
+	var opts options
+	flag.IntVar(&opts.requests, "requests", 200, "total requests in the stream")
+	flag.IntVar(&opts.concurrency, "concurrency", 8, "closed-loop in-flight bound")
+	flag.Uint64Var(&opts.seed, "seed", 1, "stream seed (fixes tenants and keys)")
 	tenantsFlag := flag.String("tenants", "", "tenant mix as name:weight[:share],... (empty = one anonymous tenant)")
 	appsFlag := flag.String("apps", "1,2,3", "application-index pool")
 	seedPoolFlag := flag.String("seed-pool", "1,2", "transform-seed pool (cache keys = seeds x apps)")
@@ -202,90 +230,62 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the report(s) as JSON on stdout")
 	flag.Parse()
 
-	tenants, err := parseTenants(*tenantsFlag)
-	if err != nil {
+	usage := func(err error) {
 		log.Println(err)
 		os.Exit(2)
 	}
-	apps, err := parseInts(*appsFlag)
-	if err != nil || len(apps) == 0 {
-		log.Printf("-apps: %v", err)
-		os.Exit(2)
+	var err error
+	if opts.tenants, err = parseTenants(*tenantsFlag); err != nil {
+		usage(err)
 	}
-	seedPool, err := parseUints(*seedPoolFlag)
-	if err != nil || len(seedPool) == 0 {
-		log.Printf("-seed-pool: %v", err)
-		os.Exit(2)
+	if opts.apps, err = parseInts(*appsFlag); err != nil {
+		usage(fmt.Errorf("-apps: %w", err))
 	}
-	if *urlFlag != "" && *compare {
-		log.Println("-compare needs the self-hosted stub (it reruns the stream on a fresh server); drop -url")
-		os.Exit(2)
+	if opts.seedPool, err = parseUints(*seedPoolFlag); err != nil {
+		usage(fmt.Errorf("-seed-pool: %w", err))
+	}
+	if err := validateFlags(opts, *urlFlag, *compare); err != nil {
+		usage(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opts := loadgen.Options{
-		Seed:        *seed,
-		Requests:    *requests,
-		Concurrency: *concurrency,
-		RatePerSec:  *rate,
-		Tenants:     tenants,
-		Apps:        apps,
-		SeedPool:    seedPool,
-	}
-
-	// serverConfig assembles the stub server from the flags.
-	serverConfig := func() (server.Config, error) {
-		cfg, err := loadgen.StubConfig(*work, apps)
+	// runStub runs the stream against a fresh stub server built from the
+	// flags.
+	runStub := func() (*report, error) {
+		cfg, err := stubConfig(*work, opts.apps)
 		if err != nil {
-			return cfg, err
+			return nil, err
 		}
 		cfg.Workers = *workers
 		cfg.QueueDepth = *queue
 		cfg.CacheEntries = *cacheEntries
 		cfg.TenantRate = *tenantRate
 		cfg.TenantBurst = *tenantBurst
-		if len(tenants) > 0 {
-			cfg.TenantWeights = make(map[string]float64, len(tenants))
-			for _, tn := range tenants {
-				cfg.TenantWeights[tn.Name] = tn.Weight
-			}
-		}
-		return cfg, nil
-	}
-
-	// runAgainst runs the stream against url (external or stub).
-	runAgainst := func(url string) (*loadgen.Report, error) {
-		o := opts
-		o.BaseURL = url
-		return loadgen.Run(ctx, o)
-	}
-	runStub := func() (*loadgen.Report, error) {
-		cfg, err := serverConfig()
-		if err != nil {
-			return nil, err
+		cfg.TenantWeights = make(map[string]float64, len(opts.tenants))
+		for _, tn := range opts.tenants {
+			cfg.TenantWeights[tn.name] = tn.weight
 		}
 		url, shutdown, err := stubServer(cfg)
 		if err != nil {
 			return nil, err
 		}
 		defer shutdown()
-		return runAgainst(url)
+		return run(ctx, url, opts)
 	}
 
 	fail := func(err error) {
 		if errors.Is(err, context.Canceled) {
-			log.Println("interrupted")
-			os.Exit(1)
+			err = errors.New("interrupted")
 		}
 		log.Println(err)
 		os.Exit(1)
 	}
 
-	var first, rerun *loadgen.Report
+	var first, rerun *report
 	if *urlFlag != "" {
-		first, err = runAgainst(*urlFlag)
+		first, err = run(ctx, *urlFlag, opts)
 	} else {
 		first, err = runStub()
 	}
@@ -304,7 +304,7 @@ func main() {
 		for _, g := range gates(rerun, *maxErrorRate, *minFairness) {
 			failedGates = append(failedGates, "rerun: "+g)
 		}
-		if digestErr = loadgen.CompareDigests(first, rerun); digestErr != nil {
+		if digestErr = compareDigests(first, rerun); digestErr != nil {
 			failedGates = append(failedGates, digestErr.Error())
 		}
 	}

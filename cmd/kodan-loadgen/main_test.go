@@ -1,9 +1,8 @@
 package main
 
 import (
+	"strings"
 	"testing"
-
-	"kodan/internal/loadgen"
 )
 
 func TestParseTenants(t *testing.T) {
@@ -11,10 +10,10 @@ func TestParseTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []loadgen.TenantSpec{
-		{Name: "ops", Weight: 3, Share: 3},
-		{Name: "science", Weight: 1, Share: 2},
-		{Name: "batch", Weight: 0.5, Share: 0.5},
+	want := []tenantSpec{
+		{name: "ops", weight: 3, share: 3},
+		{name: "science", weight: 1, share: 2},
+		{name: "batch", weight: 0.5, share: 0.5},
 	}
 	if len(specs) != len(want) {
 		t.Fatalf("got %d specs, want %d", len(specs), len(want))
@@ -24,8 +23,9 @@ func TestParseTenants(t *testing.T) {
 			t.Errorf("spec %d: got %+v, want %+v", i, specs[i], want[i])
 		}
 	}
-	if specs, err := parseTenants(""); err != nil || specs != nil {
-		t.Errorf("empty spec must mean default tenant mix, got %v, %v", specs, err)
+	anon := tenantSpec{name: "", weight: 1, share: 1}
+	if specs, err := parseTenants(""); err != nil || len(specs) != 1 || specs[0] != anon {
+		t.Errorf("empty spec must mean one anonymous tenant, got %v, %v", specs, err)
 	}
 	for _, bad := range []string{":1", "a:b", "a:-1", "a:1:0", "a:1:2:3"} {
 		if _, err := parseTenants(bad); err == nil {
@@ -51,22 +51,60 @@ func TestParsePools(t *testing.T) {
 	}
 }
 
+func TestValidateFlags(t *testing.T) {
+	ok := options{requests: 120, concurrency: 16, apps: []int{1}, seedPool: []uint64{1}}
+	cases := []struct {
+		name    string
+		mutate  func(*options)
+		url     string
+		compare bool
+		wantErr string
+	}{
+		{"gate shape", nil, "", true, ""},
+		{"external server", nil, "http://127.0.0.1:8080", false, ""},
+		{"zero requests", func(o *options) { o.requests = 0 }, "", false, "-requests"},
+		{"negative requests", func(o *options) { o.requests = -3 }, "", false, "-requests"},
+		{"zero concurrency", func(o *options) { o.concurrency = 0 }, "", false, "-concurrency"},
+		{"empty apps", func(o *options) { o.apps = nil }, "", false, "-apps"},
+		{"empty seed pool", func(o *options) { o.seedPool = nil }, "", false, "-seed-pool"},
+		{"compare against url", nil, "http://127.0.0.1:8080", true, "-compare"},
+	}
+	for _, tc := range cases {
+		o := ok
+		if tc.mutate != nil {
+			tc.mutate(&o)
+		}
+		err := validateFlags(o, tc.url, tc.compare)
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: bad value accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
 func TestGates(t *testing.T) {
-	clean := &loadgen.Report{Requests: 10, Completed: 10, Fairness: 1}
+	clean := &report{Requests: 10, Completed: 10, Fairness: 1}
 	if failed := gates(clean, 0.01, 0.5); len(failed) != 0 {
 		t.Errorf("clean run failed gates: %v", failed)
 	}
-	errors := &loadgen.Report{Requests: 10, Completed: 5, Errors: 5, ErrorRate: 0.5, Fairness: 1}
+	errors := &report{Requests: 10, Completed: 5, Errors: 5, ErrorRate: 0.5, Fairness: 1}
 	if failed := gates(errors, 0.01, 0.5); len(failed) != 1 {
 		t.Errorf("want exactly the error-rate gate, got %v", failed)
 	}
-	unfair := &loadgen.Report{Requests: 10, Completed: 10, Fairness: 0.3}
+	unfair := &report{Requests: 10, Completed: 10, Fairness: 0.3}
 	if failed := gates(unfair, 0.01, 0.5); len(failed) != 1 {
 		t.Errorf("want exactly the fairness gate, got %v", failed)
 	}
 	// 429s are backpressure: a run that completes nothing still fails, but
 	// rejections alone do not trip the error-rate gate.
-	starved := &loadgen.Report{Requests: 10, Rejected: 10, Fairness: 1}
+	starved := &report{Requests: 10, Rejected: 10, Fairness: 1}
 	if failed := gates(starved, 0.01, 0.5); len(failed) != 1 {
 		t.Errorf("want exactly the no-completions gate, got %v", failed)
 	}

@@ -1,9 +1,8 @@
-package loadgen
+package main
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"kodan"
@@ -29,36 +28,20 @@ func stubTransformConfig(seed uint64) kodan.TransformConfig {
 	return cfg
 }
 
-// sleepCtx waits d or until ctx ends.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// StubConfig assembles a server.Config over a stub pipeline: prebuilt
-// applications from one tiny real workspace, each transform costing a
-// synthetic work sleep. Load runs exercise the real serving plane
-// (admission, cache, pool) with controllable compute cost and real,
-// distinct response bodies per application. Applications outside apps
-// (or quantized variants) are computed on demand from the shared
-// workspace. Callers layer serving knobs (cache bound, admission) on the
+// stubConfig assembles a server.Config over a stub pipeline: the float
+// applications in apps, prebuilt from one tiny real workspace, each
+// transform costing a synthetic work sleep. Load runs exercise the real
+// serving plane (admission, cache, pool) with controllable compute cost
+// and real, distinct response bodies per application. The stream asks for
+// nothing else, so any other application or a quantized variant is an
+// error. Callers layer serving knobs (cache bound, admission) on the
 // result.
-func StubConfig(work time.Duration, apps []int) (server.Config, error) {
+func stubConfig(work time.Duration, apps []int) (server.Config, error) {
 	sys, err := kodan.NewSystemCtx(context.Background(), stubTransformConfig(7))
 	if err != nil {
 		return server.Config{}, fmt.Errorf("build stub workspace: %w", err)
 	}
 	prebuilt := make(map[int]*kodan.Application, len(apps))
-	var mu sync.Mutex
 	for _, idx := range apps {
 		app, err := sys.TransformVariantCtx(context.Background(), idx, false)
 		if err != nil {
@@ -74,25 +57,16 @@ func StubConfig(work time.Duration, apps []int) (server.Config, error) {
 		return sys, nil
 	}
 	transform := func(ctx context.Context, _ *kodan.System, idx int, quantized bool) (*kodan.Application, error) {
-		if err := sleepCtx(ctx, work); err != nil {
-			return nil, err
+		t := time.NewTimer(work)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		if !quantized {
-			mu.Lock()
-			app, ok := prebuilt[idx]
-			mu.Unlock()
-			if ok {
-				return app, nil
-			}
-		}
-		app, err := sys.TransformVariantCtx(ctx, idx, quantized)
-		if err != nil {
-			return nil, err
-		}
-		if !quantized {
-			mu.Lock()
-			prebuilt[idx] = app
-			mu.Unlock()
+		app, ok := prebuilt[idx]
+		if !ok || quantized {
+			return nil, fmt.Errorf("stub serves only the prebuilt float applications %v", apps)
 		}
 		return app, nil
 	}

@@ -10,9 +10,13 @@
 //
 // Tenant identity is a short string (the server takes it from the
 // X-Kodan-Tenant request header, with a default tenant for anonymous
-// traffic). Distinct-tenant cardinality is bounded: beyond
-// DefaultMaxTenants the surplus share one "overflow" bucket/queue, so a
-// tenant-id flood cannot grow server state without bound.
+// traffic). Distinct-tenant cardinality is bounded, and the bound is
+// resolved once per request: TenantMetrics.Request returns the identity
+// every later decision keys on — the first DefaultMaxTenants names keep
+// their own, and every later name becomes OverflowTenant — so a tenant-id
+// flood cannot grow server state without bound, and the limiter, the fair
+// pool and the metrics always agree on who a request belongs to. Limiter
+// and FairPool key on the identity they are given.
 //
 // The package is stdlib-only and fully deterministic under an injected
 // clock, like the rest of the reproduction.
@@ -30,8 +34,9 @@ import (
 // distinct tenants have been seen.
 const OverflowTenant = "overflow"
 
-// DefaultMaxTenants bounds distinct tenant state: limiter buckets, fair-pool
-// queues and per-tenant metrics.
+// DefaultMaxTenants bounds the distinct identities TenantMetrics.Request
+// resolves, and through them limiter buckets, fair-pool queues and
+// per-tenant metrics.
 const DefaultMaxTenants = 64
 
 // LimiterOptions sizes a Limiter.
@@ -95,14 +100,8 @@ func (l *Limiter) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 	defer l.mu.Unlock()
 	b, exists := l.buckets[tenant]
 	if !exists {
-		if len(l.buckets) >= DefaultMaxTenants {
-			tenant = OverflowTenant
-			b = l.buckets[tenant]
-		}
-		if b == nil {
-			b = &bucket{tokens: l.burst, last: now}
-			l.buckets[tenant] = b
-		}
+		b = &bucket{tokens: l.burst, last: now}
+		l.buckets[tenant] = b
 	}
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
 		b.tokens = math.Min(l.burst, b.tokens+dt*l.rate)
@@ -116,20 +115,11 @@ func (l *Limiter) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 	return false, time.Duration(need * float64(time.Second))
 }
 
-// Tenants returns the number of distinct buckets currently tracked.
-func (l *Limiter) Tenants() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
-}
-
 // TenantMetrics is the per-tenant ops surface: admitted/rejected counters
 // and a live queue-depth gauge per tenant, registered in the shared
-// telemetry registry (scope "<scope>.<tenant>") with the same bounded
-// cardinality as the limiter.
+// telemetry registry (scope "<scope>.<tenant>"). It owns the tenant
+// cardinality bound: Request resolves each inbound name to the identity
+// the rest of the serving plane uses.
 type TenantMetrics struct {
 	scope *telemetry.Scope
 
@@ -138,6 +128,7 @@ type TenantMetrics struct {
 }
 
 type tenantCounters struct {
+	name                         string // the resolved identity
 	requests, admitted, rejected *telemetry.Counter
 	queueDepth                   *telemetry.Gauge
 }
@@ -148,8 +139,8 @@ func NewTenantMetrics(scope *telemetry.Scope) *TenantMetrics {
 	return &TenantMetrics{scope: scope, tenants: make(map[string]*tenantCounters)}
 }
 
-// forTenant returns (creating under the cardinality bound) the tenant's
-// counters.
+// forTenant returns (creating under the cardinality bound) the counters
+// of tenant's resolved identity.
 func (m *TenantMetrics) forTenant(tenant string) *tenantCounters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -162,6 +153,7 @@ func (m *TenantMetrics) forTenant(tenant string) *tenantCounters {
 		if tc == nil {
 			ts := m.scope.Scope(tenant)
 			tc = &tenantCounters{
+				name:       tenant,
 				requests:   ts.Counter("requests"),
 				admitted:   ts.Counter("admitted"),
 				rejected:   ts.Counter("rejected"),
@@ -173,12 +165,18 @@ func (m *TenantMetrics) forTenant(tenant string) *tenantCounters {
 	return tc
 }
 
-// Request counts one inbound request from tenant.
-func (m *TenantMetrics) Request(tenant string) {
+// Request counts one inbound request from tenant and returns the identity
+// it resolves to: tenant itself for the first DefaultMaxTenants distinct
+// names, OverflowTenant for every later one. Every later admission
+// decision and count for the request keys on that identity. A nil
+// TenantMetrics counts nothing and returns tenant unchanged.
+func (m *TenantMetrics) Request(tenant string) string {
 	if m == nil {
-		return
+		return tenant
 	}
-	m.forTenant(tenant).requests.Inc()
+	tc := m.forTenant(tenant)
+	tc.requests.Inc()
+	return tc.name
 }
 
 // Admitted counts one admitted expensive request from tenant.

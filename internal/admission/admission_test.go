@@ -72,26 +72,12 @@ func TestLimiterTenantsIndependent(t *testing.T) {
 	}
 }
 
-func TestLimiterTenantCardinalityBound(t *testing.T) {
-	clk := newFakeClock()
-	l := NewLimiter(LimiterOptions{Rate: 1, Burst: 1, Now: clk.now})
-	for i := 0; i < DefaultMaxTenants+6; i++ {
-		l.Allow(fmt.Sprintf("tenant-%d", i))
-	}
-	// DefaultMaxTenants named buckets, plus one shared overflow bucket.
-	if n := l.Tenants(); n != DefaultMaxTenants+1 {
-		t.Fatalf("tracked %d buckets, want %d", n, DefaultMaxTenants+1)
-	}
-	// Overflow tenants share one bucket: the first of them drained it.
-	if ok, _ := l.Allow("tenant-999"); ok {
-		t.Fatal("overflow bucket should be empty")
-	}
-}
-
 func TestTenantMetricsBoundedAndCounted(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewTenantMetrics(reg.Scope("server.tenant"))
-	m.Request("a")
+	if got := m.Request("a"); got != "a" {
+		t.Fatalf("Request(a) resolved to %q", got)
+	}
 	m.Request("a")
 	m.Admitted("a")
 	m.Rejected("b")
@@ -99,7 +85,14 @@ func TestTenantMetricsBoundedAndCounted(t *testing.T) {
 	for i := 2; i < DefaultMaxTenants; i++ {
 		m.Request(fmt.Sprintf("t%d", i))
 	}
-	m.Request("c") // over the bound: lands on overflow
+	// Over the bound: new names resolve to overflow, seen names keep
+	// their own.
+	if got := m.Request("c"); got != OverflowTenant {
+		t.Fatalf("Request(c) past the bound resolved to %q, want %q", got, OverflowTenant)
+	}
+	if got := m.Request("t2"); got != "t2" {
+		t.Fatalf("Request(t2) resolved to %q after the bound filled", got)
+	}
 	if got := reg.Counter("server.tenant.a.requests").Load(); got != 2 {
 		t.Fatalf("a.requests = %d, want 2", got)
 	}
@@ -115,8 +108,11 @@ func TestTenantMetricsBoundedAndCounted(t *testing.T) {
 	if got := reg.Counter("server.tenant.overflow.requests").Load(); got != 1 {
 		t.Fatalf("overflow.requests = %d, want 1", got)
 	}
-	// Nil receiver and nil scope are no-ops.
+	// Nil receiver and nil scope are no-ops; a nil receiver resolves
+	// every name to itself.
 	var nilM *TenantMetrics
-	nilM.Request("x")
+	if got := nilM.Request("x"); got != "x" {
+		t.Fatalf("nil Request(x) resolved to %q", got)
+	}
 	NewTenantMetrics(nil).Admitted("x")
 }

@@ -14,19 +14,19 @@ import (
 var ErrSaturated = errors.New("admission: worker pool saturated")
 
 // FairPool is a bounded worker pool with per-tenant weighted fair
-// queueing — the successor to the server's FIFO pool. At most Workers
-// computations run concurrently. Waiters queue per tenant (each tenant may
-// hold up to QueueDepth waiters; beyond that its Acquire fails fast with
-// ErrSaturated), and when a worker frees, the next grant goes to the
-// waiter with the smallest virtual finish tag — start-time fair queueing,
-// where a tenant with weight w consumes virtual time at 1/w per request.
+// queueing. At most Workers computations run concurrently. Waiters queue
+// per tenant (each tenant may hold up to QueueDepth waiters; beyond that
+// its Acquire fails fast with ErrSaturated), and when a worker frees, the
+// next grant goes to the waiter with the smallest virtual finish tag —
+// start-time fair queueing, where a tenant with weight w consumes virtual
+// time at 1/w per request.
 // A heavy tenant therefore fills its own queue and gets its weighted share
 // of grants, but can never push a light tenant's waiters out of line: the
 // light tenant's first waiter always carries one of the smallest tags.
 //
 // With a single tenant (the server's default "anon" identity) the pool
-// degenerates to exactly the old FIFO-bounded behavior: one queue of depth
-// QueueDepth, grants in arrival order.
+// is a plain bounded FIFO: one queue of depth QueueDepth, grants in
+// arrival order.
 type FairPool struct {
 	workers int
 	depth   int // per-tenant queue bound
@@ -57,7 +57,7 @@ type FairPoolOptions struct {
 	// Workers bounds concurrently running computations (default 1).
 	Workers int
 	// QueueDepth bounds each tenant's waiters (default 0: no queueing —
-	// a busy pool rejects immediately, the old pool's semantics).
+	// a busy pool rejects immediately).
 	QueueDepth int
 	// Weights maps tenant names to fair-share weights (default 1 each).
 	Weights map[string]float64
@@ -137,22 +137,16 @@ func (p *FairPool) Release() {
 	p.mu.Unlock()
 }
 
-// queueFor returns (creating under the cardinality bound) tenant's queue.
+// queueFor returns (creating on first use) tenant's queue.
 func (p *FairPool) queueFor(tenant string) *tenantQueue {
 	tq, ok := p.tenants[tenant]
 	if !ok {
-		if len(p.tenants) >= DefaultMaxTenants {
-			tenant = OverflowTenant
-			tq = p.tenants[tenant]
+		w := p.weights[tenant]
+		if w <= 0 {
+			w = 1
 		}
-		if tq == nil {
-			w := p.weights[tenant]
-			if w <= 0 {
-				w = 1
-			}
-			tq = &tenantQueue{weight: w}
-			p.tenants[tenant] = tq
-		}
+		tq = &tenantQueue{weight: w}
+		p.tenants[tenant] = tq
 	}
 	return tq
 }
@@ -211,9 +205,8 @@ func (p *FairPool) QueueDepthOf(tenant string) int {
 	return 0
 }
 
-// PoolStats is a point-in-time snapshot for the metrics endpoint. The
-// JSON shape matches the original FIFO pool's, so /metrics consumers keep
-// working; QueueDepth is now the per-tenant bound.
+// PoolStats is a point-in-time snapshot for the metrics endpoint;
+// QueueDepth is the per-tenant bound.
 type PoolStats struct {
 	Workers    int   `json:"workers"`
 	QueueDepth int   `json:"queueDepth"`

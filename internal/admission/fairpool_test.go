@@ -3,7 +3,6 @@ package admission
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -146,34 +145,6 @@ func TestFairPoolWeightedShare(t *testing.T) {
 	if lightSeen != 4 {
 		t.Fatalf("light grants = %d, want 4 (order %v)", lightSeen, order)
 	}
-}
-
-func TestFairPoolTenantCardinalityBound(t *testing.T) {
-	p := NewFairPool(FairPoolOptions{Workers: 1, QueueDepth: 1})
-	if err := p.Acquire(context.Background(), "holder"); err != nil {
-		t.Fatal(err)
-	}
-	// t0..t63 get named queues; t64 and later land on the shared overflow
-	// queue.
-	const queued = DefaultMaxTenants + 1
-	errs := make(chan error, queued)
-	for i := 0; i < queued; i++ {
-		tenant, want := fmt.Sprintf("t%d", i), i+1
-		go func() { errs <- p.Acquire(context.Background(), tenant) }()
-		waitFor(t, func() bool { return p.Stats().Queued == want })
-	}
-	// The overflow queue (depth 1) already holds t64's waiter: a further
-	// new tenant is rejected.
-	if err := p.Acquire(context.Background(), "t65"); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("err = %v, want ErrSaturated via overflow queue", err)
-	}
-	for i := 0; i < queued; i++ {
-		p.Release()
-		if err := <-errs; err != nil {
-			t.Fatalf("queued acquire %d: %v", i, err)
-		}
-	}
-	p.Release()
 }
 
 func waitFor(t *testing.T, cond func() bool) {

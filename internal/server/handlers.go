@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -389,37 +390,50 @@ type catalogCtx struct {
 }
 
 // handleCatalog lists targets, applications, candidate tilings, and the
-// generated contexts of the (optionally ?seed=) workspace.
+// generated contexts of the (optionally ?seed=) workspace. The document is
+// cached per seed; a miss builds it on a worker slot claimed for the
+// caller's tenant, so an unseen seed waits in the fair pool like a
+// transform, while a cached document takes no slot.
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	seed := s.cfg.Seed
+	var seed uint64
 	if q := r.URL.Query().Get("seed"); q != "" {
-		if _, err := fmt.Sscanf(q, "%d", &seed); err != nil {
+		var err error
+		if seed, err = strconv.ParseUint(q, 10, 64); err != nil {
 			writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad seed %q", q))
 			return
 		}
 	}
+	seed = s.seedOf(seed)
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 
-	resp := catalogResponse{Seed: seed}
-	for _, t := range kodan.Targets() {
-		resp.Targets = append(resp.Targets, t.String())
-	}
-	for _, a := range kodan.Applications() {
-		resp.Apps = append(resp.Apps, catalogApp{Index: a.Index, Name: a.Name})
-	}
-	for _, tl := range s.cfg.TransformConfig(seed).Tilings {
-		resp.Tilings = append(resp.Tilings, tl.PerSide)
-	}
-	sys, _, err := s.system(ctx, seed)
+	tenant := tenantOf(r.Context())
+	v, _, err := s.cache.Do(ctx, fmt.Sprintf("catalog|%d", seed), func(cctx context.Context) (interface{}, error) {
+		sys, err := s.acquireAndBuild(cctx, tenant, seed)
+		if err != nil {
+			return nil, err
+		}
+		defer s.pool.Release()
+		resp := catalogResponse{Seed: seed}
+		for _, t := range kodan.Targets() {
+			resp.Targets = append(resp.Targets, t.String())
+		}
+		for _, a := range kodan.Applications() {
+			resp.Apps = append(resp.Apps, catalogApp{Index: a.Index, Name: a.Name})
+		}
+		for _, tl := range s.cfg.TransformConfig(seed).Tilings {
+			resp.Tilings = append(resp.Tilings, tl.PerSide)
+		}
+		for _, c := range sys.Contexts() {
+			resp.Ctx = append(resp.Ctx, catalogCtx{Name: c.Name, Count: c.Count, HighValueFrac: c.HighValueFrac})
+		}
+		return resp, nil
+	})
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	for _, c := range sys.Contexts() {
-		resp.Ctx = append(resp.Ctx, catalogCtx{Name: c.Name, Count: c.Count, HighValueFrac: c.HighValueFrac})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, v.(catalogResponse))
 }
 
 // transformResponse is the /v1/transform document.

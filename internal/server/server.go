@@ -389,7 +389,8 @@ var requestIDPattern = regexp.MustCompile(`^[A-Za-z0-9_.-]{1,64}$`)
 // minted here — is echoed in the X-Request-ID response header, stamped on
 // the request's slog records, and carried by the context so every span
 // started beneath (pool wait, transform, simulation) annotates itself
-// with it.
+// with it. The request's tenant identity is resolved here too, once, and
+// carried by the context the same way (tenantOf).
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -402,7 +403,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		if !tenantPattern.MatchString(tenant) {
 			tenant = DefaultTenant
 		}
-		s.tenants.Request(tenant)
+		// The one place tenant identity is decided: past the cardinality
+		// bound a new name becomes the shared overflow identity, and the
+		// limiter, the fair pool and every count key on what this returns.
+		tenant = s.tenants.Request(tenant)
 
 		ctx := telemetry.WithProbe(r.Context(), s.probe)
 		ctx = context.WithValue(ctx, tenantKey{}, tenant)

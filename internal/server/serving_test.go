@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"kodan"
+	"kodan/internal/admission"
 )
 
 // stubPipeline returns NewSystem/Transform overrides that serve one
@@ -597,5 +599,203 @@ func TestMetricsExposesServingFields(t *testing.T) {
 	}
 	if doc.Pool.Workers != 2 {
 		t.Errorf("pool workers = %d, want 2", doc.Pool.Workers)
+	}
+}
+
+// TestTenantIdentityResolvedOnce: a request's tenant identity is decided
+// once, at the door, and the limiter, the fair pool and the per-tenant
+// metrics all key on it. Seventy tenants hit the cheap /healthz route
+// first, so only the metrics see them; past the bound of DefaultMaxTenants
+// names, every later tenant then shares the overflow identity's token
+// bucket and fair queue, and is counted under the same scope.
+func TestTenantIdentityResolvedOnce(t *testing.T) {
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	cfg := testConfig()
+	cfg.Workers = 1
+	cfg.QueueDepth = 1
+	cfg.TenantRate = 0.001 // trickle refill: effectively burst-only
+	cfg.TenantBurst = 2
+	newSystem, transform := stubPipeline(t, nil)
+	cfg.Transform = transform
+	cfg.NewSystem = func(ctx context.Context, c kodan.TransformConfig) (*kodan.System, error) {
+		if c.Seed == 1 {
+			started <- struct{}{}
+			<-gate
+		}
+		return newSystem(ctx, c)
+	}
+	s := New(cfg)
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const tenants = 70
+	name := func(i int) string { return fmt.Sprintf("t%d", i) }
+	for i := 0; i < tenants; i++ {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(TenantHeader, name(i))
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+	}
+
+	// t0 holds the only worker; the first late tenant's build queues.
+	var held sync.WaitGroup
+	held.Add(2)
+	go func() {
+		defer held.Done()
+		if resp, data := postTenant(t, ts, "/v1/transform", name(0), transformBody(1, 1)); resp.StatusCode != http.StatusOK {
+			t.Errorf("held build: status %d (%s)", resp.StatusCode, data)
+		}
+	}()
+	<-started
+	late := admission.DefaultMaxTenants
+	go func() {
+		defer held.Done()
+		if resp, data := postTenant(t, ts, "/v1/transform", name(late), transformBody(2, 1)); resp.StatusCode != http.StatusOK {
+			t.Errorf("queued late build: status %d (%s)", resp.StatusCode, data)
+		}
+	}()
+	waitForCond(t, func() bool { return s.Metrics().Pool.Queued == 1 })
+	if got := s.pool.QueueDepthOf(admission.OverflowTenant); got != 1 {
+		t.Errorf("overflow queue depth = %d, want 1: the pool queued %s under another name than the metrics count", got, name(late))
+	}
+	if got := s.pool.QueueDepthOf(name(late)); got != 0 {
+		t.Errorf("%s has a queue of its own (depth %d)", name(late), got)
+	}
+
+	// A bounded timeout keeps a request that wrongly queues from hanging
+	// the test. The second late tenant spends the overflow bucket's last
+	// token and meets the overflow queue, full with the first's build; the
+	// third finds the shared bucket empty.
+	timed := func(seed uint64) string { return fmt.Sprintf(`{"seed":%d,"app":1,"timeoutMs":2000}`, seed) }
+	for i, want := range []string{"saturated", "over admission rate"} {
+		resp, data := postTenant(t, ts, "/v1/transform", name(late+1+i), timed(uint64(3+i)))
+		if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(data), want) {
+			t.Errorf("late tenant %s: status %d (%s), want 429 %q", name(late+1+i), resp.StatusCode, data, want)
+		}
+	}
+	close(gate)
+	held.Wait()
+
+	scopes := map[string]bool{}
+	const prefix = "server.tenant."
+	for metric := range s.Registry().Snapshot().Counters {
+		if rest, ok := strings.CutPrefix(metric, prefix); ok {
+			scopes[rest[:strings.LastIndex(rest, ".")]] = true
+		}
+	}
+	if len(scopes) > admission.DefaultMaxTenants+1 {
+		t.Errorf("%d tenant scopes, want at most %d", len(scopes), admission.DefaultMaxTenants+1)
+	}
+	for i := late; i < tenants; i++ {
+		if scopes[name(i)] {
+			t.Errorf("late tenant %s has a scope of its own", name(i))
+		}
+	}
+	reg := s.Registry()
+	overflow := prefix + admission.OverflowTenant + "."
+	requests := reg.Counter(overflow + "requests").Load()
+	admitted := reg.Counter(overflow + "admitted").Load()
+	rejected := reg.Counter(overflow + "rejected").Load()
+	// The six late /healthz probes plus the three late builds.
+	wantRequests := int64(tenants - late + 3)
+	if requests != wantRequests || admitted != 1 || rejected != 2 {
+		t.Errorf("overflow requests/admitted/rejected = %d/%d/%d, want %d/1/2", requests, admitted, rejected, wantRequests)
+	}
+}
+
+// TestCatalogWaitsForPool: GET /v1/catalog parses its seed strictly,
+// resolves it like the POST routes, and builds an uncached seed's
+// document on a worker slot, so against a saturated pool an unseen seed
+// is rejected with 429 and builds nothing, while a cached seed is served.
+func TestCatalogWaitsForPool(t *testing.T) {
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	var mu sync.Mutex
+	builds := map[uint64]int{}
+	cfg := testConfig()
+	cfg.Workers = 1
+	cfg.QueueDepth = 1
+	newSystem, transform := stubPipeline(t, func(seed uint64) {
+		mu.Lock()
+		builds[seed]++
+		mu.Unlock()
+	})
+	cfg.Transform = transform
+	cfg.NewSystem = func(ctx context.Context, c kodan.TransformConfig) (*kodan.System, error) {
+		if c.Seed == 1 {
+			started <- struct{}{}
+			<-gate
+		}
+		return newSystem(ctx, c)
+	}
+	s := New(cfg)
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	get := func(query string, want int) catalogResponse {
+		t.Helper()
+		var cat catalogResponse
+		resp, err := ts.Client().Get(ts.URL + "/v1/catalog" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body) //nolint:errcheck
+		if resp.StatusCode != want {
+			t.Errorf("catalog%s: status %d (%s), want %d", query, resp.StatusCode, data, want)
+		} else if want == http.StatusOK {
+			if err := json.Unmarshal(data, &cat); err != nil {
+				t.Errorf("catalog%s: %v", query, err)
+			}
+		}
+		return cat
+	}
+	buildsOf := func(seed uint64) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return builds[seed]
+	}
+	get("?seed=5", http.StatusOK)
+
+	// A held build occupies the only worker and a second one fills the
+	// tenant's depth-1 queue.
+	var held sync.WaitGroup
+	held.Add(2)
+	go func() { defer held.Done(); post(t, ts.Client(), ts.URL+"/v1/transform", transformBody(1, 1)) }()
+	<-started
+	go func() { defer held.Done(); post(t, ts.Client(), ts.URL+"/v1/transform", transformBody(2, 1)) }()
+	waitForCond(t, func() bool { return s.Metrics().Pool.Queued == 1 })
+
+	get("?seed=6", http.StatusTooManyRequests)
+	if cat := get("?seed=5", http.StatusOK); cat.Seed != 5 {
+		t.Errorf("cached catalog seed = %d, want 5", cat.Seed)
+	}
+	for _, bad := range []string{"12abc", "0x10", "-1", "banana"} {
+		get("?seed="+bad, http.StatusBadRequest)
+	}
+	close(gate)
+	held.Wait()
+
+	// Seed 0 is the server default, as on the POST routes.
+	if cat := get("?seed=0", http.StatusOK); cat.Seed != cfg.Seed {
+		t.Errorf("?seed=0 catalog seed = %d, want the default %d", cat.Seed, cfg.Seed)
+	}
+	for _, seed := range []uint64{0, 6, 12, 16} {
+		if n := buildsOf(seed); n != 0 {
+			t.Errorf("seed %d: %d workspace builds, want none", seed, n)
+		}
+	}
+	if n := buildsOf(5); n != 1 {
+		t.Errorf("seed 5: %d workspace builds, want 1", n)
 	}
 }

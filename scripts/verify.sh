@@ -20,8 +20,12 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go test -race ./..."
-go test -race ./...
+# The race detector slows internal/experiments to ~6 min on a 2-CPU
+# host (TestFiguresDeterministicAcrossWorkers alone ~4 min), over half of
+# go test's 10-minute per-binary default, so the step gets 20 minutes.
+# Mirrored in .github/workflows/ci.yml and the Makefile's race target.
+echo "==> go test -race -timeout 20m ./..."
+go test -race -timeout 20m ./...
 
 # FMA build: the Go spec lets a compiler fuse x*y+z into one FMA that
 # rounds once, and GOAMD64=v3 makes FMA instructions available on amd64.
