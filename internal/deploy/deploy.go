@@ -100,15 +100,15 @@ func (r *Runtime) ProcessFrame(tiles []*imagery.Tile, rng *xrand.Rand) FrameOutc
 			// Unknown context (engine drift): be conservative, filter.
 			to.Action = policy.Specialized
 		}
-		switch to.Action {
-		case policy.Discard:
-			// Nothing queued.
-		case policy.Downlink:
+		// Discard (and Deferred, which no on-board logic carries) queues
+		// nothing.
+		switch {
+		case to.Action == policy.Downlink:
 			to.Chunk = value.Chunk{
 				Bits:      r.TileBits,
 				ValueBits: r.TileBits * t.HighValueFrac(),
 			}
-		case policy.Specialized, policy.Merged, policy.Generic:
+		case to.Action.RunsModel():
 			m := r.Suite.Generic
 			switch {
 			case to.Action == policy.Specialized && to.Context < len(r.Suite.Special):

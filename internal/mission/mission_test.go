@@ -1,16 +1,25 @@
 package mission
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"kodan/internal/app"
 	"kodan/internal/hw"
+	"kodan/internal/link"
 	"kodan/internal/nn"
+	"kodan/internal/orbit"
 	"kodan/internal/policy"
+	"kodan/internal/sense"
+	"kodan/internal/station"
 	"kodan/internal/tiling"
 	"kodan/internal/value"
+	"kodan/internal/wrs"
+	"kodan/internal/xrand"
 )
 
 var epoch = time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
@@ -187,6 +196,13 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("mismatched tiling accepted")
 	}
+	// The loop models no ground deferral: a Deferred context would
+	// otherwise vanish without a trace.
+	cfg = kodanConfig(1)
+	cfg.Selection.Actions = []policy.Action{policy.Downlink, policy.Deferred, policy.Specialized}
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("deferred action accepted")
+	}
 }
 
 func TestQueueMechanics(t *testing.T) {
@@ -211,5 +227,252 @@ func TestQueueMechanics(t *testing.T) {
 	b, v = q2.drain(100)
 	if math.Abs(b-6) > 1e-9 || math.Abs(v-3) > 1e-9 {
 		t.Fatalf("remainder drain = %v/%v", b, v)
+	}
+}
+
+// refTimeline is the mission timeline as Run wired it by hand before it
+// flew sim's Landsat 8 configuration, kept verbatim: the Landsat 8 orbit,
+// camera, grid, ground segment and radio, the captures and contention-
+// resolved grants merged into one sorted event list. It also returns the
+// summed contact time, the frame size and the radio.
+func refTimeline(cfg Config) ([]event, time.Duration, float64, link.Radio, error) {
+	span := time.Duration(cfg.Days) * 24 * time.Hour
+
+	el := orbit.Landsat8(cfg.Epoch)
+	camera := sense.Landsat8MS()
+	radio := link.Landsat8Radio()
+	im, err := sense.NewImager(camera, el, wrs.Landsat8Grid())
+	if err != nil {
+		return nil, 0, 0, link.Radio{}, err
+	}
+	captures := im.Captures(cfg.Epoch, span)
+
+	stations := station.LandsatSegment()
+	windows := make([][][]station.Window, len(stations))
+	for si, ws := range station.ContactWindows(stations, el, cfg.Epoch, span) {
+		windows[si] = [][]station.Window{ws}
+	}
+	grants := link.Allocate(link.Problem{
+		Start: cfg.Epoch, Span: span, Windows: windows,
+	})
+
+	// Merge captures and grants into one chronological timeline.
+	events := make([]event, 0, len(captures)+len(grants))
+	for _, c := range captures {
+		events = append(events, event{at: c.Time, capture: true})
+	}
+	var contact time.Duration
+	for _, g := range grants {
+		events = append(events, event{at: g.Start, grant: g})
+		contact += g.Dur
+	}
+	sort.Slice(events, func(i, j int) bool { return events[i].at.Before(events[j].at) })
+	return events, contact, camera.FrameBits(), radio, nil
+}
+
+// refProcessFrame is processFrame as it stood before it read
+// policy.ContextProfile.Yield, kept verbatim.
+func refProcessFrame(cfg Config, contexts []int, tileBits float64) (time.Duration, []value.Chunk, []bool) {
+	var ms float64
+	var chunks []value.Chunk
+	var assessed []bool
+	engineMs := cfg.Target.ContextEngineMsPerTile()
+	modelMs := cfg.Arch.PerTileMs[cfg.Target]
+	for _, c := range contexts {
+		if cfg.UseEngine {
+			ms += engineMs
+		}
+		cp := cfg.Profile.Contexts[c]
+		switch cfg.Selection.Actions[c] {
+		case policy.Discard:
+		case policy.Downlink:
+			chunks = append(chunks, value.Chunk{Bits: tileBits, ValueBits: tileBits * cp.HighValueFrac})
+			// A context-engine verdict is a value estimate; a bent pipe
+			// (no engine) downlinks blind.
+			assessed = append(assessed, cfg.UseEngine)
+		default: // Specialized, Merged, Generic
+			conf := cp.Special
+			switch cfg.Selection.Actions[c] {
+			case policy.Merged:
+				conf = cp.Merged
+			case policy.Generic:
+				conf = cp.Generic
+			}
+			ms += modelMs
+			total := float64(conf.Total())
+			if total == 0 {
+				continue
+			}
+			kept := conf.PositiveRate()
+			tpFrac := float64(conf.TP) / total
+			if kept > 0 {
+				chunks = append(chunks, value.Chunk{Bits: tileBits * kept, ValueBits: tileBits * tpFrac})
+				assessed = append(assessed, true)
+			}
+		}
+	}
+	return time.Duration(ms * float64(time.Millisecond)), chunks, assessed
+}
+
+// TestTimelineMatchesHandWired pins the sim-built timeline to the
+// hand-wired one event for event, at several epochs and spans.
+func TestTimelineMatchesHandWired(t *testing.T) {
+	for _, ep := range []time.Time{
+		epoch,
+		time.Date(2021, 7, 1, 6, 30, 0, 0, time.UTC),
+		time.Date(2024, 12, 31, 23, 0, 0, 0, time.UTC),
+	} {
+		for _, days := range []int{1, 3} {
+			cfg := kodanConfig(days)
+			cfg.Epoch = ep
+			wantEv, wantContact, wantFrameBits, wantRadio, err := refTimeline(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotEv, platform, err := timeline(ep, time.Duration(days)*24*time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fb := platform.Camera.FrameBits(); fb != wantFrameBits || platform.Radio != wantRadio {
+				t.Fatalf("%v +%dd: platform frame bits %v radio %v, want %v %v",
+					ep, days, fb, platform.Radio, wantFrameBits, wantRadio)
+			}
+			if len(gotEv) != len(wantEv) {
+				t.Fatalf("%v +%dd: %d events, want %d", ep, days, len(gotEv), len(wantEv))
+			}
+			var contact time.Duration
+			for i := range wantEv {
+				if gotEv[i] != wantEv[i] {
+					t.Fatalf("%v +%dd: event %d = %+v, want %+v", ep, days, i, gotEv[i], wantEv[i])
+				}
+				contact += gotEv[i].grant.Dur
+			}
+			if contact != wantContact {
+				t.Fatalf("%v +%dd: contact %v, want %v", ep, days, contact, wantContact)
+			}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ContactTime != wantContact {
+				t.Fatalf("%v +%dd: Result.ContactTime %v, want %v", ep, days, res.ContactTime, wantContact)
+			}
+		}
+	}
+}
+
+// TestProcessFrameMatchesReference pins processFrame to its pre-Yield form
+// over random profiles (empty confusions included), every non-deferred
+// action and random frames.
+func TestProcessFrameMatchesReference(t *testing.T) {
+	rng := xrand.New(3)
+	actions := []policy.Action{policy.Discard, policy.Downlink, policy.Specialized, policy.Merged, policy.Generic}
+	fill := func() nn.Confusion {
+		switch rng.Intn(5) {
+		case 0:
+			return nn.Confusion{} // no validation tile landed here
+		case 1:
+			return nn.Confusion{TN: rng.Intn(50), FN: rng.Intn(50)} // keeps nothing
+		}
+		return nn.Confusion{TP: rng.Intn(50), FP: rng.Intn(50), TN: rng.Intn(50), FN: rng.Intn(50)}
+	}
+	for trial := 0; trial < 300; trial++ {
+		k := 1 + rng.Intn(6)
+		prof := policy.TilingProfile{Tiling: tiling.Tiling{PerSide: 1 + rng.Intn(6)}}
+		for c := 0; c < k; c++ {
+			prof.Contexts = append(prof.Contexts, policy.ContextProfile{
+				TileFrac: rng.Float64(), HighValueFrac: rng.Float64(),
+				Generic: fill(), Special: fill(), Merged: fill(),
+			})
+		}
+		cfg := Config{
+			Arch:      app.App(1 + rng.Intn(7)),
+			Target:    hw.Targets()[rng.Intn(3)],
+			Profile:   prof,
+			Selection: policy.Selection{Tiling: prof.Tiling, Actions: make([]policy.Action, k)},
+			UseEngine: rng.Intn(2) == 0,
+		}
+		tileBits := rng.Range(1, 1e9)
+		for probe := 0; probe < 20; probe++ {
+			for c := range cfg.Selection.Actions {
+				cfg.Selection.Actions[c] = actions[rng.Intn(len(actions))]
+			}
+			contexts := make([]int, prof.Tiling.Tiles())
+			for i := range contexts {
+				contexts[i] = rng.Intn(k)
+			}
+			wantMs, wantChunks, wantAssessed := refProcessFrame(cfg, contexts, tileBits)
+			gotMs, gotChunks, gotAssessed := processFrame(cfg, contexts, tileBits)
+			if gotMs != wantMs || !slices.Equal(gotChunks, wantChunks) || !slices.Equal(gotAssessed, wantAssessed) {
+				t.Fatalf("trial %d probe %d: actions %v\ngot  %v %v %v\nwant %v %v %v", trial, probe,
+					cfg.Selection.Actions, gotMs, gotChunks, gotAssessed, wantMs, wantChunks, wantAssessed)
+			}
+		}
+	}
+}
+
+// TestLedgerConservation checks the mission ledger over seeds, buffer
+// bounds, idle filling and the context engine, for a Kodan selection, a
+// bent pipe and a compute-bottlenecked selection: every capture is
+// processed or missed, nothing downlinks past capacity or carries more
+// value than bits, no bit appears from nowhere (downlinked, dropped and
+// still-queued bits never exceed what was observed, and equal it for the
+// bent pipe, which keeps every bit), and a bounded buffer is never
+// exceeded.
+func TestLedgerConservation(t *testing.T) {
+	frameBits := sense.Landsat8MS().FrameBits()
+	selections := []struct {
+		name  string
+		prof  policy.TilingProfile
+		acts  []policy.Action
+		seeds []uint64
+	}{
+		{"kodan", testProfile(3), []policy.Action{policy.Downlink, policy.Discard, policy.Specialized}, []uint64{1, 2, 3}},
+		{"bent", testProfile(3), []policy.Action{policy.Downlink, policy.Downlink, policy.Downlink}, []uint64{1, 2, 3}},
+		// One seed suffices to exercise missed frames; the queue's victim
+		// scan makes these runs the slowest.
+		{"bottleneck", testProfile(5), []policy.Action{policy.Specialized, policy.Merged, policy.Generic}, []uint64{1}},
+	}
+	within := func(got, want float64) bool { return got <= want*(1+1e-9) }
+	for _, sel := range selections {
+		for _, seed := range sel.seeds {
+			for _, buffer := range []float64{0, 2 * frameBits, 256 * 8e9} {
+				for _, fill := range []bool{true, false} {
+					for _, engine := range []bool{true, false} {
+						cfg := kodanConfig(1)
+						cfg.Profile = sel.prof
+						cfg.Selection = policy.Selection{Tiling: sel.prof.Tiling, Actions: sel.acts}
+						cfg.Seed, cfg.BufferBits, cfg.FillIdle, cfg.UseEngine = seed, buffer, fill, engine
+						res, err := Run(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("%s seed %d buffer %g fill %v engine %v", sel.name, seed, buffer, fill, engine)
+						led := res.Ledger
+						if res.FramesProcessed+res.FramesMissed != res.FramesCaptured {
+							t.Errorf("%s: processed %d + missed %d != captured %d", name,
+								res.FramesProcessed, res.FramesMissed, res.FramesCaptured)
+						}
+						if !within(led.DownlinkedBits, led.CapacityBits) {
+							t.Errorf("%s: downlinked %v > capacity %v", name, led.DownlinkedBits, led.CapacityBits)
+						}
+						if !within(led.HighValueBits, led.DownlinkedBits) {
+							t.Errorf("%s: high-value %v > downlinked %v", name, led.HighValueBits, led.DownlinkedBits)
+						}
+						out := led.DownlinkedBits + res.DroppedBits + res.QueuedBits
+						if !within(out, led.ObservedBits) {
+							t.Errorf("%s: downlinked+dropped+queued %v > observed %v", name, out, led.ObservedBits)
+						}
+						if sel.name == "bent" && !engine && fill &&
+							math.Abs(out-led.ObservedBits) > 1e-9*led.ObservedBits {
+							t.Errorf("%s: bent pipe downlinked+dropped+queued %v != observed %v", name, out, led.ObservedBits)
+						}
+						if buffer > 0 && !within(res.PeakQueueBits, buffer) {
+							t.Errorf("%s: peak queue %v > buffer %v", name, res.PeakQueueBits, buffer)
+						}
+					}
+				}
+			}
+		}
 	}
 }

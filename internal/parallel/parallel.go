@@ -37,8 +37,9 @@ func Workers(n int) int {
 // goroutines and returns the results in index order. It returns the
 // first error by item index (not by completion time), so the reported
 // error is the same one the sequential loop would have surfaced. A fn
-// error or ctx cancellation stops the launch of new items; items already
-// running complete, and Map returns only after every worker has exited.
+// error stops the launch of items above its index, and ctx cancellation
+// the launch of any item; items already running complete, and Map
+// returns only after every worker has exited.
 // workers <= 1 runs the loop inline on the calling goroutine.
 //
 // When the context carries a telemetry probe, Map reports worker
@@ -85,9 +86,13 @@ func forEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 		return nil
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+	// failed is the lowest index whose fn failed (n while none has). An
+	// item above it is skipped: the sequential loop would never have
+	// reached it. Items below it run on with the caller's context, since
+	// one of them may fail first in index order; only an outside
+	// cancellation cuts them short.
+	var failed atomic.Int64
+	failed.Store(int64(n))
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -97,7 +102,7 @@ func forEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i >= n || int64(i) > failed.Load() {
 					return
 				}
 				if err := ctx.Err(); err != nil {
@@ -107,7 +112,11 @@ func forEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 				start := probe.itemStart()
 				if err := fn(ctx, i); err != nil {
 					errs[i] = err
-					cancel()
+					for lo := failed.Load(); int64(i) < lo; lo = failed.Load() {
+						if failed.CompareAndSwap(lo, int64(i)) {
+							break
+						}
+					}
 					return
 				}
 				probe.itemDone(start)
@@ -169,8 +178,7 @@ func (p forEachProbe) itemDone(start time.Time) {
 
 // firstError picks the error the sequential loop would have returned: the
 // lowest-index fn failure. Context errors only win when no fn failed —
-// they mark items abandoned because of a later (higher-index) failure or
-// an outside cancellation.
+// they mark items abandoned to an outside cancellation.
 func firstError(errs []error) error {
 	var ctxErr error
 	for _, err := range errs {

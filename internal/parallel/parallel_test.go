@@ -123,6 +123,34 @@ func TestForEachFirstErrorByIndex(t *testing.T) {
 	}
 }
 
+// TestForEachLaterFailureKeepsEarlierItemRunning is the deterministic
+// form of the case above: item 3 is still running when item 20 fails, and
+// it returns its context's error if the later failure cancelled it. The
+// sequential loop fails at item 3 and never reaches 20, so item 3's own
+// error must be the one reported.
+func TestForEachLaterFailureKeepsEarlierItemRunning(t *testing.T) {
+	errLow := errors.New("low")
+	errHigh := errors.New("high")
+	for run := 0; run < 5; run++ {
+		err := forEach(context.Background(), 4, 32, func(ctx context.Context, i int) error {
+			switch i {
+			case 3:
+				time.Sleep(20 * time.Millisecond)
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				return errLow
+			case 20:
+				return errHigh
+			}
+			return nil
+		})
+		if !errors.Is(err, errLow) {
+			t.Fatalf("run %d: err = %v, want %v", run, err, errLow)
+		}
+	}
+}
+
 func TestForEachErrorStopsLaunchingItems(t *testing.T) {
 	var ran atomic.Int32
 	err := forEach(context.Background(), 2, 10_000, func(_ context.Context, i int) error {

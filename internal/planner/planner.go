@@ -244,26 +244,14 @@ func contextOptions(prof policy.TilingProfile, base policy.Selection, env Env) [
 	opts := make([][]option, len(prof.Contexts))
 	for c, cp := range prof.Contexts {
 		f, h := cp.TileFrac, cp.HighValueFrac
+		// A model with an empty confusion prices as option{}: no model
+		// time, unlike the policy evaluator, which charges it.
 		var ob option
-		switch a := base.Actions[c]; a {
-		case policy.Downlink:
-			ob = option{nowBits: f, raw: f * h}
-		case policy.Specialized, policy.Merged, policy.Generic:
-			conf := cp.Special
-			switch a {
-			case policy.Merged:
-				conf = cp.Merged
-			case policy.Generic:
-				conf = cp.Generic
-			}
-			if total := float64(conf.Total()); total > 0 {
-				ob = option{
-					modelMs:  tiles * f * perTileMs,
-					nowBits:  f * conf.PositiveRate(),
-					finished: f * float64(conf.TP) / total,
-				}
-			}
-		default: // Discard (and Deferred, which never appears in a base)
+		a := base.Actions[c]
+		if kept, val, ok := cp.Yield(a); ok && a.RunsModel() {
+			ob = option{modelMs: tiles * f * perTileMs, nowBits: f * kept, finished: f * val}
+		} else if ok {
+			ob = option{nowBits: f * kept, raw: f * val}
 		}
 		opts[c] = make([]option, numDispositions)
 		opts[c][Onboard] = ob

@@ -9,6 +9,7 @@ import (
 	"kodan/internal/hw"
 	"kodan/internal/nn"
 	"kodan/internal/tiling"
+	"kodan/internal/value"
 	"kodan/internal/xrand"
 )
 
@@ -36,10 +37,95 @@ func randomProfile(k int, rng *xrand.Rand) TilingProfile {
 	return tp
 }
 
-// TestEvaluatorMatchesEvaluate pins the optimizer's cached evaluator to
-// the reference Evaluate path bit for bit across random profiles,
-// environments, and action vectors. The committed figure goldens depend on
-// this equivalence: if it ever breaks, the fix is in the evaluator, not in
+// refFrameTime and refEvaluateAtTime are the chunk-slice form of the
+// accounting, kept verbatim from before Evaluate, EvaluateAtTime and
+// FrameTime became calls into the evaluator: each action appends its
+// chunk, and value.Drain downlinks the slice. They are the oracle the
+// evaluator must match bit for bit.
+func refFrameTime(s Selection, tp TilingProfile, env Env) time.Duration {
+	tiles := float64(s.Tiling.Tiles())
+	var ms float64
+	if env.UseEngine {
+		ms += tiles * env.Target.ContextEngineMsPerTile()
+	}
+	for c, a := range s.Actions {
+		if a == Specialized || a == Merged || a == Generic {
+			ms += tiles * tp.Contexts[c].TileFrac * env.App.PerTileMs[env.Target]
+		}
+	}
+	return time.Duration(ms * float64(time.Millisecond))
+}
+
+func refEvaluateAtTime(s Selection, tp TilingProfile, env Env, ft time.Duration) Estimate {
+	if len(s.Actions) != len(tp.Contexts) {
+		panic("policy: action/context count mismatch")
+	}
+	p := 1.0
+	if ft > env.Deadline && ft > 0 {
+		p = float64(env.Deadline) / float64(ft)
+	}
+
+	// Build the per-frame chunk mix from processed frames.
+	var chunks []value.Chunk
+	for c, a := range s.Actions {
+		cp := tp.Contexts[c]
+		switch a {
+		case Discard:
+		case Deferred:
+			// Deferred tiles leave the frame's immediate downlink budget
+			// untouched: their bits ride later contact windows and are
+			// accounted by the planner (internal/planner) and the sim's
+			// store-and-forward drain, not by the in-frame ledger.
+		case Downlink:
+			chunks = append(chunks, value.Chunk{
+				Bits:      p * cp.TileFrac,
+				ValueBits: p * cp.TileFrac * cp.HighValueFrac,
+			})
+		case Specialized, Merged, Generic:
+			conf := cp.Special
+			switch a {
+			case Merged:
+				conf = cp.Merged
+			case Generic:
+				conf = cp.Generic
+			}
+			total := float64(conf.Total())
+			if total == 0 {
+				continue
+			}
+			kept := conf.PositiveRate()
+			tp2 := float64(conf.TP) / total
+			chunks = append(chunks, value.Chunk{
+				Bits:      p * cp.TileFrac * kept,
+				ValueBits: p * cp.TileFrac * tp2,
+			})
+		}
+	}
+	// Unprocessed frames are raw; with FillIdle they pad the queue.
+	prevalence := tp.Prevalence()
+	if env.FillIdle && p < 1 {
+		chunks = append(chunks, value.Chunk{
+			Bits:      1 - p,
+			ValueBits: (1 - p) * prevalence,
+		})
+	}
+
+	bits, val := value.Drain(chunks, env.CapacityFrac)
+	led := value.Ledger{
+		CapacityBits:          env.CapacityFrac,
+		DownlinkedBits:        bits,
+		HighValueBits:         val,
+		ObservedBits:          1,
+		ObservedHighValueBits: prevalence,
+	}
+	return Estimate{FrameTime: ft, ProcessedFrac: p, Ledger: led, DVD: led.DVD()}
+}
+
+// TestEvaluatorMatchesEvaluate pins the evaluator — and so Evaluate,
+// EvaluateAtTime and FrameTime, which call it — to the chunk-slice
+// reference bit for bit across random profiles, environments, action
+// vectors and frame times. The committed figure goldens depend on this
+// equivalence: if it ever breaks, the fix is in the evaluator, not in
 // regenerating goldens.
 func TestEvaluatorMatchesEvaluate(t *testing.T) {
 	rng := xrand.New(7)
@@ -64,11 +150,29 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 			for i := range sel.Actions {
 				sel.Actions[i] = actions[rng.Intn(len(actions))]
 			}
-			want := Evaluate(sel, tp, env)
-			got := ev.evaluate(sel.Actions)
-			if !estimatesIdentical(want, got) {
-				t.Fatalf("trial %d probe %d: evaluator diverged\nactions %v env %+v\nwant %+v\ngot  %+v",
-					trial, probe, sel.Actions, env, want, got)
+			ft := refFrameTime(sel, tp, env)
+			if got := FrameTime(sel, tp, env); got != ft {
+				t.Fatalf("trial %d probe %d: FrameTime = %v, reference %v", trial, probe, got, ft)
+			}
+			want := refEvaluateAtTime(sel, tp, env, ft)
+			for name, got := range map[string]Estimate{
+				"Evaluate":       Evaluate(sel, tp, env),
+				"evaluator":      ev.evaluate(sel.Actions),
+				"EvaluateAtTime": EvaluateAtTime(sel, tp, env, ft),
+			} {
+				if !estimatesIdentical(want, got) {
+					t.Fatalf("trial %d probe %d: %s diverged\nactions %v env %+v\nwant %+v\ngot  %+v",
+						trial, probe, name, sel.Actions, env, want, got)
+				}
+			}
+			// The Figure 10 sweep overrides the frame time, including zero.
+			at := time.Duration(rng.Intn(20_000_000_000))
+			if probe%8 == 0 {
+				at = 0
+			}
+			if want, got := refEvaluateAtTime(sel, tp, env, at), EvaluateAtTime(sel, tp, env, at); !estimatesIdentical(want, got) {
+				t.Fatalf("trial %d probe %d: EvaluateAtTime(%v) diverged\nwant %+v\ngot  %+v",
+					trial, probe, at, want, got)
 			}
 		}
 	}

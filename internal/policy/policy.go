@@ -75,6 +75,12 @@ func (a Action) String() string {
 	}
 }
 
+// RunsModel reports whether the action runs a model on board, paying the
+// application's per-tile model time.
+func (a Action) RunsModel() bool {
+	return a == Specialized || a == Merged || a == Generic
+}
+
 // ContextProfile is the transformation step's measured knowledge of one
 // context at one tiling.
 type ContextProfile struct {
@@ -88,6 +94,33 @@ type ContextProfile struct {
 	Generic nn.Confusion
 	Special nn.Confusion
 	Merged  nn.Confusion
+}
+
+// Yield is what action a queues for downlink from each processed tile of
+// the context: kept is the fraction of the tile's bits queued and value
+// the fraction of its bits that are queued and high-value. ok is false when
+// the action queues nothing: Discard, Deferred (its bits ride later
+// contact windows), and a model whose validation confusion is empty. A
+// model action still costs model time when ok is false (see RunsModel).
+func (cp ContextProfile) Yield(a Action) (kept, value float64, ok bool) {
+	var conf nn.Confusion
+	switch a {
+	case Downlink:
+		return 1, cp.HighValueFrac, true
+	case Specialized:
+		conf = cp.Special
+	case Merged:
+		conf = cp.Merged
+	case Generic:
+		conf = cp.Generic
+	default:
+		return 0, 0, false
+	}
+	total := float64(conf.Total())
+	if total == 0 {
+		return 0, 0, false
+	}
+	return conf.PositiveRate(), float64(conf.TP) / total, true
 }
 
 // TilingProfile aggregates the per-context profiles of one tiling.
@@ -134,7 +167,7 @@ type Selection struct {
 func (s Selection) ElidedFrac(tp TilingProfile) float64 {
 	var f float64
 	for c, a := range s.Actions {
-		if a == Discard || a == Downlink || a == Deferred {
+		if !a.RunsModel() {
 			f += tp.Contexts[c].TileFrac
 		}
 	}
@@ -168,17 +201,7 @@ type Estimate struct {
 
 // FrameTime returns the expected per-frame processing time of a selection.
 func FrameTime(s Selection, tp TilingProfile, env Env) time.Duration {
-	tiles := float64(s.Tiling.Tiles())
-	var ms float64
-	if env.UseEngine {
-		ms += tiles * env.Target.ContextEngineMsPerTile()
-	}
-	for c, a := range s.Actions {
-		if a == Specialized || a == Merged || a == Generic {
-			ms += tiles * tp.Contexts[c].TileFrac * env.App.PerTileMs[env.Target]
-		}
-	}
-	return time.Duration(ms * float64(time.Millisecond))
+	return evaluatorFor(s, tp, env).frameTime(s.Actions)
 }
 
 // Evaluate computes the expected deployment accounting of a selection.
@@ -186,75 +209,23 @@ func FrameTime(s Selection, tp TilingProfile, env Env) time.Duration {
 // observed frames; scaling to a real deployment multiplies by frame size
 // and frame count, which cancels out of every ratio.
 func Evaluate(s Selection, tp TilingProfile, env Env) Estimate {
-	return EvaluateAtTime(s, tp, env, FrameTime(s, tp, env))
+	return evaluatorFor(s, tp, env).evaluate(s.Actions)
 }
 
 // EvaluateAtTime is Evaluate with the frame processing time overridden —
 // used by the Figure 10 sweep, which varies execution time as a free
 // parameter to map DVD against compute performance.
 func EvaluateAtTime(s Selection, tp TilingProfile, env Env, ft time.Duration) Estimate {
+	return evaluatorFor(s, tp, env).evaluateAt(s.Actions, ft)
+}
+
+// evaluatorFor checks that the selection has one action per context and
+// returns the profile's evaluator.
+func evaluatorFor(s Selection, tp TilingProfile, env Env) *evaluator {
 	if len(s.Actions) != len(tp.Contexts) {
 		panic("policy: action/context count mismatch")
 	}
-	p := 1.0
-	if ft > env.Deadline && ft > 0 {
-		p = float64(env.Deadline) / float64(ft)
-	}
-
-	// Build the per-frame chunk mix from processed frames.
-	var chunks []value.Chunk
-	for c, a := range s.Actions {
-		cp := tp.Contexts[c]
-		switch a {
-		case Discard:
-		case Deferred:
-			// Deferred tiles leave the frame's immediate downlink budget
-			// untouched: their bits ride later contact windows and are
-			// accounted by the planner (internal/planner) and the sim's
-			// store-and-forward drain, not by the in-frame ledger.
-		case Downlink:
-			chunks = append(chunks, value.Chunk{
-				Bits:      p * cp.TileFrac,
-				ValueBits: p * cp.TileFrac * cp.HighValueFrac,
-			})
-		case Specialized, Merged, Generic:
-			conf := cp.Special
-			switch a {
-			case Merged:
-				conf = cp.Merged
-			case Generic:
-				conf = cp.Generic
-			}
-			total := float64(conf.Total())
-			if total == 0 {
-				continue
-			}
-			kept := conf.PositiveRate()
-			tp2 := float64(conf.TP) / total
-			chunks = append(chunks, value.Chunk{
-				Bits:      p * cp.TileFrac * kept,
-				ValueBits: p * cp.TileFrac * tp2,
-			})
-		}
-	}
-	// Unprocessed frames are raw; with FillIdle they pad the queue.
-	prevalence := tp.Prevalence()
-	if env.FillIdle && p < 1 {
-		chunks = append(chunks, value.Chunk{
-			Bits:      1 - p,
-			ValueBits: (1 - p) * prevalence,
-		})
-	}
-
-	bits, val := value.Drain(chunks, env.CapacityFrac)
-	led := value.Ledger{
-		CapacityBits:          env.CapacityFrac,
-		DownlinkedBits:        bits,
-		HighValueBits:         val,
-		ObservedBits:          1,
-		ObservedHighValueBits: prevalence,
-	}
-	return Estimate{FrameTime: ft, ProcessedFrac: p, Ledger: led, DVD: led.DVD()}
+	return newEvaluator(tp, env)
 }
 
 // EvaluateBentPipe returns the bent-pipe baseline: raw frames downlinked
@@ -463,13 +434,16 @@ func better(a, b Estimate) bool {
 	return a.FrameTime < b.FrameTime
 }
 
-// evaluator caches every (tiling, environment)-dependent term of Evaluate
-// so the optimizer's inner loop — millions of probes per selection-logic
-// generation — runs allocation-free on precomputed per-context constants.
-// evaluate must stay bit-identical to EvaluateAtTime: the golden figure
-// outputs depend on it (see TestEvaluatorMatchesEvaluate), so every
-// expression below keeps the exact shape and accumulation order of the
-// reference path.
+// evaluator is the one evaluation engine: Evaluate, EvaluateAtTime,
+// FrameTime and the optimizer's sweeps all price selections through it.
+// It caches every (tiling, environment)-dependent term so the optimizer's
+// inner loop — millions of probes per selection-logic generation — runs
+// allocation-free on precomputed per-context constants. Its results match
+// the chunk-slice form of the accounting (build each action's chunk, then
+// value.Drain the slice) bit for bit: the golden figure outputs depend on
+// it, and TestEvaluatorMatchesEvaluate pins it to a test-local copy of
+// that form, so every expression below keeps the reference's exact shape
+// and accumulation order.
 type evaluator struct {
 	env        Env
 	prevalence float64
@@ -478,18 +452,16 @@ type evaluator struct {
 	baseMs float64
 	// tf[c] is context c's TileFrac.
 	tf []float64
-	// Flat per-(context, action) tables at index c*numActions+int(a),
+	// Flat per-(context, action) tables at index c*actionStride+int(a),
 	// turning the probe loop into branch-free table lookups:
 	//
-	//   msAdd    frame-time addend (tiles*TileFrac*PerTileMs for model
-	//            actions, exactly as FrameTime associates it; 0 otherwise —
-	//            adding literal zero to a non-negative sum is exact)
-	//   counted  whether the action queues a chunk (Downlink, or a model
-	//            action whose confusion has nonzero total)
-	//   kept     chunk bits per processed tile fraction: 1 for Downlink
-	//            (x*1 is exact), the confusion's PositiveRate for models
-	//   frac     chunk value per processed tile fraction: HighValueFrac
-	//            for Downlink, TP/Total for models
+	//   msAdd    frame-time addend (tiles*TileFrac*PerTileMs when the
+	//            action RunsModel; 0 otherwise — adding literal zero to a
+	//            non-negative sum is exact)
+	//   counted  whether the action queues a chunk (Yield's ok)
+	//   kept     chunk bits per processed tile fraction (Yield's kept: 1
+	//            for Downlink, where x*1 is exact)
+	//   frac     chunk value per processed tile fraction (Yield's value)
 	msAdd      []float64
 	counted    []bool
 	kept, frac []float64
@@ -498,7 +470,7 @@ type evaluator struct {
 // actionStride is the per-context width of the evaluator's flat tables:
 // every Action value, including Deferred (declared past numActions), must
 // index without bounds surprises. Deferred's table entries stay zero —
-// it adds no frame time and queues no chunk, matching Evaluate.
+// it adds no frame time and queues no chunk.
 const actionStride = int(Deferred) + 1
 
 // newEvaluator precomputes the per-context terms for one profile in one
@@ -522,34 +494,20 @@ func newEvaluator(tp TilingProfile, env Env) *evaluator {
 	for c, cp := range tp.Contexts {
 		e.tf[c] = cp.TileFrac
 		modelMs := tiles * cp.TileFrac * env.App.PerTileMs[env.Target]
-		di := c*nA + int(Downlink)
-		e.counted[di] = true
-		e.kept[di] = 1
-		e.frac[di] = cp.HighValueFrac
-		for _, a := range [...]Action{Specialized, Merged, Generic} {
-			conf := cp.Special
-			switch a {
-			case Merged:
-				conf = cp.Merged
-			case Generic:
-				conf = cp.Generic
-			}
+		for a := Action(0); int(a) < nA; a++ {
 			idx := c*nA + int(a)
-			e.msAdd[idx] = modelMs
-			total := float64(conf.Total())
-			if total == 0 {
-				// Dead model: costs frame time but queues no chunk.
-				continue
+			if a.RunsModel() {
+				// A dead model (empty confusion) costs frame time but
+				// queues no chunk.
+				e.msAdd[idx] = modelMs
 			}
-			e.counted[idx] = true
-			e.kept[idx] = conf.PositiveRate()
-			e.frac[idx] = float64(conf.TP) / total
+			e.kept[idx], e.frac[idx], e.counted[idx] = cp.Yield(a)
 		}
 	}
 	return e
 }
 
-// frameTime is FrameTime over the cached terms.
+// frameTime is the expected per-frame processing time of actions.
 func (e *evaluator) frameTime(actions []Action) time.Duration {
 	ms := e.baseMs
 	nA := actionStride
@@ -569,11 +527,15 @@ func (e *evaluator) processedFrac(ft time.Duration) float64 {
 	return p
 }
 
-// evaluate is EvaluateAtTime(sel, tp, env, frameTime(sel)) without the
-// chunk-slice allocation: the drain (value.Drain) is inlined as a running
-// sum because a frame's chunk mix is consumed exactly once, in order.
+// evaluate prices actions at their own frame time.
 func (e *evaluator) evaluate(actions []Action) Estimate {
-	ft := e.frameTime(actions)
+	return e.evaluateAt(actions, e.frameTime(actions))
+}
+
+// evaluateAt prices actions at frame time ft without a chunk slice: the
+// drain (value.Drain) is inlined as a running sum because a frame's chunk
+// mix is consumed exactly once, in order.
+func (e *evaluator) evaluateAt(actions []Action, ft time.Duration) Estimate {
 	p := e.processedFrac(ft)
 	var totalBits, totalVal float64
 	chunks := 0
@@ -588,11 +550,6 @@ func (e *evaluator) evaluate(actions []Action) Estimate {
 		totalVal += pf * e.frac[idx]
 		chunks++
 	}
-	return e.finish(ft, p, totalBits, totalVal, chunks)
-}
-
-// finish completes an evaluation from the summed per-context chunks.
-func (e *evaluator) finish(ft time.Duration, p, totalBits, totalVal float64, chunks int) Estimate {
 	bits, val := e.drain(p, totalBits, totalVal, chunks)
 	led := value.Ledger{
 		CapacityBits:          e.env.CapacityFrac,

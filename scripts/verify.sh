@@ -29,13 +29,13 @@ go test -race -timeout 20m ./...
 
 # FMA build: the Go spec lets a compiler fuse x*y+z into one FMA that
 # rounds once, and GOAMD64=v3 makes FMA instructions available on amd64.
-# The selection-logic sweep, the placement search and the drain are
-# pinned bit for bit to reference oracles in their tests; running those
-# packages under this code generation too keeps the equivalence from
-# depending on how float expressions compile. Mirrored in
-# .github/workflows/ci.yml.
-echo "==> GOAMD64=v3 go test (search, policy, planner, sim)"
-GOAMD64=v3 go test -count=1 ./internal/search ./internal/policy ./internal/planner ./internal/sim
+# The selection-logic sweep and evaluator, the placement search, the
+# drain and the mission loop are pinned bit for bit to reference oracles
+# in their tests; running those packages under this code generation too
+# keeps the equivalence from depending on how float expressions compile.
+# Mirrored in .github/workflows/ci.yml.
+echo "==> GOAMD64=v3 go test (search, policy, planner, sim, mission)"
+GOAMD64=v3 go test -count=1 ./internal/search ./internal/policy ./internal/planner ./internal/sim ./internal/mission
 
 # Shuffled run: catches inter-test ordering dependencies that a fixed
 # order hides. A fixed seed keeps failures reproducible.
